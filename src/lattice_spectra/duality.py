@@ -122,7 +122,6 @@ def pbd_morphism(source: BitopSpace, target: BitopSpace, mapping) -> PBDMorphism
             raise ValueError("map is not sigma-continuous")
     src_ess = essential_subsets(source).members
     tgt_ess = essential_subsets(target).members
-    space_pair = (source, target)
     for a in tgt_ess:
         pre = preimage_mask(mapping, a)
         if pre not in src_ess:
@@ -131,7 +130,6 @@ def pbd_morphism(source: BitopSpace, target: BitopSpace, mapping) -> PBDMorphism
             raise ValueError("preimage does not commute with d on essential sets")
         if preimage_mask(mapping, op_i(target, a)) != op_i(source, pre):
             raise ValueError("preimage does not commute with i on essential sets")
-    del space_pair
     return PBDMorphism(source, target, mapping)
 
 

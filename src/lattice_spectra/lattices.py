@@ -218,28 +218,17 @@ def product_lattice(a: FiniteLattice, b: FiniteLattice, name: str = "") -> Finit
 
 
 def _ideal_closure(lat: FiniteLattice, mask: BitMask) -> BitMask:
-    """Least down-closed join-closed superset of a nonempty mask."""
-    m = mask
-    while True:
-        prev = m
-        for x in bits(m):
-            m |= lat.down[x]
-        for x, y in itertools.combinations(list(bits(m)), 2):
-            m |= 1 << lat.join_table[x][y]
-        if m == prev:
-            return m
+    """Least ideal containing a mask, 0 for the empty mask.
+
+    Every ideal of a finite lattice is principal, so the ideal generated by a
+    nonempty mask is the down-set of its join.
+    """
+    return lat.down[lat.join_of(mask)] if mask else 0
 
 
 def _filter_closure(lat: FiniteLattice, mask: BitMask) -> BitMask:
-    m = mask
-    while True:
-        prev = m
-        for x in bits(m):
-            m |= lat.up[x]
-        for x, y in itertools.combinations(list(bits(m)), 2):
-            m |= 1 << lat.meet_table[x][y]
-        if m == prev:
-            return m
+    """Least filter containing a mask (the up-set of its meet), 0 if empty."""
+    return lat.up[lat.meet_of(mask)] if mask else 0
 
 
 @dataclass(frozen=True)
@@ -311,13 +300,14 @@ def principal_filter(lat: FiniteLattice, x: int) -> Filter:
 
 
 def generated_ideal(lat: FiniteLattice, generators: BitMask) -> Ideal:
-    """Least ideal containing the generators (fixed-point closure)."""
+    """Least ideal containing the generators: the down-set of their join."""
     if generators == 0:
         raise EmptyGeneratorSet("ideal generation needs a nonempty set")
     return Ideal(lat, _ideal_closure(lat, generators))
 
 
 def generated_filter(lat: FiniteLattice, generators: BitMask) -> Filter:
+    """Least filter containing the generators: the up-set of their meet."""
     if generators == 0:
         raise EmptyGeneratorSet("filter generation needs a nonempty set")
     return Filter(lat, _filter_closure(lat, generators))
@@ -406,33 +396,34 @@ def _find_violating_triple(lat: FiniteLattice):
 
 
 def _find_forbidden_sublattice(lat: FiniteLattice):
-    # A five element subset closed under meet and join whose middle layer has
-    # at most one comparable pair is a copy of the diamond m5 or pentagon n5.
-    n = lat.n
-    for combo in itertools.combinations(range(n), 5):
+    """The lexicographically least copy of the diamond m5 or the pentagon n5.
+
+    A copy is fixed by its three middle elements x, y, z: its bottom is their
+    meet and its top their join.  So the scan runs over 3-subsets (O(n^3))
+    and keeps the five-element sets that are closed under meet and join and
+    whose middles have at most one comparable pair (none for m5, one for n5).
+    Pairs involving the bottom or top are closed automatically, so only the
+    pairs of middles are checked.
+    """
+    meet, join = lat.meet_table, lat.join_table
+    best = None
+    for x, y, z in itertools.combinations(range(lat.n), 3):
+        combo = (meet[meet[x][y]][z], x, y, z, join[join[x][y]][z])
         cm = mask_of(combo)
-        closed = True
-        for x, y in itertools.combinations(combo, 2):
-            if not (cm >> lat.meet_table[x][y] & 1 and cm >> lat.join_table[x][y] & 1):
-                closed = False
+        if cm.bit_count() != 5:
+            continue
+        comparable = 0
+        for u, v in ((x, y), (x, z), (y, z)):
+            m = meet[u][v]
+            if not (cm >> m & 1 and cm >> join[u][v] & 1):
                 break
-        if not closed:
-            continue
-        bot = lat.meet_of(cm)
-        top = lat.join_of(cm)
-        middles = [v for v in combo if v != bot and v != top]
-        if len(middles) != 3:
-            continue
-        comparable = sum(
-            1
-            for u, v in itertools.combinations(middles, 2)
-            if lat.leq(u, v) or lat.leq(v, u)
-        )
-        if comparable == 0:
-            return SublatticeWitness("m5", combo)
-        if comparable == 1:
-            return SublatticeWitness("n5", combo)
-    return None
+            comparable += m == u or m == v
+        else:
+            if comparable <= 1:
+                combo = tuple(sorted(combo))
+                if best is None or combo < best.elements:
+                    best = SublatticeWitness("n5" if comparable else "m5", combo)
+    return best
 
 
 def is_distributive(lat: FiniteLattice) -> DistributivityReport:

@@ -16,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .bitsets import bits, full_mask, is_subset
+from .errors import LatticeToolError
 from .lattices import (
     FiniteLattice,
     all_homs,
@@ -513,12 +514,19 @@ def _check_classical_bridge(lats):
 
 
 def default_jobs() -> int:
+    """LATTICE_SPECTRA_JOBS when set, else min(4, cpu count).
+
+    A value that is not a positive integer raises :class:`LatticeToolError`.
+    """
     env = os.environ.get("LATTICE_SPECTRA_JOBS")
     if env:
         try:
-            return max(1, int(env))
+            jobs = int(env)
         except ValueError:
-            pass
+            jobs = 0
+        if jobs < 1:
+            raise LatticeToolError(f"LATTICE_SPECTRA_JOBS must be a positive integer, got {env!r}")
+        return jobs
     return min(4, os.cpu_count() or 1)
 
 

@@ -20,13 +20,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .bitsets import BitMask, bits, full_mask, is_subset, mask_of
 from .errors import CarrierTooLarge, NotACover, NotIncreasing, NotPairwiseBD
 
 _EXTENSIONAL_CARRIER_BOUND = 20
 _OPEN_FAMILY_BOUND = 1 << 17
+# largest subfamily size checked by the witness form of pairwise-BD axiom (v)
+_SUBFAMILY_BOUND = 2
 
 
 @dataclass(frozen=True)
@@ -137,6 +139,11 @@ class BitopSpace:
             raise ValueError("topologies live on a different carrier")
         if self.up_tau != specialization(self.tau) or self.up_sigma != specialization(self.sigma):
             raise ValueError("cached preorders disagree with the topologies")
+
+    @cached_property
+    def pairwise_bd_report(self) -> PairwiseBDReport:
+        """The pairwise Balbes-Dwinger report, computed once per space."""
+        return _pairwise_bd_report(self)
 
 
 def bitop_space(tau: FiniteTopology, sigma: FiniteTopology) -> BitopSpace:
@@ -337,7 +344,7 @@ def _union_closure(members) -> frozenset[BitMask]:
     return frozenset(out)
 
 
-def is_pairwise_bd(space: BitopSpace, subfamily_bound: int = 2) -> PairwiseBDReport:
+def is_pairwise_bd(space: BitopSpace) -> PairwiseBDReport:
     """Check the five pairwise Balbes-Dwinger axioms in order and report the
     first failure with a witness.
 
@@ -345,8 +352,17 @@ def is_pairwise_bd(space: BitopSpace, subfamily_bound: int = 2) -> PairwiseBDRep
     (any subfamily is its own finite reduction), so the check verifies the
     stronger witness form: whenever the d-images of a subfamily V sit inside
     the union of a subfamily W, the essential-lattice meet i(d(inter V)) must
-    also sit inside that union.  Subfamily sizes run up to ``subfamily_bound``.
+    also sit inside that union.  Subfamily sizes run up to two
+    (``_SUBFAMILY_BOUND``).
+
+    The report is computed once per space and kept on it
+    (``BitopSpace.pairwise_bd_report``), so the suites and bridge functions
+    that each need it share one evaluation.
     """
+    return space.pairwise_bd_report
+
+
+def _pairwise_bd_report(space: BitopSpace) -> PairwiseBDReport:
     ess = essential_subsets(space)
 
     ok, pair = is_pairwise_t0(space)
@@ -374,28 +390,35 @@ def is_pairwise_bd(space: BitopSpace, subfamily_bound: int = 2) -> PairwiseBDRep
 
     full = full_mask(space.n)
     nonempty = [m for m in members if m != 0]
-    for k in range(1, subfamily_bound + 1):
-        for v_fam in itertools.combinations(nonempty, k):
-            inter_d = full
-            inter_a = full
-            for a in v_fam:
-                inter_d &= op_d(space, a)
-                inter_a &= a
-            for l in range(1, subfamily_bound + 1):
-                for w_fam in itertools.combinations(nonempty, l):
-                    union_w = 0
-                    for b in w_fam:
-                        union_w |= b
-                    if not is_subset(inter_d, union_w):
-                        continue
-                    if not is_subset(op_i(space, op_d(space, inter_a)), union_w):
-                        return PairwiseBDReport(
-                            False,
-                            "v",
-                            f"no reduction witness for V={list(v_fam)} W={list(w_fam)}",
-                            ess,
-                        )
+    subfamilies = [
+        fam
+        for k in range(1, _SUBFAMILY_BOUND + 1)
+        for fam in itertools.combinations(nonempty, k)
+    ]
+    unions = [(w_fam, _union(w_fam)) for w_fam in subfamilies]
+    for v_fam in subfamilies:
+        inter_d = full
+        inter_a = full
+        for a in v_fam:
+            inter_d &= op_d(space, a)
+            inter_a &= a
+        meet_v = op_i(space, op_d(space, inter_a))
+        for w_fam, union_w in unions:
+            if is_subset(inter_d, union_w) and not is_subset(meet_v, union_w):
+                return PairwiseBDReport(
+                    False,
+                    "v",
+                    f"no reduction witness for V={list(v_fam)} W={list(w_fam)}",
+                    ess,
+                )
     return PairwiseBDReport(True, essentials=ess)
+
+
+def _union(family) -> BitMask:
+    out = 0
+    for m in family:
+        out |= m
+    return out
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from lattice_spectra.catalog import render_lattice
+from lattice_spectra.errors import LatticeToolError
 from lattice_spectra import cli
 
 
@@ -164,3 +165,10 @@ def test_jobs_env_cap(lattice_dir, monkeypatch):
     monkeypatch.setenv("LATTICE_SPECTRA_JOBS", "3")
     _, out2 = run_cli(["verify", "--exhaustive", "4"])
     assert out1 == out2
+    # a malformed cap is an input error, not silently replaced by the default
+    for bad in ("two", "0", "-1"):
+        monkeypatch.setenv("LATTICE_SPECTRA_JOBS", bad)
+        with pytest.raises(LatticeToolError, match="LATTICE_SPECTRA_JOBS"):
+            default_jobs()
+        code, out = run_cli(["verify", "--exhaustive", "4"])
+        assert code == 2 and out == ""

@@ -1,0 +1,106 @@
+"""Byte-exact CLI output gate.
+
+Every refactor of the library must leave the command line output unchanged.
+The expected stdout of each command lives in ``tests/golden/<case>.txt``.
+After a deliberate output change, re-record with::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import io
+from pathlib import Path
+
+import pytest
+
+from lattice_spectra import cli
+from lattice_spectra.catalog import catalog, render_lattice
+from lattice_spectra.lattices import build_lattice, product_lattice
+
+GOLDEN = Path(__file__).parent / "golden"
+
+HOMS = {
+    "inc": ("hom inc from chain2 to m5\nmap 0 0\nmap 1 a\n", "chain2", "m5"),
+    "id": ("hom id from m5 to m5\n" + "".join(f"map {x} {x}\n" for x in "0abc1"), "m5", "m5"),
+    "sur": ("hom sur from diamond to chain2\nmap 0 0\nmap p 1\nmap q 0\nmap 1 1\n", "diamond", "chain2"),
+}
+
+
+def _diamond(k):
+    """M_k: a bottom, k pairwise incomparable atoms and a top."""
+    atoms = [f"a{i}" for i in range(1, k + 1)]
+    covers = [("0", a) for a in atoms] + [(a, "1") for a in atoms]
+    return build_lattice(["0", *atoms, "1"], covers, name=f"m{k}")
+
+
+def _lattices():
+    lats = catalog()
+    # non-distributive products with witnesses on 25 and 12 elements
+    lats["m3xm3"] = product_lattice(_diamond(3), _diamond(3), name="m3xm3")
+    lats["m4xc2"] = product_lattice(_diamond(4), lats["chain2"], name="m4xc2")
+    return lats
+
+
+def _cases():
+    """case name -> argv, with ``{name}`` standing for a lattice file path."""
+    cases = {
+        "verify-catalog": ["verify", "--catalog"],
+        "verify-exhaustive-6": ["verify", "--exhaustive", "6"],
+        "verify-random-42-200": ["verify", "--random", "42", "200"],
+    }
+    for name in catalog():
+        cases[f"show-{name}"] = ["show", "{%s}" % name]
+        cases[f"spec-bitop-{name}"] = ["spec", "{%s}" % name, "--bitop"]
+        cases[f"spec-classical-{name}"] = ["spec", "{%s}" % name, "--classical"]
+    for name in ("m3xm3", "m4xc2"):
+        cases[f"show-{name}"] = ["show", "{%s}" % name]
+    for name, (_, src, tgt) in HOMS.items():
+        cases[f"hom-{name}"] = ["hom", "{hom_%s}" % name, "{%s}" % src, "{%s}" % tgt]
+    return cases
+
+
+CASES = _cases()
+
+
+def _write_inputs(directory: Path) -> dict[str, str]:
+    paths = {}
+    for name, lat in _lattices().items():
+        path = directory / f"{name}.lat"
+        path.write_text(render_lattice(lat), encoding="utf-8")
+        paths[name] = str(path)
+    for name, (text, _, _) in HOMS.items():
+        path = directory / f"{name}.hom"
+        path.write_text(text, encoding="utf-8")
+        paths[f"hom_{name}"] = str(path)
+    return paths
+
+
+def _run(argv, paths) -> str:
+    args = [a.format(**paths) if a.startswith("{") else a for a in argv]
+    buf = io.StringIO()
+    cli.main(args, out=buf)
+    return buf.getvalue()
+
+
+@pytest.fixture(scope="module")
+def input_paths(tmp_path_factory):
+    return _write_inputs(tmp_path_factory.mktemp("golden_inputs"))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_matches_golden(case, input_paths):
+    expected = (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
+    assert _run(CASES[case], input_paths) == expected
+
+
+def test_every_golden_file_has_a_case():
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(CASES)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = _write_inputs(Path(tmp))
+        for case, argv in sorted(CASES.items()):
+            (GOLDEN / f"{case}.txt").write_text(_run(argv, paths), encoding="utf-8")

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,17 +98,21 @@ def test_generated_empty_raises(m5):
 
 
 def test_generated_ideal_is_least(lattices_upto_5):
-    # oracle: intersect every ideal containing the generators
+    # oracle: intersect every ideal (filter) containing the generators
     for lat in lattices_upto_5:
-        ideals = ideal_masks_brute(lat)
-        for gens in range(1, 1 << lat.n):
-            containing = [m for m in ideals if gens & ~m == 0]
-            if not containing:
-                continue
-            expected = full_mask(lat.n)
-            for m in containing:
-                expected &= m
-            assert generated_ideal(lat, gens).members == expected
+        for generated, brute in (
+            (generated_ideal, ideal_masks_brute),
+            (generated_filter, filter_masks_brute),
+        ):
+            family = brute(lat)
+            for gens in range(1, 1 << lat.n):
+                containing = [m for m in family if gens & ~m == 0]
+                if not containing:
+                    continue
+                expected = full_mask(lat.n)
+                for m in containing:
+                    expected &= m
+                assert generated(lat, gens).members == expected
 
 
 def test_all_ideals_against_subset_scan(lattices_upto_5, cat):
@@ -170,6 +176,51 @@ def test_detectors_agree_on_random_7():
 
     for lat in enumerate_lattices(GeneratorConfig("random", 7, seed=99, count=40)):
         is_distributive(lat)
+
+
+def _forbidden_sublattice_by_5_subsets(lat):
+    """Reference witness: the first 5-subset, in lexicographic order, that is
+    closed under meet and join and whose middle layer has at most one
+    comparable pair (a copy of the diamond m5 or the pentagon n5)."""
+    for combo in itertools.combinations(range(lat.n), 5):
+        cm = mask_of(combo)
+        if not all(
+            cm >> lat.meet(x, y) & 1 and cm >> lat.join(x, y) & 1
+            for x, y in itertools.combinations(combo, 2)
+        ):
+            continue
+        bot, top = lat.meet_of(cm), lat.join_of(cm)
+        middles = [v for v in combo if v != bot and v != top]
+        if len(middles) != 3:
+            continue
+        comparable = sum(
+            1
+            for u, v in itertools.combinations(middles, 2)
+            if lat.leq(u, v) or lat.leq(v, u)
+        )
+        if comparable <= 1:
+            return ("n5" if comparable else "m5", combo)
+    return None
+
+
+def test_sublattice_witness_matches_5_subset_scan(lattices_upto_6, cat):
+    from lattice_spectra.catalog import GeneratorConfig, enumerate_lattices
+
+    lats = list(lattices_upto_6)
+    lats += enumerate_lattices(GeneratorConfig("random", 7, seed=99, count=40))
+    lats += [
+        product_lattice(a, b)
+        for a in cat.values()
+        for b in cat.values()
+        if a.n * b.n <= 30
+    ]
+    non_distributive = 0
+    for lat in lats:
+        expected = _forbidden_sublattice_by_5_subsets(lat)
+        witness = is_distributive(lat).sublattice
+        assert (None if witness is None else (witness.kind, witness.elements)) == expected, lat
+        non_distributive += expected is not None
+    assert non_distributive >= 80
 
 
 def test_prime_ideals_exist_for_distributive(lattices_upto_6):
