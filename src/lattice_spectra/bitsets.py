@@ -31,6 +31,16 @@ def mask_of(indices: Iterable[int]) -> BitMask:
     return m
 
 
+def image_mask(mapping, source_mask: BitMask) -> BitMask:
+    """Image of ``source_mask`` under the index map ``mapping``."""
+    return mask_of(mapping[i] for i in bits(source_mask))
+
+
+def preimage_mask(mapping, target_mask: BitMask) -> BitMask:
+    """Indices whose image under ``mapping`` lands in ``target_mask``."""
+    return mask_of(i for i, v in enumerate(mapping) if target_mask >> v & 1)
+
+
 def is_subset(a: BitMask, b: BitMask) -> bool:
     return a & ~b == 0
 

@@ -3,7 +3,8 @@
 Commands: ``show``, ``spec``, ``verify``, ``hom``.  Output is plain text by
 default and byte-deterministic for fixed inputs; ``--format structured``
 emits JSON lines.  Exit codes: 0 ok, 1 verification failure, 2 input error.
-The environment variable LATTICE_SPECTRA_JOBS caps verification parallelism.
+Verification runs serially; ``verify --jobs N`` is accepted for compatibility
+and ignored.
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ def cmd_verify(args, out) -> int:
         lattices = [parse_lattice(_read(args.file))]
     else:
         raise LatticeToolError("nothing to verify: pass a file, --catalog, --exhaustive or --random")
-    results = run_lattice_suites(lattices, jobs=args.jobs)
+    results = run_lattice_suites(lattices)
     if run_corpus:
         results += corpus_checks()
     failures = _emit_results(results, args.format, out)
@@ -222,7 +223,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--random", nargs=2, type=int, metavar=("SEED", "COUNT"), help="verify seeded random lattices"
     )
-    p_verify.add_argument("--jobs", type=int, default=None, help="parallel verification jobs")
+    p_verify.add_argument(
+        "--jobs",
+        type=int,
+        metavar="N",
+        help="accepted for compatibility and ignored; verification runs serially",
+    )
     p_verify.add_argument(
         "--format", choices=("text", "structured"), default="text", help="report format"
     )

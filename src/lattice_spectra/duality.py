@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bitsets import BitMask, bits, full_mask, is_subset, mask_of
+from .bitsets import BitMask, bits, full_mask, image_mask, is_subset, mask_of, preimage_mask
 from .errors import NotBDSpace, NotDoublyBD, NotPairwiseBD, NotQuasiProper
 from .lattices import (
     FiniteLattice,
@@ -32,13 +32,13 @@ from .topology import (
     BitopSpace,
     FiniteTopology,
     doubled_space,
+    equal_closure_points,
     essential_subsets,
     fundamental_subsets,
     is_bd_space,
     is_pairwise_bd,
     op_d,
     op_i,
-    preimage_mask,
 )
 
 
@@ -328,8 +328,8 @@ def big_h_map(space: BitopSpace) -> HIsoReport:
     )
     bihomeo = False
     if bijective:
-        tau_img = frozenset(_image(mapping, u) for u in space.tau.opens)
-        sigma_img = frozenset(_image(mapping, u) for u in space.sigma.opens)
+        tau_img = frozenset(image_mask(mapping, u) for u in space.tau.opens)
+        sigma_img = frozenset(image_mask(mapping, u) for u in space.sigma.opens)
         bihomeo = (
             tau_img == spectrum.space.tau.opens
             and sigma_img == spectrum.space.sigma.opens
@@ -338,13 +338,6 @@ def big_h_map(space: BitopSpace) -> HIsoReport:
     return HIsoReport(
         passed, ess, spectrum, mapping, bijective, delta_ok, epsilon_ok, bihomeo
     )
-
-
-def _image(mapping, mask: BitMask) -> BitMask:
-    out = 0
-    for i in bits(mask):
-        out |= 1 << mapping[i]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +405,7 @@ def h_map_classical(top: FiniteTopology) -> ClassicalRepReport:
     bijective = ok and len(set(mapping)) == top.n == len(spectrum.points)
     homeo = False
     if bijective:
-        homeo = frozenset(_image(mapping, u) for u in top.opens) == spectrum.space.opens
+        homeo = frozenset(image_mask(mapping, u) for u in top.opens) == spectrum.space.opens
     return ClassicalRepReport(bijective and homeo, fund, spectrum, mapping, bijective, homeo)
 
 
@@ -517,13 +510,7 @@ def dischar_equivalences(space: BitopSpace) -> DisCharReport:
     distributive = is_distributive(ess.lattice).distributive
     h_iso = big_h_map(space)
     spectrum_of_distributive = distributive and h_iso.passed
-    cl_equal = 0
-    for k in range(space.n):
-        cl_tau = mask_of(q for q in range(space.n) if space.up_tau[q] >> k & 1)
-        cl_sigma = mask_of(q for q in range(space.n) if space.up_sigma[q] >> k & 1)
-        if cl_tau == cl_sigma:
-            cl_equal |= 1 << k
-    all_prime = cl_equal == full_mask(space.n)
+    all_prime = equal_closure_points(space) == full_mask(space.n)
     return DisCharReport(doubly, distributive, spectrum_of_distributive, all_prime)
 
 

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .bitsets import BitMask, bits, full_mask, is_subset, mask_of
+from .bitsets import BitMask, bits, full_mask, is_subset, mask_of, preimage_mask
 from .errors import (
     CyclicCovers,
     EmptyGeneratorSet,
@@ -326,35 +326,19 @@ def all_filters(lat: FiniteLattice) -> list[Filter]:
     return [Filter(lat, m) for m in sorted(set(lat.up))]
 
 
-def is_ideal_mask(lat: FiniteLattice, members: BitMask) -> bool:
-    if members == 0 or members & ~full_mask(lat.n):
-        return False
-    for x in bits(members):
-        if lat.down[x] & ~members:
-            return False
-    for x, y in itertools.combinations(list(bits(members)), 2):
-        if not members >> lat.join_table[x][y] & 1:
-            return False
-    return True
-
-
-def is_filter_mask(lat: FiniteLattice, members: BitMask) -> bool:
-    if members == 0 or members & ~full_mask(lat.n):
-        return False
-    for x in bits(members):
-        if lat.up[x] & ~members:
-            return False
-    for x, y in itertools.combinations(list(bits(members)), 2):
-        if not members >> lat.meet_table[x][y] & 1:
-            return False
-    return True
-
-
 def is_prime_ideal(lat: FiniteLattice, members: BitMask) -> bool:
-    """Valid ideal whose complement is a valid filter."""
-    if not is_ideal_mask(lat, members):
+    """Whether ``members`` is a nonempty proper ideal whose complement is a
+    filter.
+
+    Every ideal and filter of a finite lattice is principal, so the mask is
+    an ideal exactly when it is the down-set of its join, and the complement
+    is a filter exactly when it is the up-set of its meet.
+    """
+    full = full_mask(lat.n)
+    rest = full & ~members
+    if members == 0 or rest == 0 or members & ~full:
         return False
-    return is_filter_mask(lat, full_mask(lat.n) & ~members)
+    return members == lat.down[lat.join_of(members)] and rest == lat.up[lat.meet_of(rest)]
 
 
 def prime_ideals(lat: FiniteLattice) -> list[PrimeIdeal]:
@@ -475,7 +459,7 @@ class LatticeHom:
         return self.mapping[x]
 
     def preimage(self, target_mask: BitMask) -> BitMask:
-        return mask_of(i for i, v in enumerate(self.mapping) if target_mask >> v & 1)
+        return preimage_mask(self.mapping, target_mask)
 
     def label(self) -> str:
         return " ".join(

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bitsets import BitMask, bits, full_mask, is_subset
+from .bitsets import BitMask, bits, full_mask, image_mask, is_subset
 from .errors import EmptyInput, NotDisjoint
 from .lattices import (
     Filter,
@@ -29,7 +29,7 @@ from .topology import (
     BitopSpace,
     FiniteTopology,
     bitop_space,
-    empty_set_is_fundamental,
+    equal_closure_points,
     essential_subsets,
     topology_from_subbasis,
 )
@@ -239,20 +239,13 @@ def b_map(lat: FiniteLattice) -> BMapReport:
     homeo = None
     if bijective:
         transported = frozenset(
-            _image_under(point_map, u) for u in classical.space.opens
+            image_mask(point_map, u) for u in classical.space.opens
         )
         homeo = transported == bitop.space.tau.opens and all(
-            _image_under(point_map, classical.dmap[x]) == bitop.delta[x]
+            image_mask(point_map, classical.dmap[x]) == bitop.delta[x]
             for x in range(lat.n)
         )
     return BMapReport(point_map, injective, bijective, homeo)
-
-
-def _image_under(mapping, mask: BitMask) -> BitMask:
-    out = 0
-    for i in bits(mask):
-        out |= 1 << mapping[i]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -366,27 +359,16 @@ def prime_points(spectrum: BitopSpectrum) -> tuple[int, ...]:
     All points are prime exactly for distributive lattices; that biconditional
     lives in the verification suites.
     """
-    space = spectrum.space
     lat = spectrum.lattice
     full = full_mask(lat.n)
-    out = []
-    for k in range(len(spectrum.points)):
-        cl_tau = 0
-        cl_sigma = 0
-        for q in range(len(spectrum.points)):
-            if space.up_tau[q] >> k & 1:
-                cl_tau |= 1 << q
-            if space.up_sigma[q] >> k & 1:
-                cl_sigma |= 1 << q
-        if cl_tau == cl_sigma:
-            out.append(k)
+    out = tuple(bits(equal_closure_points(spectrum.space)))
     for k in out:
         p = spectrum.points[k]
         if not is_prime_ideal(lat, p.ideal.members):
             raise RuntimeError("closure-prime point with a non-prime ideal")
         if p.filter.members != full & ~p.ideal.members:
             raise RuntimeError("closure-prime point whose filter is not the complement")
-    return tuple(out)
+    return out
 
 
 def has_top_via_compactness(lat: FiniteLattice) -> tuple[bool, int]:
@@ -409,10 +391,9 @@ def has_top_via_compactness(lat: FiniteLattice) -> tuple[bool, int]:
 def has_bottom_via_fundamental(lat: FiniteLattice) -> tuple[bool, int]:
     """Exhibit finitely many elements whose epsilon-sets have empty
     intersection; their meet is the bottom.  The empty set being
-    sigma-fundamental guarantees such a finite family exists."""
+    sigma-fundamental, which it always is on a finite carrier, guarantees
+    such a finite family exists."""
     spectrum = build_bitop_spectrum(lat)
-    if not empty_set_is_fundamental(spectrum.space.sigma):
-        return False, lat.bottom
     remaining = full_mask(len(spectrum.points))
     chosen: list[int] = []
     while remaining:

@@ -3,20 +3,17 @@
 Each suite takes a lattice and checks one family of properties, returning
 one result per lattice.  A raising check is reported as a failure with the
 exception text as witness, so a corrupted structure surfaces as FAIL rather
-than a crash.  Suites are pure; the runner may evaluate lattices in parallel
-and buffers results back into input order.
+than a crash.  The runner evaluates the lattices one after another, in input
+order.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .bitsets import bits, full_mask, is_subset
-from .errors import LatticeToolError
 from .lattices import (
     FiniteLattice,
     all_homs,
@@ -513,30 +510,6 @@ def _check_classical_bridge(lats):
 # runner
 
 
-def default_jobs() -> int:
-    """LATTICE_SPECTRA_JOBS when set, else min(4, cpu count).
-
-    A value that is not a positive integer raises :class:`LatticeToolError`.
-    """
-    env = os.environ.get("LATTICE_SPECTRA_JOBS")
-    if env:
-        try:
-            jobs = int(env)
-        except ValueError:
-            jobs = 0
-        if jobs < 1:
-            raise LatticeToolError(f"LATTICE_SPECTRA_JOBS must be a positive integer, got {env!r}")
-        return jobs
-    return min(4, os.cpu_count() or 1)
-
-
-def run_lattice_suites(lattices, jobs: int | None = None) -> list[CheckResult]:
-    """Evaluate the per-lattice suites, in parallel, results in input order."""
-    lattices = list(lattices)
-    jobs = jobs or default_jobs()
-    if jobs <= 1 or len(lattices) <= 1:
-        batches = [suite_for_lattice(lat) for lat in lattices]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            batches = list(pool.map(suite_for_lattice, lattices))
-    return [r for batch in batches for r in batch]
+def run_lattice_suites(lattices) -> list[CheckResult]:
+    """Evaluate the per-lattice suites, serially and in input order."""
+    return [r for lat in lattices for r in suite_for_lattice(lat)]

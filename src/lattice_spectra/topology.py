@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .bitsets import BitMask, bits, full_mask, is_subset, mask_of
+from .bitsets import BitMask, bits, full_mask, is_subset
 from .errors import CarrierTooLarge, NotACover, NotIncreasing, NotPairwiseBD
 
 _EXTENSIONAL_CARRIER_BOUND = 20
@@ -223,6 +223,18 @@ def is_pairwise_t0(space: BitopSpace) -> tuple[bool, tuple[int, int] | None]:
     return True, None
 
 
+def equal_closure_points(space: BitopSpace) -> BitMask:
+    """Points whose tau and sigma closures coincide.
+
+    The closure of x is {q : x in up[q]}, so x qualifies exactly when bit x
+    agrees between up_tau[q] and up_sigma[q] for every q.
+    """
+    differ = 0
+    for q in range(space.n):
+        differ |= space.up_tau[q] ^ space.up_sigma[q]
+    return full_mask(space.n) & ~differ
+
+
 def is_compact_subset(top: FiniteTopology, a: BitMask, cover) -> list[BitMask]:
     """Greedy-minimal finite subcover of ``a``; always succeeds on a finite
     carrier.  Raises :class:`NotACover` when the precondition fails."""
@@ -248,80 +260,41 @@ def empty_set_is_fundamental(top: FiniteTopology) -> bool:
     compact-open subsets with the finite intersection property must have a
     nonempty total intersection.
 
-    On a finite carrier every subset is compact and a family is one of its
-    own finite subfamilies, so a family with the FIP already has a nonempty
-    total intersection.  The exhaustive scan below evaluates the definition
-    literally for small open families; the constant branch is the same fact
-    for larger ones.
+    Always true on a finite carrier: a family with the finite intersection
+    property is one of its own finite subfamilies, so its total intersection
+    is nonempty.  ``tests/test_topology.py`` evaluates the definition
+    literally against this constant.
     """
-    opens = sorted(top.opens)
-    if len(opens) <= 12:
-        for pick in range(1, 1 << len(opens)):
-            family = [opens[i] for i in bits(pick)]
-            total = full_mask(top.n)
-            for u in family:
-                total &= u
-            has_fip = all(
-                _intersection(family, sub) != 0
-                for sub in range(1, 1 << len(family))
-            )
-            if has_fip and total == 0:
-                return False
-        return True
     return True
-
-
-def _intersection(family, pick: int) -> BitMask:
-    out = ~0
-    for i in bits(pick):
-        out &= family[i]
-    return out
 
 
 def fundamental_subsets(top: FiniteTopology) -> SetFamily:
     """Nonempty compact-open subsets, plus the empty set when it qualifies.
 
-    On a finite carrier the nonempty compact-opens are all nonempty opens.
+    On a finite carrier the nonempty compact-opens are all nonempty opens and
+    the empty set always qualifies (:func:`empty_set_is_fundamental`), so the
+    fundamental family is the whole open family.
     """
-    members = {u for u in top.opens if u != 0}
-    if empty_set_is_fundamental(top):
-        members.add(0)
-    return SetFamily(top.n, frozenset(members))
+    return top.family()
 
 
 @lru_cache(maxsize=None)
 def essential_subsets(space: BitopSpace) -> SetFamily:
     """Essential subsets: tau-compact stable sets with sigma-open d-image,
-    plus the empty set when it is sigma-fundamental.
+    plus the empty set when it is sigma-fundamental, which on a finite
+    carrier it always is.
 
     Every stable set with sigma-open d-image is i of a sigma-open, so the
     candidates are exactly {i(U) : U sigma-open}; tau-compactness is
-    automatic on a finite carrier.  For carriers of at most 12 points the
-    result is cross-checked against brute force over all tau-increasing
-    subsets.
+    automatic on a finite carrier.  ``tests/oracles.py`` holds the brute-force
+    search over all tau-increasing subsets that the tests compare against.
     """
-    found = set()
+    found = {0}
     for u in space.sigma.opens:
         a = op_i(space, u)
-        if a == 0:
-            continue
         da = op_d(space, a)
         if da in space.sigma.opens and op_i(space, da) == a:
             found.add(a)
-    if empty_set_is_fundamental(space.sigma):
-        found.add(0)
-    if space.n <= 12:
-        brute = set()
-        for m in range(1, 1 << space.n):
-            if not is_increasing(space.up_tau, m):
-                continue
-            dm = op_d(space, m)
-            if dm in space.sigma.opens and op_i(space, dm) == m:
-                brute.add(m)
-        if empty_set_is_fundamental(space.sigma):
-            brute.add(0)
-        if brute != found:
-            raise RuntimeError("essential-subset search disagrees with brute force")
     return SetFamily(space.n, frozenset(found))
 
 
@@ -467,19 +440,11 @@ def is_doubly_bd(space: BitopSpace) -> bool:
 
 def is_bounded_pbd(space: BitopSpace) -> bool:
     """Bounded pairwise Balbes-Dwinger: tau-compact carrier and a
-    sigma-fundamental empty set.  Both clauses always hold at finite scale;
-    they are still evaluated rather than assumed."""
+    sigma-fundamental empty set.  Both clauses always hold at finite scale:
+    the compactness clause is evaluated by extracting a finite subcover, the
+    empty-set clause is the constant :func:`empty_set_is_fundamental`."""
     report = is_pairwise_bd(space)
     if not report.passed:
         raise NotPairwiseBD(f"axiom ({report.failing_axiom}) fails: {report.witness}")
     subcover = is_compact_subset(space.tau, full_mask(space.n), sorted(space.tau.opens))
     return isinstance(subcover, list) and empty_set_is_fundamental(space.sigma)
-
-
-def preimage_mask(mapping, target_mask: BitMask) -> BitMask:
-    """Points whose image lands in ``target_mask``."""
-    return mask_of(i for i, v in enumerate(mapping) if target_mask >> v & 1)
-
-
-def image_mask(mapping, source_mask: BitMask) -> BitMask:
-    return mask_of(mapping[i] for i in bits(source_mask))

@@ -119,3 +119,24 @@ def count_lattices_brute(n):
         if is_lattice_up_masks(up, n):
             seen.add(perm_canonical(up, n))
     return len(seen)
+
+
+def essential_subsets_brute(space):
+    """Essential subsets by scanning every carrier subset: each tau-increasing
+    m whose sigma-interior d(m) is sigma-open and whose tau up-closure
+    i(d(m)) is m again, plus the empty set."""
+    n = space.n
+    out = {0}
+    for m in range(1, 1 << n):
+        if any(space.up_tau[x] & ~m for x in bits(m)):
+            continue
+        dm = 0
+        for x in range(n):
+            if space.up_sigma[x] & ~m == 0:
+                dm |= 1 << x
+        idm = 0
+        for x in bits(dm):
+            idm |= space.up_tau[x]
+        if dm in space.sigma.opens and idm == m:
+            out.add(m)
+    return frozenset(out)

@@ -40,6 +40,7 @@ from lattice_spectra.duality import (
     to_topological,
 )
 from lattice_spectra.topology import (
+    essential_subsets,
     increasing_sets,
     is_costable,
     is_pairwise_t0,
@@ -49,7 +50,7 @@ from lattice_spectra.topology import (
 )
 from lattice_spectra import cli
 
-from oracles import count_lattices_brute
+from oracles import count_lattices_brute, essential_subsets_brute
 from test_spectra import certify_gbd
 
 
@@ -138,10 +139,11 @@ def test_criterion_05_transition_operators(lattices_upto_6):
 def test_criterion_06_essential_family_reconstruction(lattices_upto_6):
     for lat in lattices_upto_6:
         spec = build_bitop_spectrum(lat)
-        # essential_subsets cross-checks against brute force over all
-        # tau-increasing subsets whenever the carrier has at most 12 points,
-        # which covers every spectrum in this sweep
+        # the essential family is also found by brute force over all
+        # tau-increasing subsets; every spectrum here has at most 12 points
         assert len(spec.points) <= 12
+        brute = essential_subsets_brute(spec.space)
+        assert essential_subsets(spec.space).members == brute, lat.name
         rep = essential_equals_delta(lat)
         assert rep.passed, lat.name
         assert rep.size == lat.n, lat.name

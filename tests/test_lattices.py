@@ -18,6 +18,7 @@ from lattice_spectra.lattices import (
     generated_ideal,
     identity_hom,
     is_distributive,
+    is_prime_ideal,
     prime_ideals,
     principal_filter,
     principal_ideal,
@@ -221,6 +222,18 @@ def test_sublattice_witness_matches_5_subset_scan(lattices_upto_6, cat):
         assert (None if witness is None else (witness.kind, witness.elements)) == expected, lat
         non_distributive += expected is not None
     assert non_distributive >= 80
+
+
+def test_is_prime_ideal_matches_brute_force(lattices_upto_6):
+    # oracle: a brute-force ideal whose complement is a brute-force filter
+    for lat in lattices_upto_6:
+        filters = set(filter_masks_brute(lat))
+        expected = {
+            m for m in ideal_masks_brute(lat) if full_mask(lat.n) & ~m in filters
+        }
+        for m in range(1 << lat.n):
+            assert is_prime_ideal(lat, m) == (m in expected), (lat.name, m)
+        assert [p.members for p in prime_ideals(lat)] == sorted(expected), lat.name
 
 
 def test_prime_ideals_exist_for_distributive(lattices_upto_6):

@@ -29,6 +29,8 @@ from lattice_spectra.topology import (
     topology_from_subbasis,
 )
 
+from oracles import essential_subsets_brute
+
 
 def sierpinski():
     # carrier {a=0, b=1}; opens {}, {a}, {a,b}
@@ -233,12 +235,16 @@ def fip_scan_oracle(top):
     return True
 
 
-def test_empty_fundamental_matches_fip_scan(chain2, chain3, diamond):
-    from lattice_spectra.spectra import build_bitop_spectrum as bbs
+def test_empty_fundamental_matches_fip_scan(lattices_upto_6):
+    from lattice_spectra.spectra import build_classical_spectrum
 
     tops = [sierpinski(), discrete(2), indiscrete(3)]
-    for lat in (chain2, chain3, diamond):
-        tops.append(bbs(lat).space.sigma)
+    for lat in lattices_upto_6:
+        space = build_bitop_spectrum(lat).space
+        tops += [space.tau, space.sigma, build_classical_spectrum(lat).space]
+    # the literal scan is exponential in the number of opens
+    tops = [top for top in tops if len(top.opens) <= 12]
+    assert len(tops) == 76
     for top in tops:
         assert empty_set_is_fundamental(top) == fip_scan_oracle(top)
 
@@ -336,6 +342,21 @@ def test_essential_of_doubled_space_is_fundamental(diamond):
     assert essential_subsets(doubled_space(top)).members == fundamental_subsets(top).members
     s = sierpinski()
     assert essential_subsets(doubled_space(s)).members == fundamental_subsets(s).members
+
+
+def test_essential_subsets_match_brute_force(cat, lattices_upto_5):
+    from lattice_spectra.catalog import GeneratorConfig, enumerate_lattices
+    from lattice_spectra.spectra import build_classical_spectrum
+
+    lats = list(cat.values())
+    lats += enumerate_lattices(GeneratorConfig("random", 7, seed=99, count=40))
+    spaces = [build_bitop_spectrum(lat).space for lat in lats]
+    spaces += [doubled_space(build_classical_spectrum(lat).space) for lat in lattices_upto_5]
+    # the brute-force search scans all 2^n subsets of the carrier
+    spaces = [space for space in spaces if space.n <= 12]
+    assert len(spaces) == 14 + 40 + len(lattices_upto_5)
+    for space in spaces:
+        assert essential_subsets(space).members == essential_subsets_brute(space)
 
 
 def test_essential_one_point_indiscrete():
