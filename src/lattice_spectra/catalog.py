@@ -156,7 +156,7 @@ def _chain(k: int) -> FiniteLattice:
     return build_lattice(names, covers, name=f"chain{k}")
 
 
-def catalog() -> dict[str, FiniteLattice]:
+def named_lattices() -> dict[str, FiniteLattice]:
     """The named lattices used by the verification suites."""
     m5 = build_lattice(
         ["0", "a", "b", "c", "1"],
@@ -513,9 +513,9 @@ def to_dot(obj) -> str:
         lines = [f"digraph {_quote((obj.lattice.name or 'lattice') + '_spec')} {{", "  rankdir=BT;"]
         for p in obj.points:
             lines.append(f"  {_quote(p.label())};")
-        mn = obj.space.min_nbhd
+        up = obj.space.up
         for x in range(len(obj.points)):
-            for y in bits(mn[x]):
+            for y in bits(up[x]):
                 if x != y:
                     lines.append(
                         f"  {_quote(obj.points[x].label())} -> {_quote(obj.points[y].label())};"

@@ -16,8 +16,8 @@ import sys
 from .bitsets import bits
 from .catalog import (
     GeneratorConfig,
-    catalog,
     enumerate_lattices,
+    named_lattices,
     parse_hom,
     parse_lattice,
     to_dot,
@@ -124,7 +124,7 @@ def cmd_spec(args, out) -> int:
                 out.write(f"  {lat.names[x]} -> {{{','.join(names)}}}\n")
         out.write(f"tau opens: {len(spec.space.tau.opens)}\n")
         out.write(f"sigma opens: {len(spec.space.sigma.opens)}\n")
-        same = spec.space.tau.opens == spec.space.sigma.opens
+        same = spec.space.tau == spec.space.sigma
         out.write(f"tau == sigma: {'yes' if same else 'no'}\n")
         if args.dot:
             with open(args.dot, "w", encoding="utf-8") as fh:
@@ -135,7 +135,7 @@ def cmd_spec(args, out) -> int:
 def cmd_verify(args, out) -> int:
     run_corpus = False
     if args.catalog:
-        lattices = list(catalog().values())
+        lattices = list(named_lattices().values())
         run_corpus = True
     elif args.exhaustive is not None:
         lattices = list(enumerate_lattices(GeneratorConfig("exhaustive", args.exhaustive)))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bitsets import BitMask, bits, full_mask, image_mask, is_subset, mask_of, preimage_mask
+from .bitsets import BitMask, bits, full_mask, is_subset, mask_of, preimage_mask
 from .errors import NotBDSpace, NotDoublyBD, NotPairwiseBD, NotQuasiProper
 from .lattices import (
     FiniteLattice,
@@ -36,6 +36,8 @@ from .topology import (
     essential_subsets,
     fundamental_subsets,
     is_bd_space,
+    is_continuous,
+    is_homeomorphism,
     is_pairwise_bd,
     op_d,
     op_i,
@@ -114,12 +116,10 @@ def pbd_morphism(source: BitopSpace, target: BitopSpace, mapping) -> PBDMorphism
     mapping = tuple(mapping)
     if len(mapping) != source.n or any(not 0 <= v < target.n for v in mapping):
         raise ValueError("mapping is not a point map between the carriers")
-    for u in target.tau.opens:
-        if preimage_mask(mapping, u) not in source.tau.opens:
-            raise ValueError("map is not tau-continuous")
-    for u in target.sigma.opens:
-        if preimage_mask(mapping, u) not in source.sigma.opens:
-            raise ValueError("map is not sigma-continuous")
+    if not is_continuous(mapping, source.tau, target.tau):
+        raise ValueError("map is not tau-continuous")
+    if not is_continuous(mapping, source.sigma, target.sigma):
+        raise ValueError("map is not sigma-continuous")
     src_ess = essential_subsets(source).members
     tgt_ess = essential_subsets(target).members
     for a in tgt_ess:
@@ -295,8 +295,9 @@ class HIsoReport:
     """The reconstruction map x |-> (I(x), F(x)) into spec_B(E(X)).
 
     Bijectivity comes from the comaximal characterization; the bihomeo check
-    transports both open families and verifies the preimage identities
-    H^{-1}(delta(A)) = A and H^{-1}(epsilon(A)) = d(A)."""
+    compares both specialization preorders along the map, and the preimage
+    identities H^{-1}(delta(A)) = A and H^{-1}(epsilon(A)) = d(A) are
+    verified alongside."""
 
     passed: bool
     essential: EssentialLattice
@@ -326,14 +327,11 @@ def big_h_map(space: BitopSpace) -> HIsoReport:
         preimage_mask(mapping, spectrum.epsilon[k]) == op_d(space, ess.subsets[k])
         for k in range(ess.lattice.n)
     )
-    bihomeo = False
-    if bijective:
-        tau_img = frozenset(image_mask(mapping, u) for u in space.tau.opens)
-        sigma_img = frozenset(image_mask(mapping, u) for u in space.sigma.opens)
-        bihomeo = (
-            tau_img == spectrum.space.tau.opens
-            and sigma_img == spectrum.space.sigma.opens
-        )
+    bihomeo = (
+        bijective
+        and is_homeomorphism(mapping, space.tau, spectrum.space.tau)
+        and is_homeomorphism(mapping, space.sigma, spectrum.space.sigma)
+    )
     passed = bijective and delta_ok and epsilon_ok and bihomeo
     return HIsoReport(
         passed, ess, spectrum, mapping, bijective, delta_ok, epsilon_ok, bihomeo
@@ -403,9 +401,7 @@ def h_map_classical(top: FiniteTopology) -> ClassicalRepReport:
             mapping.append(prime_masks[ix])
     mapping = tuple(mapping)
     bijective = ok and len(set(mapping)) == top.n == len(spectrum.points)
-    homeo = False
-    if bijective:
-        homeo = frozenset(image_mask(mapping, u) for u in top.opens) == spectrum.space.opens
+    homeo = bijective and is_homeomorphism(mapping, top, spectrum.space)
     return ClassicalRepReport(bijective and homeo, fund, spectrum, mapping, bijective, homeo)
 
 
@@ -464,7 +460,7 @@ def to_topological(space: BitopSpace) -> FiniteTopology:
     report = is_pairwise_bd(space)
     if not report.passed:
         raise NotPairwiseBD(f"axiom ({report.failing_axiom}) fails: {report.witness}")
-    if space.tau.opens != space.sigma.opens:
+    if space.tau != space.sigma:
         raise NotDoublyBD("the two topologies differ")
     return space.tau
 
@@ -505,7 +501,7 @@ def dischar_equivalences(space: BitopSpace) -> DisCharReport:
         raise NotPairwiseBD(f"axiom ({report.failing_axiom}) fails: {report.witness}")
     from .lattices import is_distributive
 
-    doubly = space.tau.opens == space.sigma.opens
+    doubly = space.tau == space.sigma
     ess = essential_lattice(space)
     distributive = is_distributive(ess.lattice).distributive
     h_iso = big_h_map(space)
@@ -516,9 +512,8 @@ def dischar_equivalences(space: BitopSpace) -> DisCharReport:
 
 def strongly_continuous(mapping, source: FiniteTopology, target: FiniteTopology) -> bool:
     """Continuity plus fundamental preimages being fundamental."""
-    for u in target.opens:
-        if preimage_mask(mapping, u) not in source.opens:
-            return False
+    if not is_continuous(mapping, source, target):
+        return False
     src_fund = fundamental_subsets(source).members
     for a in fundamental_subsets(target).members:
         if preimage_mask(mapping, a) not in src_fund:

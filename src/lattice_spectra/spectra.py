@@ -31,6 +31,7 @@ from .topology import (
     bitop_space,
     equal_closure_points,
     essential_subsets,
+    is_homeomorphism,
     topology_from_subbasis,
 )
 
@@ -238,10 +239,7 @@ def b_map(lat: FiniteLattice) -> BMapReport:
     bijective = injective and len(point_map) == len(bitop.points)
     homeo = None
     if bijective:
-        transported = frozenset(
-            image_mask(point_map, u) for u in classical.space.opens
-        )
-        homeo = transported == bitop.space.tau.opens and all(
+        homeo = is_homeomorphism(point_map, classical.space, bitop.space.tau) and all(
             image_mask(point_map, classical.dmap[x]) == bitop.delta[x]
             for x in range(lat.n)
         )

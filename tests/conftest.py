@@ -1,11 +1,11 @@
 import pytest
 
-from lattice_spectra.catalog import GeneratorConfig, catalog, enumerate_lattices
+from lattice_spectra.catalog import GeneratorConfig, enumerate_lattices, named_lattices
 
 
 @pytest.fixture(scope="session")
 def cat():
-    return catalog()
+    return named_lattices()
 
 
 @pytest.fixture(scope="session")

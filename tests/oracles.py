@@ -140,3 +140,103 @@ def essential_subsets_brute(space):
         if dm in space.sigma.opens and idm == m:
             out.add(m)
     return frozenset(out)
+
+
+def is_continuous_brute(mapping, source, target):
+    """Continuity by definition: every target open pulls back to an open."""
+    for u in target.opens:
+        pre = 0
+        for x, v in enumerate(mapping):
+            if u >> v & 1:
+                pre |= 1 << x
+        if pre not in source.opens:
+            return False
+    return True
+
+
+def is_homeomorphism_brute(mapping, source, target):
+    """A bijection that carries the open family onto the open family."""
+    if len(set(mapping)) != source.n or source.n != target.n:
+        return False
+    image = set()
+    for u in source.opens:
+        m = 0
+        for x in bits(u):
+            m |= 1 << mapping[x]
+        image.add(m)
+    return image == target.opens
+
+
+def union_closure_brute(members):
+    """All unions of subfamilies, the empty union included."""
+    members = sorted(members)
+    out = set()
+    for pick in range(1 << len(members)):
+        m = 0
+        for i in bits(pick):
+            m |= members[i]
+        out.add(m)
+    return frozenset(out)
+
+
+def pairwise_bd_first_axioms_brute(space, essentials):
+    """The first failing axiom among (i)-(iii) of the pairwise Balbes-Dwinger
+    definition, in their open-family forms, or None: (i) distinct points are
+    separated by a tau-open around the first or a sigma-open around the
+    second, (ii) the essential sets generate tau (every tau-open is a union of
+    finite intersections of them), (iii) the d-images of the essential sets
+    are closed under intersection and their unions are the sigma-opens."""
+    n = space.n
+    for x in range(n):
+        for y in range(n):
+            if x != y and not any(
+                u >> x & 1 and not u >> y & 1 for u in space.tau.opens
+            ) and not any(v >> y & 1 and not v >> x & 1 for v in space.sigma.opens):
+                return "i"
+    inters = set()
+    members = sorted(essentials)
+    for pick in range(1 << len(members)):
+        m = (1 << n) - 1
+        for i in bits(pick):
+            m &= members[i]
+        inters.add(m)
+    if union_closure_brute(inters) != space.tau.opens:
+        return "ii"
+    d_family = set()
+    for a in essentials:
+        d = 0  # the sigma-interior: the union of the sigma-opens inside a
+        for v in space.sigma.opens:
+            if v & ~a == 0:
+                d |= v
+        d_family.add(d)
+    if any(a & b not in d_family for a in d_family for b in d_family):
+        return "iii"
+    if union_closure_brute(d_family) != space.sigma.opens:
+        return "iii"
+    return None
+
+
+def bd_space_brute(top):
+    """The Balbes-Dwinger clauses for a single topology evaluated literally,
+    as (passed, reason): T0, then the fundamental family (every open, each
+    compact on a finite carrier, plus the empty set) closed under
+    intersection, a basis whose unions are the opens, and the
+    birreducibility witness for subfamilies of two."""
+    opens = top.opens
+    for x in range(top.n):
+        for y in range(x + 1, top.n):
+            if not any((u >> x & 1) != (u >> y & 1) for u in opens):
+                return False, f"not T0: points {x} and {y}"
+    fund = opens | {0}
+    for a, b in itertools.combinations(sorted(fund), 2):
+        if a & b not in fund:
+            return False, "fundamental family not closed under intersection"
+    if union_closure_brute(fund) != opens:
+        return False, "fundamental subsets are not a basis"
+    nonempty = sorted(m for m in fund if m)
+    for v_fam in itertools.combinations(nonempty, 2):
+        inter = v_fam[0] & v_fam[1]
+        for w_fam in itertools.combinations(nonempty, 2):
+            if inter & ~(w_fam[0] | w_fam[1]) == 0 and inter not in fund:
+                return False, "birreducibility witness missing"
+    return True, None

@@ -41,7 +41,6 @@ from lattice_spectra.duality import (
 )
 from lattice_spectra.topology import (
     essential_subsets,
-    increasing_sets,
     is_costable,
     is_pairwise_t0,
     is_stable,
@@ -126,12 +125,11 @@ def test_criterion_05_transition_operators(lattices_upto_6):
             assert op_i(space, spec.epsilon[x]) == spec.delta[x], lat.name
             assert is_stable(space, spec.delta[x]), lat.name
             assert is_costable(space, spec.epsilon[x]), lat.name
-        # every spectrum here has at most 12 points; enumerate all pairs
-        sigma_up = increasing_sets(space.up_sigma, space.n)
-        tau_up = increasing_sets(space.up_tau, space.n)
-        for a in sigma_up:
+        # every spectrum here has at most 12 points; enumerate all pairs of
+        # increasing sets, which are the opens of each preorder's topology
+        for a in space.sigma.opens:
             ia = op_i(space, a)
-            for b in tau_up:
+            for b in space.tau.opens:
                 assert is_subset(ia, b) == is_subset(a, op_d(space, b)), lat.name
     report(5, "transition-operator-adjunction")
 
@@ -292,7 +290,7 @@ def test_criterion_11_cli_contract(cat, tmp_path, monkeypatch):
     failing = [r for r in results if not r.passed]
     assert failing and all(r.witness for r in failing)
 
-    monkeypatch.setattr(cli, "catalog", lambda: {"m5_mutant": mutant})
+    monkeypatch.setattr(cli, "named_lattices", lambda: {"m5_mutant": mutant})
     buf = io.StringIO()
     code = cli.main(["verify", "--catalog"], out=buf)
     out = buf.getvalue()

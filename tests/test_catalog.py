@@ -129,6 +129,15 @@ def test_catalog_contents(cat):
     assert cat["m5xchain2"].n == 10
 
 
+def test_catalog_module_is_not_shadowed():
+    import types
+
+    import lattice_spectra.catalog as module
+
+    assert isinstance(module, types.ModuleType)
+    assert module.named_lattices()["m5"].n == 5
+
+
 def test_catalog_distributivity_split(cat):
     distributive = {k for k, v in cat.items() if is_distributive(v).distributive}
     assert distributive == {

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from lattice_spectra import cli
-from lattice_spectra.catalog import catalog, render_lattice
+from lattice_spectra.catalog import named_lattices, render_lattice
 from lattice_spectra.lattices import build_lattice, product_lattice
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -32,11 +32,19 @@ def _diamond(k):
     return build_lattice(["0", *atoms, "1"], covers, name=f"m{k}")
 
 
+def _chain(k):
+    names = [str(i) for i in range(k)]
+    return build_lattice(names, list(zip(names, names[1:])), name=f"chain{k}")
+
+
 def _lattices():
-    lats = catalog()
+    lats = named_lattices()
     # non-distributive products with witnesses on 25 and 12 elements
     lats["m3xm3"] = product_lattice(_diamond(3), _diamond(3), name="m3xm3")
     lats["m4xc2"] = product_lattice(_diamond(4), lats["chain2"], name="m4xc2")
+    # spectra of 30 and 21 points
+    lats["m6"] = _diamond(6)
+    lats["chain22"] = _chain(22)
     return lats
 
 
@@ -47,12 +55,16 @@ def _cases():
         "verify-exhaustive-6": ["verify", "--exhaustive", "6"],
         "verify-random-42-200": ["verify", "--random", "42", "200"],
     }
-    for name in catalog():
+    for name in named_lattices():
         cases[f"show-{name}"] = ["show", "{%s}" % name]
         cases[f"spec-bitop-{name}"] = ["spec", "{%s}" % name, "--bitop"]
         cases[f"spec-classical-{name}"] = ["spec", "{%s}" % name, "--classical"]
     for name in ("m3xm3", "m4xc2"):
         cases[f"show-{name}"] = ["show", "{%s}" % name]
+    for name in ("m6", "chain22"):
+        cases[f"spec-bitop-{name}"] = ["spec", "{%s}" % name, "--bitop"]
+        cases[f"spec-classical-{name}"] = ["spec", "{%s}" % name, "--classical"]
+        cases[f"verify-{name}"] = ["verify", "{%s}" % name]
     for name, (_, src, tgt) in HOMS.items():
         cases[f"hom-{name}"] = ["hom", "{hom_%s}" % name, "{%s}" % src, "{%s}" % tgt]
     return cases

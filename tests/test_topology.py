@@ -5,36 +5,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lattice_spectra.bitsets import bits, full_mask, is_subset
-from lattice_spectra.errors import NotACover, NotIncreasing, NotPairwiseBD
+from lattice_spectra.errors import CarrierTooLarge, NotACover, NotIncreasing, NotPairwiseBD
 from lattice_spectra.spectra import build_bitop_spectrum
 from lattice_spectra.topology import (
+    FiniteTopology,
     bitop_space,
     doubled_space,
     empty_set_is_fundamental,
     essential_subsets,
     fundamental_subsets,
-    increasing_sets,
     is_bd_space,
     is_bounded_pbd,
     is_compact_subset,
+    is_continuous,
     is_costable,
     is_doubly_bd,
+    is_homeomorphism,
     is_pairwise_bd,
     is_pairwise_t0,
     is_stable,
     op_d,
     op_i,
-    specialization,
-    topology_from_family,
     topology_from_subbasis,
 )
 
-from oracles import essential_subsets_brute
+from oracles import (
+    bd_space_brute,
+    essential_subsets_brute,
+    is_continuous_brute,
+    is_homeomorphism_brute,
+    pairwise_bd_first_axioms_brute,
+)
 
 
 def sierpinski():
     # carrier {a=0, b=1}; opens {}, {a}, {a,b}
-    return topology_from_family(2, [0b01, 0b11])
+    return topology_from_subbasis(2, [0b01])
 
 
 def discrete(n):
@@ -43,6 +49,18 @@ def discrete(n):
 
 def indiscrete(n):
     return topology_from_subbasis(n, [])
+
+
+def all_topologies(n):
+    """Every topology on n points: each up-mask tuple the constructor
+    accepts as a preorder."""
+    out = []
+    for up in itertools.product(range(1 << n), repeat=n):
+        try:
+            out.append(FiniteTopology(n, up))
+        except ValueError:
+            pass
+    return out
 
 
 # --- oracle: closure by definition -------------------------------------------
@@ -102,12 +120,12 @@ def test_subbasis_oracle_and_monotone(a, b, c):
 
 
 def test_discrete_specialization_is_equality():
-    up = specialization(discrete(3))
+    up = discrete(3).up
     assert list(up) == [1, 2, 4]
 
 
 def test_sierpinski_specialization():
-    up = specialization(sierpinski())
+    up = sierpinski().up
     assert up[1] >> 0 & 1  # b <= a
     assert not up[0] >> 1 & 1  # not a <= b
 
@@ -117,7 +135,7 @@ def test_specialization_matches_subbasis_test(m5, n5):
     for lat in (m5, n5):
         spec = build_bitop_spectrum(lat)
         t = spec.space.tau
-        up = specialization(t)
+        up = t.up
         n = len(spec.points)
         for x in range(n):
             for y in range(n):
@@ -127,13 +145,39 @@ def test_specialization_matches_subbasis_test(m5, n5):
                 assert bool(up[x] >> y & 1) == sub_test
 
 
+def test_preorder_validation():
+    assert [len(all_topologies(n)) for n in range(5)] == [1, 1, 4, 29, 355]  # OEIS A000798
+    for up in ((0b11,), (0b10, 0b10), (0b011, 0b110, 0b100)):
+        with pytest.raises(ValueError):
+            FiniteTopology(len(up), up)  # outside the carrier, not reflexive, not transitive
+    with pytest.raises(ValueError):
+        FiniteTopology(2, (0b11,))
+
+
+def test_continuity_and_homeomorphism_match_open_families():
+    tops = {n: all_topologies(n) for n in (1, 2, 3)}
+    homeomorphisms = 0
+    for n, m in itertools.product(tops, repeat=2):
+        for mapping in itertools.product(range(m), repeat=n):
+            for src in tops[n]:
+                for tgt in tops[m]:
+                    assert is_continuous(mapping, src, tgt) == is_continuous_brute(mapping, src, tgt)
+                    homeo = is_homeomorphism(mapping, src, tgt)
+                    assert homeo == is_homeomorphism_brute(mapping, src, tgt)
+                    homeomorphisms += homeo
+    # a permutation carries each topology onto exactly one topology
+    assert homeomorphisms == 1 + 2 * 4 + 6 * 29
+
+
 def test_open_sets_are_increasing(lattices_upto_5):
+    # the opens are exactly the increasing sets, found by scanning all masks
     for lat in lattices_upto_5:
         space = build_bitop_spectrum(lat).space
-        for u in space.tau.opens:
-            assert all(is_subset(space.up_tau[x], u) for x in bits(u))
-        for u in space.sigma.opens:
-            assert all(is_subset(space.up_sigma[x], u) for x in bits(u))
+        for top in (space.tau, space.sigma):
+            increasing = {
+                m for m in range(1 << top.n) if all(is_subset(top.up[x], m) for x in bits(m))
+            }
+            assert top.opens == increasing
 
 
 # --- pairwise T0 -------------------------------------------------------------
@@ -286,9 +330,9 @@ def test_adjunction_all_pairs(lattices_upto_5):
         space = build_bitop_spectrum(lat).space
         if space.n > 10:
             continue
-        for a in increasing_sets(space.up_sigma, space.n):
+        for a in space.sigma.opens:
             da = op_i(space, a)
-            for b in increasing_sets(space.up_tau, space.n):
+            for b in space.tau.opens:
                 assert is_subset(da, b) == is_subset(a, op_d(space, b))
 
 
@@ -369,16 +413,18 @@ def test_doubled_space_operators_are_identity(diamond):
 
     top = build_classical_spectrum(diamond).space
     space = doubled_space(top)
-    for a in increasing_sets(space.up_tau, space.n):
+    for a in space.tau.opens:
         assert op_i(space, a) == a
         assert op_d(space, a) == a
 
 
 def test_carrier_bound_guard():
-    from lattice_spectra.errors import CarrierTooLarge
-
+    # a topology of any size is its preorder; only enumerating its open
+    # family is bounded (2^17 members)
+    chain = topology_from_subbasis(21, [(1 << 21) - (1 << k) for k in range(21)])
+    assert len(chain.opens) == 22
     with pytest.raises(CarrierTooLarge):
-        topology_from_subbasis(21, [])
+        discrete(18).opens
 
 
 # --- axiom checkers ----------------------------------------------------------
@@ -404,6 +450,27 @@ def test_broken_sigma_basis_fails_axiom_iii():
     assert report.witness
 
 
+def test_axioms_ii_iii_match_open_family_forms():
+    # every bitopological space on at most three points, including the
+    # broken-sigma-basis space (Sierpinski, discrete) of the test above
+    spaces = [
+        bitop_space(tau, sigma)
+        for n in (1, 2, 3)
+        for tau, sigma in itertools.product(all_topologies(n), repeat=2)
+    ]
+    assert bitop_space(sierpinski(), discrete(2)) in spaces
+    seen = set()
+    for space in spaces:
+        report = is_pairwise_bd(space)
+        literal = pairwise_bd_first_axioms_brute(space, essential_subsets(space).members)
+        if literal is None:
+            assert report.failing_axiom not in ("i", "ii", "iii")
+        else:
+            assert report.failing_axiom == literal
+        seen.add(literal)
+    assert seen == {None, "i", "ii", "iii"}
+
+
 def test_indiscrete_pair_fails_t0():
     space = doubled_space(indiscrete(2))
     report = is_pairwise_bd(space)
@@ -417,6 +484,20 @@ def test_bd_space_cases(cat):
     for name in ("chain2", "chain3", "diamond", "b3", "chain2xchain3"):
         assert is_bd_space(build_classical_spectrum(cat[name]).space).passed
     assert not is_bd_space(indiscrete(2)).passed
+
+
+def test_bd_space_matches_literal_clauses(cat, lattices_upto_6):
+    from lattice_spectra.spectra import build_classical_spectrum
+
+    tops = [build_classical_spectrum(lat).space for lat in lattices_upto_6]
+    for lat in cat.values():
+        space = build_bitop_spectrum(lat).space
+        tops += [build_classical_spectrum(lat).space, space.tau, space.sigma]
+    tops += [indiscrete(2), indiscrete(3), FiniteTopology(3, (0b111, 0b110, 0b110))]
+    verdicts = [is_bd_space(top) for top in tops]
+    for top, verdict in zip(tops, verdicts):
+        assert (verdict.passed, verdict.reason) == bd_space_brute(top)
+    assert sum(not v.passed for v in verdicts) == 9
 
 
 def test_tau_of_doubly_bd_is_bd(diamond):
