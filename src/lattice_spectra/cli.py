@@ -132,17 +132,26 @@ def cmd_spec(args, out) -> int:
     return 0
 
 
+def _generator(*args, **kwargs) -> GeneratorConfig:
+    """A generator configuration from command-line sizes; a size it rejects
+    is an input error, not a verification failure."""
+    try:
+        return GeneratorConfig(*args, **kwargs)
+    except ValueError as exc:
+        raise LatticeToolError(str(exc)) from exc
+
+
 def cmd_verify(args, out) -> int:
     run_corpus = False
     if args.catalog:
         lattices = list(named_lattices().values())
         run_corpus = True
     elif args.exhaustive is not None:
-        lattices = list(enumerate_lattices(GeneratorConfig("exhaustive", args.exhaustive)))
+        lattices = list(enumerate_lattices(_generator("exhaustive", args.exhaustive)))
     elif args.random is not None:
         seed, count = args.random
         lattices = list(
-            enumerate_lattices(GeneratorConfig("random", 7, seed=seed, count=count))
+            enumerate_lattices(_generator("random", 7, seed=seed, count=count))
         )
     elif args.file:
         lattices = [parse_lattice(_read(args.file))]

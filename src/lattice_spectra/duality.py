@@ -23,10 +23,9 @@ from .lattices import (
 from .spectra import (
     BitopSpectrum,
     ClassicalSpectrum,
-    _is_comaximal,
+    ComaximalPair,
     build_bitop_spectrum,
     build_classical_spectrum,
-    comaximal_pairs,
 )
 from .topology import (
     BitopSpace,
@@ -65,6 +64,33 @@ class HomClassification:
     quasi_witness: str | None
 
 
+def _pull_back(hom: LatticeHom) -> tuple[tuple[int, ...] | None, ComaximalPair | None]:
+    """The preimage map on comaximal pairs, as (point map, None), or
+    (None, the first target point whose preimage pair is not comaximal).
+
+    The preimage of ``down[a]`` under a lattice homomorphism is an ideal,
+    the down-set of ``join{x : f(x) <= a}``, when it is nonempty, and
+    dually for ``up[b]``; so the preimage pair of the target point ``(a, b)``
+    is comaximal exactly when both preimages are nonempty and that element
+    pair is a source point.
+    """
+    src, tgt = hom.source, hom.target
+    index = build_bitop_spectrum(src).index
+    mapping = []
+    for p in build_bitop_spectrum(tgt).points:
+        lower = hom.preimage(tgt.down[p.a])
+        upper = hom.preimage(tgt.up[p.b])
+        k = index.get((src.join_of(lower), src.meet_of(upper))) if lower and upper else None
+        if k is None:
+            return None, p
+        mapping.append(k)
+    return tuple(mapping), None
+
+
+def _not_comaximal(p: ComaximalPair) -> str:
+    return f"preimage of {p.label()} is not comaximal"
+
+
 def classify_hom(hom: LatticeHom) -> HomClassification:
     src, tgt = hom.source, hom.target
     primes = build_classical_spectrum(tgt).points
@@ -76,17 +102,14 @@ def classify_hom(hom: LatticeHom) -> HomClassification:
             proper = False
             proper_witness = f"preimage of {p.label()} is not a prime ideal"
             break
-    quasi_proper = True
-    quasi_witness = None
-    for pair in comaximal_pairs(tgt):
-        pre_i = hom.preimage(pair.ideal.members)
-        pre_f = hom.preimage(pair.filter.members)
-        if not _is_comaximal(src, pre_i, pre_f):
-            quasi_proper = False
-            quasi_witness = f"preimage of {pair.label()} is not comaximal"
-            break
+    _, failing = _pull_back(hom)
     return HomClassification(
-        hom, proper, len(primes) == 0, proper_witness, quasi_proper, quasi_witness
+        hom,
+        proper,
+        len(primes) == 0,
+        proper_witness,
+        failing is None,
+        None if failing is None else _not_comaximal(failing),
     )
 
 
@@ -151,19 +174,11 @@ def spec_b_on_hom(hom: LatticeHom) -> PBDMorphism:
     Verifies the preimage identities (delta and epsilon pull back along f)
     before checking the morphism conditions.
     """
-    cls = classify_hom(hom)
-    if not cls.quasi_proper:
-        raise NotQuasiProper(cls.quasi_witness or "homomorphism is not quasi-proper")
+    mapping, failing = _pull_back(hom)
+    if failing is not None:
+        raise NotQuasiProper(_not_comaximal(failing))
     src_spec = build_bitop_spectrum(hom.source)
     tgt_spec = build_bitop_spectrum(hom.target)
-    mapping = []
-    for pair in tgt_spec.points:
-        mapping.append(
-            src_spec.point_index(
-                hom.preimage(pair.ideal.members), hom.preimage(pair.filter.members)
-            )
-        )
-    mapping = tuple(mapping)
     for x in range(hom.source.n):
         if preimage_mask(mapping, src_spec.delta[x]) != tgt_spec.delta[hom(x)]:
             raise RuntimeError("delta preimage identity fails")
@@ -193,23 +208,41 @@ class EssentialLattice:
         return self.subsets.index(subset)
 
 
-@lru_cache(maxsize=None)
-def essential_lattice(space: BitopSpace) -> EssentialLattice:
-    members = sorted(essential_subsets(space).members)
+def _inclusion_lattice(
+    family, name: str, meet, meet_label: str
+) -> tuple[FiniteLattice, tuple[BitMask, ...]]:
+    """A family of point sets ordered by inclusion, as a lattice whose
+    element k is ``members[k]`` (the family in sorted order).
+
+    The joins and meets computed from the order are re-verified to be the
+    union and ``meet(u, v)`` of the two sets.
+    """
+    members = tuple(sorted(family))
     k = len(members)
     names = tuple("{" + ",".join(f"p{i}" for i in bits(m)) + "}" for m in members)
     up = tuple(
         mask_of(j for j in range(k) if is_subset(members[i], members[j]))
         for i in range(k)
     )
-    lat = lattice_from_order(names, up, name="essential")
+    lat = lattice_from_order(names, up, name=name)
     for i in range(k):
         for j in range(k):
             if members[lat.join_table[i][j]] != members[i] | members[j]:
-                raise RuntimeError("essential join is not union")
-            if members[lat.meet_table[i][j]] != op_i(space, op_d(space, members[i] & members[j])):
-                raise RuntimeError("essential meet is not i(d(intersection))")
-    return EssentialLattice(space, lat, tuple(members))
+                raise RuntimeError(f"{name} join is not union")
+            if members[lat.meet_table[i][j]] != meet(members[i], members[j]):
+                raise RuntimeError(f"{name} meet is not {meet_label}")
+    return lat, members
+
+
+@lru_cache(maxsize=None)
+def essential_lattice(space: BitopSpace) -> EssentialLattice:
+    lat, members = _inclusion_lattice(
+        essential_subsets(space).members,
+        "essential",
+        lambda u, v: op_i(space, op_d(space, u & v)),
+        "i(d(intersection))",
+    )
+    return EssentialLattice(space, lat, members)
 
 
 def essential_functor_on_morphism(m: PBDMorphism) -> LatticeHom:
@@ -238,6 +271,8 @@ class CharComaximalReport:
     I(x) collects the essential sets missing x, F(x) those whose d-image
     contains x.  For a pairwise Balbes-Dwinger space the assignment is an
     injection onto all comaximal pairs of the essential lattice.
+    ``point_to_pair[x]`` numbers the pair as a point of the essential
+    lattice's spectrum, or is -1 when (I(x), F(x)) is not a comaximal pair.
     """
 
     passed: bool
@@ -254,7 +289,7 @@ def char_comaximal_of_essential(space: BitopSpace) -> CharComaximalReport:
         raise NotPairwiseBD(f"axiom ({report.failing_axiom}) fails: {report.witness}")
     ess = essential_lattice(space)
     lat = ess.lattice
-    pairs = comaximal_pairs(lat)
+    spectrum = build_bitop_spectrum(lat)
     inter_d = full_mask(space.n)
     inter_a = full_mask(space.n)
     for a in ess.subsets:
@@ -265,18 +300,17 @@ def char_comaximal_of_essential(space: BitopSpace) -> CharComaximalReport:
     for x in range(space.n):
         i_mask = mask_of(k for k, a in enumerate(ess.subsets) if not a >> x & 1)
         f_mask = mask_of(k for k, a in enumerate(ess.subsets) if op_d(space, a) >> x & 1)
-        found = None
-        for idx, pair in enumerate(pairs):
-            if pair.ideal.members == i_mask and pair.filter.members == f_mask:
-                found = idx
-                break
-        if found is None:
-            ok = False
-            found = -1
+        # a point (a, b) has the masks down[a] and up[b], so only the join of
+        # I(x) with the meet of F(x) can match
+        a, b = lat.join_of(i_mask), lat.meet_of(f_mask)
+        found = -1
+        if lat.down[a] == i_mask and lat.up[b] == f_mask:
+            found = spectrum.index.get((a, b), -1)
+        ok = ok and found >= 0
         point_to_pair.append(found)
     injective = len(set(point_to_pair)) == len(point_to_pair)
     unmatched = tuple(
-        idx for idx in range(len(pairs)) if idx not in set(point_to_pair)
+        idx for idx in range(len(spectrum.points)) if idx not in set(point_to_pair)
     )
     passed = (
         ok
@@ -294,10 +328,11 @@ def char_comaximal_of_essential(space: BitopSpace) -> CharComaximalReport:
 class HIsoReport:
     """The reconstruction map x |-> (I(x), F(x)) into spec_B(E(X)).
 
-    Bijectivity comes from the comaximal characterization; the bihomeo check
-    compares both specialization preorders along the map, and the preimage
-    identities H^{-1}(delta(A)) = A and H^{-1}(epsilon(A)) = d(A) are
-    verified alongside."""
+    Bijectivity comes from the comaximal characterization, and when that
+    fails nothing else is evaluated and every flag reads False.  Otherwise
+    the bihomeo check compares both specialization preorders along the map,
+    and the preimage identities H^{-1}(delta(A)) = A and
+    H^{-1}(epsilon(A)) = d(A) are verified alongside."""
 
     passed: bool
     essential: EssentialLattice
@@ -313,12 +348,9 @@ def big_h_map(space: BitopSpace) -> HIsoReport:
     char = char_comaximal_of_essential(space)
     ess = essential_lattice(space)
     spectrum = build_bitop_spectrum(ess.lattice)
-    mapping = []
-    for x in range(space.n):
-        pair = comaximal_pairs(ess.lattice)[char.point_to_pair[x]]
-        mapping.append(spectrum.point_index(pair.ideal.members, pair.filter.members))
-    mapping = tuple(mapping)
-    bijective = char.passed and len(set(mapping)) == space.n == len(spectrum.points)
+    mapping = char.point_to_pair
+    if not char.passed:
+        return HIsoReport(False, ess, spectrum, mapping, False, False, False, False)
     delta_ok = all(
         preimage_mask(mapping, spectrum.delta[k]) == ess.subsets[k]
         for k in range(ess.lattice.n)
@@ -327,15 +359,11 @@ def big_h_map(space: BitopSpace) -> HIsoReport:
         preimage_mask(mapping, spectrum.epsilon[k]) == op_d(space, ess.subsets[k])
         for k in range(ess.lattice.n)
     )
-    bihomeo = (
-        bijective
-        and is_homeomorphism(mapping, space.tau, spectrum.space.tau)
-        and is_homeomorphism(mapping, space.sigma, spectrum.space.sigma)
+    bihomeo = is_homeomorphism(mapping, space.tau, spectrum.space.tau) and is_homeomorphism(
+        mapping, space.sigma, spectrum.space.sigma
     )
-    passed = bijective and delta_ok and epsilon_ok and bihomeo
-    return HIsoReport(
-        passed, ess, spectrum, mapping, bijective, delta_ok, epsilon_ok, bihomeo
-    )
+    passed = delta_ok and epsilon_ok and bihomeo
+    return HIsoReport(passed, ess, spectrum, mapping, True, delta_ok, epsilon_ok, bihomeo)
 
 
 # ---------------------------------------------------------------------------
@@ -354,21 +382,10 @@ class FundamentalLattice:
 def fundamental_lattice(top: FiniteTopology) -> FundamentalLattice:
     """The fundamental subsets ordered by inclusion (meet and join are
     intersection and union; the family is closed under both)."""
-    members = sorted(fundamental_subsets(top).members)
-    k = len(members)
-    names = tuple("{" + ",".join(f"p{i}" for i in bits(m)) + "}" for m in members)
-    up = tuple(
-        mask_of(j for j in range(k) if is_subset(members[i], members[j]))
-        for i in range(k)
+    lat, members = _inclusion_lattice(
+        fundamental_subsets(top).members, "fundamental", lambda u, v: u & v, "intersection"
     )
-    lat = lattice_from_order(names, up, name="fundamental")
-    for i in range(k):
-        for j in range(k):
-            if members[lat.join_table[i][j]] != members[i] | members[j]:
-                raise RuntimeError("fundamental join is not union")
-            if members[lat.meet_table[i][j]] != members[i] & members[j]:
-                raise RuntimeError("fundamental meet is not intersection")
-    return FundamentalLattice(lat, tuple(members))
+    return FundamentalLattice(lat, members)
 
 
 @dataclass(frozen=True)

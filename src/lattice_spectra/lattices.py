@@ -217,20 +217,6 @@ def product_lattice(a: FiniteLattice, b: FiniteLattice, name: str = "") -> Finit
 # ideals and filters
 
 
-def _ideal_closure(lat: FiniteLattice, mask: BitMask) -> BitMask:
-    """Least ideal containing a mask, 0 for the empty mask.
-
-    Every ideal of a finite lattice is principal, so the ideal generated by a
-    nonempty mask is the down-set of its join.
-    """
-    return lat.down[lat.join_of(mask)] if mask else 0
-
-
-def _filter_closure(lat: FiniteLattice, mask: BitMask) -> BitMask:
-    """Least filter containing a mask (the up-set of its meet), 0 if empty."""
-    return lat.up[lat.meet_of(mask)] if mask else 0
-
-
 @dataclass(frozen=True)
 class Ideal:
     """Nonempty, down-closed, join-closed carrier subset."""
@@ -300,17 +286,18 @@ def principal_filter(lat: FiniteLattice, x: int) -> Filter:
 
 
 def generated_ideal(lat: FiniteLattice, generators: BitMask) -> Ideal:
-    """Least ideal containing the generators: the down-set of their join."""
+    """Least ideal containing the generators: the down-set of their join
+    (every ideal of a finite lattice is principal)."""
     if generators == 0:
         raise EmptyGeneratorSet("ideal generation needs a nonempty set")
-    return Ideal(lat, _ideal_closure(lat, generators))
+    return Ideal(lat, lat.down[lat.join_of(generators)])
 
 
 def generated_filter(lat: FiniteLattice, generators: BitMask) -> Filter:
     """Least filter containing the generators: the up-set of their meet."""
     if generators == 0:
         raise EmptyGeneratorSet("filter generation needs a nonempty set")
-    return Filter(lat, _filter_closure(lat, generators))
+    return Filter(lat, lat.up[lat.meet_of(generators)])
 
 
 def all_ideals(lat: FiniteLattice) -> list[Ideal]:

@@ -2,29 +2,22 @@
 
 The points of the bitopological spectrum are the comaximal pairs: disjoint
 (ideal, filter) pairs each maximal with respect to disjointness from the
-other.  The maps ``delta`` and ``epsilon`` send a lattice element to the
-points whose ideal misses it, respectively whose filter contains it; their
-images generate the two topologies.
+other.  In a finite lattice every ideal is ``down[a]`` and every filter is
+``up[b]``, so a point is stored as the element pair ``(a, b)``.  The maps
+``delta`` and ``epsilon`` send a lattice element ``x`` to the points with
+``x`` not below ``a``, respectively with ``b`` below ``x``; their images
+generate the two topologies.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .bitsets import BitMask, bits, full_mask, image_mask, is_subset
+from .bitsets import BitMask, bits, full_mask, image_mask, is_subset, mask_of
 from .errors import EmptyInput, NotDisjoint
-from .lattices import (
-    Filter,
-    FiniteLattice,
-    Ideal,
-    PrimeIdeal,
-    _filter_closure,
-    _ideal_closure,
-    is_prime_ideal,
-    prime_ideals,
-)
+from .lattices import Filter, FiniteLattice, Ideal, PrimeIdeal, prime_ideals
 from .topology import (
     BitopSpace,
     FiniteTopology,
@@ -38,99 +31,82 @@ from .topology import (
 
 @dataclass(frozen=True)
 class ComaximalPair:
-    """A disjoint (ideal, filter) pair, each maximal against the other.
+    """The comaximal pair ``(down[a], up[b])``, stored as the elements a, b.
 
-    Maximality says every ideal strictly containing the ideal meets the
-    filter, and dually.  In a finite lattice every ideal is principal, so it
-    suffices that each one-element extension of the ideal, whose generated
-    ideal is ``down[join(a, x)]`` with ``a`` the join of the ideal, meets the
-    filter, and dually; that is what the constructor verifies.
+    The pair is disjoint when ``b`` is not below ``a``.  The ideal is maximal
+    against the filter when every element strictly above ``a`` is above
+    ``b`` (an ideal ``down[c]`` with ``c > a`` meets ``up[b]`` exactly when
+    ``b <= c``), and dually every element strictly below ``b`` is below
+    ``a``; that is what the constructor verifies.
     """
 
-    ideal: Ideal
-    filter: Filter
+    lattice: FiniteLattice
+    a: int
+    b: int
 
     def __post_init__(self) -> None:
-        if self.ideal.lattice != self.filter.lattice:
-            raise ValueError("ideal and filter live in different lattices")
-        lat = self.ideal.lattice
-        if not _is_comaximal(lat, self.ideal.members, self.filter.members):
-            raise ValueError(
-                f"({self.ideal.label()},{self.filter.label()}) is not a comaximal pair"
-            )
+        if not _is_comaximal(self.lattice, self.a, self.b):
+            raise ValueError(f"{self.label()} is not a comaximal pair")
+
+    @property
+    def ideal(self) -> Ideal:
+        return Ideal(self.lattice, self.lattice.down[self.a])
+
+    @property
+    def filter(self) -> Filter:
+        return Filter(self.lattice, self.lattice.up[self.b])
 
     def label(self) -> str:
-        return f"({self.ideal.label()};{self.filter.label()})"
+        lat = self.lattice
+        return f"({lat.set_label(lat.down[self.a])};{lat.set_label(lat.up[self.b])})"
 
 
-def _is_comaximal(lat: FiniteLattice, i_mask: BitMask, f_mask: BitMask) -> bool:
-    """Whether a nonempty disjoint pair of masks is comaximal.
-
-    With ``a`` the join of the ideal side and ``b`` the meet of the filter
-    side, the ideal generated by adding ``x`` is ``down[join(a, x)]`` and the
-    filter generated by adding ``x`` is ``up[meet(b, x)]``, so each of the
-    O(n) one-element extensions is tested in O(1).
-    """
-    if i_mask == 0 or f_mask == 0 or i_mask & f_mask:
-        return False
-    a = lat.join_of(i_mask)
-    b = lat.meet_of(f_mask)
-    down, up, join, meet = lat.down, lat.up, lat.join_table[a], lat.meet_table[b]
-    for x in range(lat.n):
-        if not i_mask >> x & 1 and down[join[x]] & f_mask == 0:
-            return False
-        if not f_mask >> x & 1 and up[meet[x]] & i_mask == 0:
-            return False
-    return True
+def _is_comaximal(lat: FiniteLattice, a: int, b: int) -> bool:
+    """Whether ``(down[a], up[b])`` is a comaximal pair: ``b`` is not below
+    ``a``, ``a`` is maximal outside ``up[b]`` and ``b`` minimal outside
+    ``down[a]``."""
+    up, down = lat.up, lat.down
+    return (
+        not up[b] >> a & 1
+        and is_subset(up[a] & ~(1 << a), up[b])
+        and is_subset(down[b] & ~(1 << b), down[a])
+    )
 
 
-@lru_cache(maxsize=None)
 def comaximal_pairs(lat: FiniteLattice) -> tuple[ComaximalPair, ...]:
     """All comaximal pairs, in lexicographic (ideal mask, filter mask) order."""
-    found = []
-    for i_mask in sorted(set(lat.down)):
-        for f_mask in sorted(set(lat.up)):
-            if _is_comaximal(lat, i_mask, f_mask):
-                found.append(ComaximalPair(Ideal(lat, i_mask), Filter(lat, f_mask)))
-    return tuple(found)
+    down, up = lat.down, lat.up
+    found = sorted(
+        (down[a], up[b], a, b)
+        for a in range(lat.n)
+        for b in range(lat.n)
+        if _is_comaximal(lat, a, b)
+    )
+    return tuple(ComaximalPair(lat, a, b) for _, _, a, b in found)
 
 
-def extend_to_comaximal(lat: FiniteLattice, ideal: Ideal, filt: Filter) -> ComaximalPair:
-    """Grow a disjoint ideal/filter pair to a comaximal pair.
+def extend_to_comaximal(lat: FiniteLattice, a: int, b: int) -> ComaximalPair:
+    """Grow the disjoint pair ``(down[a], up[b])`` to a comaximal pair.
 
-    The ideal grows first, adding the lowest-index element whose generated
-    ideal stays disjoint from the filter and restarting, then the filter
-    grows the same way against the enlarged ideal.  Any maximal extension
-    would do; the lowest-index rule makes the result reproducible.  The
-    generated ideal of the ideal plus ``x`` is ``down[join(a, x)]`` for the
-    running join ``a`` (dually for the filter), so each candidate is O(1).
+    The ideal grows first: the lowest-index element whose join with ``a``
+    stays outside ``up[b]`` is joined in, and the search restarts; then the
+    filter shrinks ``b`` the same way against the grown ``a``.  Any maximal
+    extension would do; the lowest-index rule makes the result reproducible.
+    An element rejected once stays rejected as ``a`` grows (its join with
+    the larger ``a`` is still above ``b``), and dually as ``b`` shrinks, so
+    a restart would only re-reject the lower indices: one ascending pass per
+    side gives the same pair.
     """
-    if ideal.members & filt.members:
+    if lat.leq(b, a):
         raise NotDisjoint("ideal and filter overlap")
-    n = lat.n
-    j, a = ideal.members, lat.join_of(ideal.members)
-    grown = True
-    while grown:
-        grown = False
-        for x in range(n):
-            if not j >> x & 1:
-                cand = lat.down[lat.join_table[a][x]]
-                if cand & filt.members == 0:
-                    j, a = cand, lat.join_table[a][x]
-                    grown = True
-                    break
-    k, b = filt.members, lat.meet_of(filt.members)
-    grown = True
-    while grown:
-        grown = False
-        for x in range(n):
-            if not k >> x & 1:
-                cand = lat.up[lat.meet_table[b][x]]
-                if cand & j == 0:
-                    k, b = cand, lat.meet_table[b][x]
-                    grown = True
-                    break
-    return ComaximalPair(Ideal(lat, j), Filter(lat, k))
+    join, meet = lat.join_table, lat.meet_table
+    for x in range(lat.n):
+        if not lat.leq(b, join[a][x]):
+            a = join[a][x]
+    for x in range(lat.n):
+        if not lat.leq(meet[b][x], a):
+            b = meet[b][x]
+    return ComaximalPair(lat, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +128,13 @@ class BitopSpectrum:
     epsilon: tuple[BitMask, ...]
     space: BitopSpace
 
-    def point_index(self, i_mask: BitMask, f_mask: BitMask) -> int:
-        for k, p in enumerate(self.points):
-            if p.ideal.members == i_mask and p.filter.members == f_mask:
-                return k
-        raise KeyError("no such point")
+    @cached_property
+    def index(self) -> dict[tuple[int, int], int]:
+        """The number of the point ``(a, b)``, keyed by the element pair."""
+        return {(p.a, p.b): k for k, p in enumerate(self.points)}
+
+    def point_index(self, a: int, b: int) -> int:
+        return self.index[a, b]
 
     def point_label(self, k: int) -> str:
         return self.points[k].label()
@@ -165,25 +143,20 @@ class BitopSpectrum:
 @lru_cache(maxsize=None)
 def build_bitop_spectrum(lat: FiniteLattice) -> BitopSpectrum:
     points = comaximal_pairs(lat)
-    delta = []
-    epsilon = []
-    for x in range(lat.n):
-        d = 0
-        e = 0
-        for k, p in enumerate(points):
-            if not p.ideal.members >> x & 1:
-                d |= 1 << k
-            if p.filter.members >> x & 1:
-                e |= 1 << k
-        delta.append(d)
-        epsilon.append(e)
+    up = lat.up
+    delta = tuple(
+        mask_of(k for k, p in enumerate(points) if not up[x] >> p.a & 1) for x in range(lat.n)
+    )
+    epsilon = tuple(
+        mask_of(k for k, p in enumerate(points) if up[p.b] >> x & 1) for x in range(lat.n)
+    )
     for x in range(lat.n):
         if epsilon[x] & ~delta[x]:
             raise RuntimeError("epsilon is not contained in delta")
     m = len(points)
     tau = topology_from_subbasis(m, delta)
     sigma = topology_from_subbasis(m, epsilon)
-    return BitopSpectrum(lat, points, tuple(delta), tuple(epsilon), bitop_space(tau, sigma))
+    return BitopSpectrum(lat, points, delta, epsilon, bitop_space(tau, sigma))
 
 
 @dataclass(frozen=True)
@@ -233,7 +206,8 @@ def b_map(lat: FiniteLattice) -> BMapReport:
     bitop = build_bitop_spectrum(lat)
     full = full_mask(lat.n)
     point_map = tuple(
-        bitop.point_index(p.members, full & ~p.members) for p in classical.points
+        bitop.point_index(lat.join_of(p.members), lat.meet_of(full & ~p.members))
+        for p in classical.points
     )
     injective = len(set(point_map)) == len(point_map)
     bijective = injective and len(point_map) == len(bitop.points)
@@ -300,12 +274,10 @@ def gbd_witness(lat: FiniteLattice, v_mask: BitMask, w_mask: BitMask) -> GBDResu
         if not contained:
             raise RuntimeError("witness chain found but containment fails")
         return GBDResult("witness", z=z, v1=v1, w1=w1)
-    pair = extend_to_comaximal(
-        lat, Ideal(lat, _ideal_closure(lat, w_mask)), Filter(lat, _filter_closure(lat, v_mask))
-    )
+    pair = extend_to_comaximal(lat, join_w, meet_v)
     if contained:
         raise RuntimeError("separating pair found but containment holds")
-    if not (is_subset(w_mask, pair.ideal.members) and is_subset(v_mask, pair.filter.members)):
+    if not (is_subset(w_mask, lat.down[pair.a]) and is_subset(v_mask, lat.up[pair.b])):
         raise RuntimeError("separating pair does not absorb the generators")
     return GBDResult("separating", pair=pair)
 
@@ -332,12 +304,10 @@ def delta_compactness_check(lat: FiniteLattice, x: int, v_mask: BitMask) -> Delt
         if not contained:
             raise RuntimeError("join witness found but the cover fails")
         return DeltaCompactnessResult("witness", v1=v1)
-    pair = extend_to_comaximal(
-        lat, Ideal(lat, _ideal_closure(lat, v_mask)), Filter(lat, lat.up[x])
-    )
+    pair = extend_to_comaximal(lat, lat.join_of(v_mask), x)
     if contained:
         raise RuntimeError("separating pair found but the cover holds")
-    k = 1 << spectrum.point_index(pair.ideal.members, pair.filter.members)
+    k = 1 << spectrum.point_index(pair.a, pair.b)
     if not (spectrum.delta[x] & k and not union & k):
         raise RuntimeError("separating pair is not a counterexample point")
     return DeltaCompactnessResult("separating", pair=pair)
@@ -351,9 +321,11 @@ def prime_points(spectrum: BitopSpectrum) -> tuple[int, ...]:
     """Points whose closures in the two topologies coincide.
 
     Equal closures force the point's ideal to be prime with the filter as its
-    complement; that direction is re-verified here.  The converse is false in
-    general (the pentagon has a point of the form (P, complement) with a
-    prime P whose closures differ), so only the sound direction is asserted.
+    complement; that direction is re-verified here: the point ``(a, b)`` is
+    disjoint, so ``down[a]`` and ``up[b]`` covering the carrier says exactly
+    that.  The converse is false in general (the pentagon has a point of the
+    form (P, complement) with a prime P whose closures differ), so only the
+    sound direction is asserted.
     All points are prime exactly for distributive lattices; that biconditional
     lives in the verification suites.
     """
@@ -362,10 +334,8 @@ def prime_points(spectrum: BitopSpectrum) -> tuple[int, ...]:
     out = tuple(bits(equal_closure_points(spectrum.space)))
     for k in out:
         p = spectrum.points[k]
-        if not is_prime_ideal(lat, p.ideal.members):
-            raise RuntimeError("closure-prime point with a non-prime ideal")
-        if p.filter.members != full & ~p.ideal.members:
-            raise RuntimeError("closure-prime point whose filter is not the complement")
+        if lat.down[p.a] | lat.up[p.b] != full:
+            raise RuntimeError("closure-prime point that is not a prime ideal with its complement")
     return out
 
 

@@ -19,7 +19,6 @@ from .lattices import (
     all_homs,
     check_hom,
     compose,
-    identity_hom,
     is_distributive,
 )
 from .spectra import (
@@ -149,11 +148,11 @@ def check_specialization_orders(lat: FiniteLattice):
     for p in range(len(pts)):
         for q in range(len(pts)):
             tau = bool(space.up_tau[p] >> q & 1)
-            alg = is_subset(pts[q].ideal.members, pts[p].ideal.members)
+            alg = lat.leq(pts[q].a, pts[p].a)
             if tau != alg:
                 return f"tau order mismatch at ({pts[p].label()},{pts[q].label()})"
             sig = bool(space.up_sigma[p] >> q & 1)
-            alg = is_subset(pts[p].filter.members, pts[q].filter.members)
+            alg = lat.leq(pts[q].b, pts[p].b)
             if sig != alg:
                 return f"sigma order mismatch at ({pts[p].label()},{pts[q].label()})"
     ok, pair = is_pairwise_t0(space)
@@ -214,7 +213,7 @@ def check_covering_witnesses(lat: FiniteLattice):
             if res.v1 & ~v or res.w1 & ~w:
                 return "witness subsets escape the inputs"
         else:
-            k = 1 << s.point_index(res.pair.ideal.members, res.pair.filter.members)
+            k = 1 << s.point_index(res.pair.a, res.pair.b)
             if not (inter & k and not union & k):
                 return "separating pair is not a counterexample point"
         x = rng.randrange(lat.n)
@@ -387,129 +386,134 @@ def corpus_lattices(max_size: int = 4) -> list[FiniteLattice]:
 
 def corpus_checks(lattices=None) -> list[CheckResult]:
     lats = lattices if lattices is not None else corpus_lattices()
-    results = [
-        _check("corpus", "hom_classification", lambda: _check_hom_classification(lats)),
-        _check("corpus", "functor_laws", lambda: _check_functor_laws(lats)),
-        _check("corpus", "naturality_squares", lambda: _check_naturality(lats)),
-        _check("corpus", "classical_bridge", lambda: _check_classical_bridge(lats)),
+    try:
+        homs, error = _corpus_homs(lats), None
+    except Exception as exc:
+        homs, error = None, exc
+
+    def run(check_name, fn):
+        def body():
+            if error is not None:  # every corpus check reads the hom table
+                raise error
+            return fn(lats, homs)
+
+        return _check("corpus", check_name, body)
+
+    return [
+        run("hom_classification", _check_hom_classification),
+        run("functor_laws", _check_functor_laws),
+        run("naturality_squares", _check_naturality),
+        run("classical_bridge", _check_classical_bridge),
     ]
-    return results
 
 
-def _all_corpus_homs(lats):
-    for src in lats:
-        for tgt in lats:
-            yield from all_homs(src, tgt)
+def _corpus_homs(lats):
+    """For each ordered pair (i, j) of corpus positions, in that order, every
+    hom lats[i] -> lats[j] in ``all_homs`` order as (hom, classification,
+    spectrum morphism, essential-functor image of that morphism); the last
+    two are None unless the hom is quasi-proper."""
+    table = {}
+    for i, a in enumerate(lats):
+        for j, b in enumerate(lats):
+            rows = table[i, j] = []
+            for h in all_homs(a, b):
+                cls = classify_hom(h)
+                m = e = None
+                if cls.quasi_proper:
+                    m = spec_b_on_hom(h)
+                    e = essential_functor_on_morphism(m)
+                rows.append((h, cls, m, e))
+    return table
 
 
-def _check_hom_classification(lats):
-    for hom in _all_corpus_homs(lats):
-        cls = classify_hom(hom)
-        if cls.quasi_proper and not cls.proper:
-            return f"quasi-proper but not proper: {hom.label()}"
-        src_d = is_distributive(hom.source).distributive
-        tgt_d = is_distributive(hom.target).distributive
-        if src_d and tgt_d and cls.proper != cls.quasi_proper:
-            return f"proper/quasi-proper split on distributive pair: {hom.label()}"
+def _check_hom_classification(lats, homs):
+    for (i, j), rows in homs.items():
+        both_distributive = (
+            is_distributive(lats[i]).distributive and is_distributive(lats[j]).distributive
+        )
+        for hom, cls, _, _ in rows:
+            if cls.quasi_proper and not cls.proper:
+                return f"quasi-proper but not proper: {hom.label()}"
+            if both_distributive and cls.proper != cls.quasi_proper:
+                return f"proper/quasi-proper split on distributive pair: {hom.label()}"
     return None
 
 
-def _check_functor_laws(lats):
-    for lat in lats:
-        ident = identity_hom(lat)
-        m = spec_b_on_hom(ident)
+def _check_functor_laws(lats, homs):
+    by_mapping = {pair: {row[0].mapping: row for row in rows} for pair, rows in homs.items()}
+    for i, lat in enumerate(lats):
+        _, _, m, eh = by_mapping[i, i][tuple(range(lat.n))]
         if m.mapping != tuple(range(m.source.n)):
             return f"spectrum of the identity is not the identity on {lat.name}"
-        eh = essential_functor_on_morphism(m)
         if eh.mapping != tuple(range(eh.source.n)):
             return f"essential functor of the identity is not the identity on {lat.name}"
-    functors = [[_quasi_proper_functors(a, b) for b in lats] for a in lats]
-    for row in functors:
-        for j, homs_ab in enumerate(row):
-            for f, m_f, e_f in homs_ab:
-                for homs_bc in functors[j]:
-                    for g, m_g, e_g in homs_bc:
-                        gf = compose(f, g)
-                        if not classify_hom(gf).quasi_proper:
-                            return f"composition of quasi-proper homs is not quasi-proper: {f.label()} ; {g.label()}"
-                        left = spec_b_on_hom(gf)
-                        if left.mapping != compose_morphisms(m_g, m_f).mapping:
-                            return f"spec_B breaks composition on {f.label()} ; {g.label()}"
-                        if essential_functor_on_morphism(left).mapping != compose(e_f, e_g).mapping:
-                            return f"essential functor breaks composition on {f.label()} ; {g.label()}"
+    for (i, j), rows in homs.items():
+        for f, _, m_f, e_f in rows:
+            if m_f is None:
+                continue
+            for k in range(len(lats)):
+                for g, _, m_g, e_g in homs[j, k]:
+                    if m_g is None:
+                        continue
+                    _, cls, left, e_left = by_mapping[i, k][compose(f, g).mapping]
+                    if not cls.quasi_proper:
+                        return f"composition of quasi-proper homs is not quasi-proper: {f.label()} ; {g.label()}"
+                    if left.mapping != compose_morphisms(m_g, m_f).mapping:
+                        return f"spec_B breaks composition on {f.label()} ; {g.label()}"
+                    if e_left.mapping != compose(e_f, e_g).mapping:
+                        return f"essential functor breaks composition on {f.label()} ; {g.label()}"
     return None
 
 
-def _quasi_proper_functors(source, target):
-    """Each quasi-proper hom source -> target, in ``all_homs`` order, with its
-    spectrum morphism and that morphism's essential-functor image."""
-    out = []
-    for h in all_homs(source, target):
-        if classify_hom(h).quasi_proper:
-            m = spec_b_on_hom(h)
-            out.append((h, m, essential_functor_on_morphism(m)))
-    return out
-
-
-def _check_naturality(lats):
-    for a in lats:
-        for b in lats:
-            for f in all_homs(a, b):
-                cls = classify_hom(f)
-                if not cls.quasi_proper:
-                    continue
-                rep = delta_natural_iso_check(f)
-                if not rep.passed:
-                    return f"element-embedding square fails on {f.label()} at {rep.failing_element}"
-                m = spec_b_on_hom(f)
-                hx = big_h_map(m.source)
-                hy = big_h_map(m.target)
-                em = essential_functor_on_morphism(m)
-                lifted = spec_b_on_hom(em)
-                for k in range(m.source.n):
-                    if lifted.mapping[hx.mapping[k]] != hy.mapping[m.mapping[k]]:
-                        return f"reconstruction square fails on {f.label()}"
+def _check_naturality(lats, homs):
+    for rows in homs.values():
+        for f, _, m, em in rows:
+            if m is None:
+                continue
+            rep = delta_natural_iso_check(f)
+            if not rep.passed:
+                return f"element-embedding square fails on {f.label()} at {rep.failing_element}"
+            hx = big_h_map(m.source)
+            hy = big_h_map(m.target)
+            lifted = spec_b_on_hom(em)
+            for k in range(m.source.n):
+                if lifted.mapping[hx.mapping[k]] != hy.mapping[m.mapping[k]]:
+                    return f"reconstruction square fails on {f.label()}"
     return None
 
 
-def _check_classical_bridge(lats):
-    for lat in lats:
-        if not is_distributive(lat).distributive:
-            continue
-        classical = build_classical_spectrum(lat)
-        spectrum = build_bitop_spectrum(lat)
-        bridge = to_topological(spectrum.space)
+def _check_classical_bridge(lats, homs):
+    distributive = [i for i, lat in enumerate(lats) if is_distributive(lat).distributive]
+    classical = {}
+    for i in distributive:
+        lat = lats[i]
+        bridge = to_topological(build_bitop_spectrum(lat).space)
         back = to_bitopological(bridge)
         if back.tau != bridge or back.sigma != bridge:
             return f"double/forget round trip fails on {lat.name}"
         bm = b_map(lat)
         if not (bm.bijective and bm.homeomorphism):
             return f"prime-ideal embedding fails on {lat.name}"
-    for a in lats:
-        for b in lats:
-            if not (is_distributive(a).distributive and is_distributive(b).distributive):
-                continue
-            for f in all_homs(a, b):
-                if not classify_hom(f).proper:
+        spec = build_classical_spectrum(lat)
+        prime_masks = {p.members: k for k, p in enumerate(spec.points)}
+        classical[i] = (spec, prime_masks, bm.point_map)
+    for i in distributive:
+        spec_a, prime_masks, ba = classical[i]
+        for j in distributive:
+            spec_b_, _, bb = classical[j]
+            for f, cls, bit, _ in homs[i, j]:
+                if not cls.proper:
                     continue
-                spec_a = build_classical_spectrum(a)
-                spec_b_ = build_classical_spectrum(b)
                 point_map = []
-                prime_masks = {p.members: k for k, p in enumerate(spec_a.points)}
-                ok = True
                 for p in spec_b_.points:
                     pre = f.preimage(p.members)
                     if pre not in prime_masks:
-                        ok = False
-                        break
+                        return f"proper hom does not act on spectra: {f.label()}"
                     point_map.append(prime_masks[pre])
-                if not ok:
-                    return f"proper hom does not act on spectra: {f.label()}"
                 if not strongly_continuous(point_map, spec_b_.space, spec_a.space):
                     return f"spectrum map is not strongly continuous for {f.label()}"
-                ba = b_map(a).point_map
-                bb = b_map(b).point_map
-                bit = spec_b_on_hom(f)
+                if bit is None:
+                    return f"proper hom is not quasi-proper: {f.label()}"
                 for k in range(len(spec_b_.points)):
                     if bit.mapping[bb[k]] != ba[point_map[k]]:
                         return f"prime-ideal embedding is not natural on {f.label()}"

@@ -1,6 +1,7 @@
 """Brute-force oracles used by the tests, independent of the library paths
 they check."""
 
+import functools
 import itertools
 
 from lattice_spectra.bitsets import bits
@@ -51,6 +52,30 @@ def comaximal_pairs_brute(lat):
                 continue
             out.append((i, f))
     return sorted(out)
+
+
+# the homs between two lattices share both pair lists
+_cached_pairs_brute = functools.lru_cache(maxsize=64)(comaximal_pairs_brute)
+
+
+def spectrum_map_brute(hom):
+    """The preimage map of a homomorphism on comaximal pairs, literally: the
+    preimage masks of each target pair of ``comaximal_pairs_brute`` looked
+    up among the source's.  Returns (point map, None), or (None, the first
+    target pair whose preimage pair is not a source pair)."""
+    src, tgt = hom.source, hom.target
+
+    def preimage(mask):
+        return sum(1 << x for x in range(src.n) if mask >> hom.mapping[x] & 1)
+
+    index = {pair: k for k, pair in enumerate(_cached_pairs_brute(src))}
+    mapping = []
+    for i, f in _cached_pairs_brute(tgt):
+        k = index.get((preimage(i), preimage(f)))
+        if k is None:
+            return None, (i, f)
+        mapping.append(k)
+    return tuple(mapping), None
 
 
 def labeled_posets_brute(n):

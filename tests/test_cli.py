@@ -171,3 +171,18 @@ def test_jobs_flag_is_ignored():
     code, out = run_cli(["verify", "--exhaustive", "6", "--jobs", "2"])
     assert code == 0
     assert out == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--exhaustive", "0"], ["--exhaustive", "-2"], ["--random", "1", "0"]],
+)
+def test_verify_bad_size_is_input_error(args):
+    proc = subprocess.run(
+        [sys.executable, "-m", "lattice_spectra.cli", "verify", *args],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

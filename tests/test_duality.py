@@ -33,6 +33,8 @@ from lattice_spectra.duality import (
 )
 from lattice_spectra.topology import doubled_space, op_d, op_i, topology_from_subbasis
 
+from oracles import spectrum_map_brute
+
 
 # --- essential lattice --------------------------------------------------------
 
@@ -106,6 +108,29 @@ def test_proper_iff_quasi_proper_on_distributive(lattices_upto_4):
 
 
 # --- spectrum functor on morphisms ---------------------------------------------
+
+
+def test_pull_back_matches_literal_preimages(lattices_upto_5, cat):
+    lats = list(lattices_upto_5) + [lat for lat in cat.values() if lat.n <= 6]
+    homs = quasi_proper = 0
+    for a in lats:
+        for b in lats:
+            for h in all_homs(a, b):
+                homs += 1
+                expected, failing = spectrum_map_brute(h)
+                cls = classify_hom(h)
+                assert cls.quasi_proper == (expected is not None), h.label()
+                if expected is None:
+                    i, f = failing
+                    label = f"({b.set_label(i)};{b.set_label(f)})"
+                    assert cls.quasi_witness == f"preimage of {label} is not comaximal"
+                    with pytest.raises(NotQuasiProper):
+                        spec_b_on_hom(h)
+                else:
+                    quasi_proper += 1
+                    assert cls.quasi_witness is None
+                    assert spec_b_on_hom(h).mapping == expected, h.label()
+    assert (homs, quasi_proper) == (9944, 1818)
 
 
 def test_spec_b_identity(m5):

@@ -4,13 +4,9 @@ import random
 import pytest
 
 from lattice_spectra.bitsets import bits, full_mask, is_subset, mask_of
+from lattice_spectra.catalog import GeneratorConfig, enumerate_lattices
 from lattice_spectra.errors import EmptyInput, NotDisjoint
-from lattice_spectra.lattices import (
-    Ideal,
-    is_distributive,
-    principal_filter,
-    principal_ideal,
-)
+from lattice_spectra.lattices import is_distributive, principal_filter
 from lattice_spectra.spectra import (
     ComaximalPair,
     b_map,
@@ -29,8 +25,9 @@ from lattice_spectra.spectra import (
 from oracles import comaximal_pairs_brute
 
 
-def test_comaximal_matches_literal_definition(lattices_upto_5, cat):
-    sample = list(lattices_upto_5) + [cat["hexagon"], cat["m5_doubled_arm"], cat["b3"]]
+def test_comaximal_matches_literal_definition(lattices_upto_6, cat):
+    sample = list(lattices_upto_6) + [cat["hexagon"], cat["m5_doubled_arm"], cat["b3"]]
+    sample += enumerate_lattices(GeneratorConfig("random", 8, seed=99, count=40))
     for lat in sample:
         got = [(p.ideal.members, p.filter.members) for p in comaximal_pairs(lat)]
         assert got == comaximal_pairs_brute(lat), lat.name
@@ -64,25 +61,25 @@ def test_nonempty_for_two_or_more_elements(lattices_upto_6):
 def test_pair_validation_rejects_junk(m5):
     a = m5.index("a")
     with pytest.raises(ValueError):
-        ComaximalPair(principal_ideal(m5, a), principal_filter(m5, m5.top))
+        ComaximalPair(m5, a, m5.top)
 
 
 # --- extension ---------------------------------------------------------------
 
 
 def test_extend_m5_example(m5):
-    pair = extend_to_comaximal(m5, Ideal(m5, 0b1), principal_filter(m5, m5.index("b")))
+    pair = extend_to_comaximal(m5, m5.bottom, m5.index("b"))
     assert pair.label() == "({0,a};{b,1})"
 
 
 def test_extend_fixpoint(m5):
     pair = comaximal_pairs(m5)[0]
-    again = extend_to_comaximal(m5, pair.ideal, pair.filter)
+    again = extend_to_comaximal(m5, pair.a, pair.b)
     assert again == pair
 
 
 def test_extend_n5(n5):
-    pair = extend_to_comaximal(n5, Ideal(n5, 0b1), principal_filter(n5, n5.index("c")))
+    pair = extend_to_comaximal(n5, n5.bottom, n5.index("c"))
     # lowest-index growth adds a first; ({0,a};{c,1}) is the maximal extension
     assert pair.label() == "({0,a};{c,1})"
     assert is_subset(0b1, pair.ideal.members)
@@ -91,7 +88,46 @@ def test_extend_n5(n5):
 
 def test_extend_requires_disjoint(m5):
     with pytest.raises(NotDisjoint):
-        extend_to_comaximal(m5, principal_ideal(m5, m5.top), principal_filter(m5, 0))
+        extend_to_comaximal(m5, m5.top, m5.bottom)
+
+
+def _extend_by_masks(lat, j, k):
+    """Reference extension on masks: grow the ideal mask ``j`` by the
+    lowest-index element whose generated ideal stays disjoint from the
+    filter mask ``k``, restarting after each growth, then grow ``k`` the
+    same way against the final ``j``."""
+    grown = True
+    while grown:
+        grown = False
+        for x in range(lat.n):
+            if not j >> x & 1:
+                cand = lat.down[lat.join_of(j | 1 << x)]
+                if cand & k == 0:
+                    j, grown = cand, True
+                    break
+    grown = True
+    while grown:
+        grown = False
+        for x in range(lat.n):
+            if not k >> x & 1:
+                cand = lat.up[lat.meet_of(k | 1 << x)]
+                if cand & j == 0:
+                    k, grown = cand, True
+                    break
+    return j, k
+
+
+def test_extend_matches_mask_restart_rule(lattices_upto_6):
+    disjoint = 0
+    for lat in lattices_upto_6:
+        for a, b in itertools.product(range(lat.n), repeat=2):
+            if lat.leq(b, a):
+                continue
+            disjoint += 1
+            pair = extend_to_comaximal(lat, a, b)
+            expected = _extend_by_masks(lat, lat.down[a], lat.up[b])
+            assert (lat.down[pair.a], lat.up[pair.b]) == expected, (lat.name, a, b)
+    assert disjoint == 341
 
 
 # --- spectra -----------------------------------------------------------------
@@ -197,7 +233,7 @@ def certify_gbd(lat, spec, v, w, res):
         assert is_subset(inter1, union1)
     else:
         assert not is_subset(inter, union)
-        k = 1 << spec.point_index(res.pair.ideal.members, res.pair.filter.members)
+        k = 1 << spec.point_index(res.pair.a, res.pair.b)
         assert inter & k and not union & k
 
 
@@ -251,8 +287,9 @@ def test_prime_points_n5(n5):
     pts = prime_points(spec)
     assert [spec.point_label(k) for k in pts] == ["({0,a,c};{b,1})"]
     space = spec.space
-    witness = spec.point_index(0b00011, 0b11000)  # ({0,a};{c,1})
-    prime_but_split = spec.point_index(0b00101, 0b11010)  # ({0,b};{a,c,1})
+    a, b, c = (n5.index(s) for s in "abc")
+    witness = spec.point_index(a, c)  # ({0,a};{c,1})
+    prime_but_split = spec.point_index(b, a)  # ({0,b};{a,c,1})
     assert space.up_sigma[witness] >> prime_but_split & 1
     assert not space.up_tau[witness] >> prime_but_split & 1
 
@@ -315,7 +352,8 @@ def test_order_characterizations(lattices_upto_5, cat):
 
 def test_m5_same_ideal_points_tau_equivalent(m5):
     spec = build_bitop_spectrum(m5)
-    p = spec.point_index(0b00011, 0b10100)  # ({0,a};{b,1})
-    q = spec.point_index(0b00011, 0b11000)  # ({0,a};{c,1})
+    a, b, c = (m5.index(s) for s in "abc")
+    p = spec.point_index(a, b)  # ({0,a};{b,1})
+    q = spec.point_index(a, c)  # ({0,a};{c,1})
     assert spec.space.up_tau[p] >> q & 1
     assert spec.space.up_tau[q] >> p & 1
