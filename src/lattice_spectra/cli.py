@@ -94,8 +94,10 @@ def cmd_show(args, out) -> int:
 
 def cmd_spec(args, out) -> int:
     lat = parse_lattice(_read(args.file))
+    # the opens are counted before the first line, so a size limit prints nothing
     if args.classical:
         spec = build_classical_spectrum(lat)
+        zariski = len(spec.space.opens)
         out.write(f"classical spectrum of {lat.name}\n")
         out.write(f"points: {len(spec.points)}\n")
         for p in spec.points:
@@ -104,7 +106,7 @@ def cmd_spec(args, out) -> int:
         for x in range(lat.n):
             names = [spec.points[k].label() for k in bits(spec.dmap[x])]
             out.write(f"  {lat.names[x]} -> {{{','.join(names)}}}\n")
-        out.write(f"zariski opens: {len(spec.space.opens)}\n")
+        out.write(f"zariski opens: {zariski}\n")
         out.write(
             f"image intersection-closed: {'yes' if spec.image_intersection_closed else 'no'}\n"
         )
@@ -113,6 +115,7 @@ def cmd_spec(args, out) -> int:
                 fh.write(to_dot(spec))
     else:
         spec = build_bitop_spectrum(lat)
+        tau_opens, sigma_opens = len(spec.space.tau.opens), len(spec.space.sigma.opens)
         out.write(f"bitopological spectrum of {lat.name}\n")
         out.write(f"points: {len(spec.points)}\n")
         for p in spec.points:
@@ -122,8 +125,8 @@ def cmd_spec(args, out) -> int:
             for x in range(lat.n):
                 names = [spec.points[k].label() for k in bits(table[x])]
                 out.write(f"  {lat.names[x]} -> {{{','.join(names)}}}\n")
-        out.write(f"tau opens: {len(spec.space.tau.opens)}\n")
-        out.write(f"sigma opens: {len(spec.space.sigma.opens)}\n")
+        out.write(f"tau opens: {tau_opens}\n")
+        out.write(f"sigma opens: {sigma_opens}\n")
         same = spec.space.tau == spec.space.sigma
         out.write(f"tau == sigma: {'yes' if same else 'no'}\n")
         if args.dot:

@@ -474,23 +474,25 @@ def compose(f: LatticeHom, g: LatticeHom) -> LatticeHom:
 def all_homs(source: FiniteLattice, target: FiniteLattice) -> list[LatticeHom]:
     """Every homomorphism source -> target, in lexicographic map order.
 
-    Brute force over all maps; guarded so it is only used on small corpora.
+    Partial maps grow in element order, trying the target elements in
+    ascending order, and each meet and join is checked as soon as both
+    arguments and their meet or join are mapped, so a failing partial map is
+    never extended.  Guarded so it is only used on small corpora;
+    ``tests/oracles.py::all_homs_brute`` is the unpruned search.
     """
     if source.n > 6:
         raise ValueError("hom enumeration is limited to sources with <= 6 elements")
-    out = []
-    for f in itertools.product(range(target.n), repeat=source.n):
-        ok = True
-        for x in range(source.n):
-            for y in range(x, source.n):
-                if (
-                    f[source.meet_table[x][y]] != target.meet_table[f[x]][f[y]]
-                    or f[source.join_table[x][y]] != target.join_table[f[x]][f[y]]
-                ):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(LatticeHom(source, target, f))
-    return out
+    # ready[k]: the checks (x, y, x op y, target op table) decided once k is mapped
+    ready = [[] for _ in range(source.n)]
+    for op, t_op in ((source.meet_table, target.meet_table), (source.join_table, target.join_table)):
+        for x, y in itertools.combinations_with_replacement(range(source.n), 2):
+            ready[max(y, op[x][y])].append((x, y, op[x][y], t_op))
+    maps = [()]
+    for checks in ready:
+        maps = [
+            g
+            for f in maps
+            for g in (f + (v,) for v in range(target.n))
+            if all(t[g[x]][g[y]] == g[z] for x, y, z, t in checks)
+        ]
+    return [LatticeHom(source, target, f) for f in maps]

@@ -191,6 +191,12 @@ def check_transition_operators(lat: FiniteLattice):
 
 
 def check_covering_witnesses(lat: FiniteLattice):
+    """Certify the covering reduction on seeded samples (V, W, x).
+
+    ``gbd_witness`` and ``delta_compactness_check`` read their branch off the
+    lattice order; here each branch is held against the literal containment
+    of spectrum masks, and each separating pair must be a point of the one
+    side outside the other."""
     s = build_bitop_spectrum(lat)
     rng = random.Random(_COVERING_SEED)
     full = full_mask(lat.n)
@@ -198,14 +204,14 @@ def check_covering_witnesses(lat: FiniteLattice):
         v = rng.randint(1, full)
         w = rng.randint(1, full)
         inter = full_mask(len(s.points))
+        union_v = union_w = 0
         for x in bits(v):
             inter &= s.epsilon[x]
-        union = 0
+            union_v |= s.delta[x]
         for y in bits(w):
-            union |= s.delta[y]
-        contained = is_subset(inter, union)
-        res = gbd_witness(lat, v, w)
-        if contained != (res.kind == "witness"):
+            union_w |= s.delta[y]
+        res = gbd_witness(s, v, w)
+        if is_subset(inter, union_w) != (res.kind == "witness"):
             return f"branch mismatch for V={lat.set_label(v)} W={lat.set_label(w)}"
         if res.kind == "witness":
             if not (lat.leq(lat.meet_of(res.v1), res.z) and lat.leq(res.z, lat.join_of(res.w1))):
@@ -214,23 +220,19 @@ def check_covering_witnesses(lat: FiniteLattice):
                 return "witness subsets escape the inputs"
         else:
             k = 1 << s.point_index(res.pair.a, res.pair.b)
-            if not (inter & k and not union & k):
+            if not (inter & k and not union_w & k):
                 return "separating pair is not a counterexample point"
         x = rng.randrange(lat.n)
-        res2 = delta_compactness_check(lat, x, v)
-        covered = is_subset(s.delta[x], _delta_union(s, v))
-        if covered != (res2.kind == "witness"):
+        res2 = delta_compactness_check(s, x, v)
+        if is_subset(s.delta[x], union_v) != (res2.kind == "witness"):
             return f"cover branch mismatch at x={lat.names[x]} V={lat.set_label(v)}"
         if res2.kind == "witness" and not lat.leq(x, lat.join_of(res2.v1)):
             return "cover witness join does not dominate"
+        if res2.kind == "separating":
+            k = 1 << s.point_index(res2.pair.a, res2.pair.b)
+            if not (s.delta[x] & k and not union_v & k):
+                return "cover separating pair is not a counterexample point"
     return None
-
-
-def _delta_union(s, v):
-    u = 0
-    for y in bits(v):
-        u |= s.delta[y]
-    return u
 
 
 def check_prime_point_closures(lat: FiniteLattice):

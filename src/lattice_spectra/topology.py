@@ -437,10 +437,11 @@ def is_doubly_bd(space: BitopSpace) -> bool:
 def is_bounded_pbd(space: BitopSpace) -> bool:
     """Bounded pairwise Balbes-Dwinger: tau-compact carrier and a
     sigma-fundamental empty set.  Both clauses always hold at finite scale:
-    the compactness clause is evaluated by extracting a finite subcover, the
-    empty-set clause is the constant :func:`empty_set_is_fundamental`."""
+    the compactness clause is evaluated by extracting a finite subcover of
+    the principal opens ``up_tau`` (any open cover would do), the empty-set
+    clause is the constant :func:`empty_set_is_fundamental`."""
     report = is_pairwise_bd(space)
     if not report.passed:
         raise NotPairwiseBD(f"axiom ({report.failing_axiom}) fails: {report.witness}")
-    subcover = is_compact_subset(space.tau, full_mask(space.n), sorted(space.tau.opens))
+    subcover = is_compact_subset(space.tau, full_mask(space.n), space.up_tau)
     return isinstance(subcover, list) and empty_set_is_fundamental(space.sigma)

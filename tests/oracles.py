@@ -78,6 +78,21 @@ def spectrum_map_brute(hom):
     return tuple(mapping), None
 
 
+def all_homs_brute(source, target):
+    """Every meet- and join-preserving map, as mapping tuples in
+    lexicographic order, found by trying all ``target.n ** source.n`` maps."""
+    out = []
+    for f in itertools.product(range(target.n), repeat=source.n):
+        if all(
+            f[source.meet_table[x][y]] == target.meet_table[f[x]][f[y]]
+            and f[source.join_table[x][y]] == target.join_table[f[x]][f[y]]
+            for x in range(source.n)
+            for y in range(x, source.n)
+        ):
+            out.append(f)
+    return out
+
+
 def labeled_posets_brute(n):
     """All partial orders on n labelled points, as up-mask tuples.
 

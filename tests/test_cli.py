@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from lattice_spectra.catalog import render_lattice
+from lattice_spectra.lattices import build_lattice
 from lattice_spectra import cli
 
 
@@ -49,6 +50,18 @@ def test_spec_bitop_m5(lattice_dir):
     assert "points: 6" in out
     assert "tau opens: 8" in out
     assert "tau == sigma: no" in out
+
+
+def test_spec_limit_prints_nothing_before_the_error(tmp_path, capsys):
+    # M18 has 2^18 tau-opens, past the open-family bound
+    atoms = [f"a{i}" for i in range(18)]
+    covers = [("0", a) for a in atoms] + [(a, "1") for a in atoms]
+    m18 = tmp_path / "m18.lat"
+    m18.write_text(render_lattice(build_lattice(["0", *atoms, "1"], covers, name="m18")), encoding="utf-8")
+    code, out = run_cli(["spec", str(m18), "--bitop"])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_spec_classical_m5(lattice_dir):

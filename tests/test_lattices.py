@@ -26,7 +26,7 @@ from lattice_spectra.lattices import (
 )
 
 
-from oracles import filter_masks_brute, ideal_masks_brute
+from oracles import all_homs_brute, filter_masks_brute, ideal_masks_brute
 
 # --- construction ------------------------------------------------------------
 
@@ -273,6 +273,17 @@ def test_partial_map_rejected(chain2, m5):
 def test_hom_count_chain2_to_m5(chain2, m5):
     # homs from the two-chain are exactly the comparable pairs: 12 in m5
     assert len(all_homs(chain2, m5)) == 12
+
+
+def test_all_homs_matches_brute_force(lattices_upto_5, cat):
+    lats = list(lattices_upto_5) + [lat for lat in cat.values() if lat.n <= 6]
+    homs = 0
+    for a in lats:
+        for b in lats:
+            got = [h.mapping for h in all_homs(a, b)]
+            assert got == all_homs_brute(a, b), (a.name, b.name)
+            homs += len(got)
+    assert homs == 9944
 
 
 def test_compose(chain2, diamond, m5):

@@ -185,14 +185,14 @@ def test_b_map_bijective_iff_distributive(lattices_upto_6):
 
 def test_gbd_trivial_reflexive(m5):
     for x in range(m5.n):
-        res = gbd_witness(m5, 1 << x, 1 << x)
+        res = gbd_witness(build_bitop_spectrum(m5), 1 << x, 1 << x)
         assert res.kind == "witness"
         assert res.v1 == res.w1 == 1 << x
 
 
 def test_gbd_m5_witness_branch(m5):
     a, b, c = (m5.index(s) for s in "abc")
-    res = gbd_witness(m5, mask_of([a, b]), 1 << c)
+    res = gbd_witness(build_bitop_spectrum(m5), mask_of([a, b]), 1 << c)
     assert res.kind == "witness"
     assert res.z == m5.bottom
     assert res.v1 == mask_of([a, b])
@@ -201,14 +201,14 @@ def test_gbd_m5_witness_branch(m5):
 
 def test_gbd_m5_separating_branch(m5):
     a, b = m5.index("a"), m5.index("b")
-    res = gbd_witness(m5, 1 << a, 1 << b)
+    res = gbd_witness(build_bitop_spectrum(m5), 1 << a, 1 << b)
     assert res.kind == "separating"
     assert res.pair.label() == "({0,b};{a,1})"
 
 
 def test_gbd_empty_input(m5):
     with pytest.raises(EmptyInput):
-        gbd_witness(m5, 0, 1)
+        gbd_witness(build_bitop_spectrum(m5), 0, 1)
 
 
 def certify_gbd(lat, spec, v, w, res):
@@ -247,22 +247,67 @@ def test_gbd_randomized_certificates(cat):
         for _ in range(40):
             v = rng.randint(1, full)
             w = rng.randint(1, full)
-            certify_gbd(lat, spec, v, w, gbd_witness(lat, v, w))
+            certify_gbd(lat, spec, v, w, gbd_witness(spec, v, w))
+
+
+def certify_delta(lat, spec, x, v, res):
+    union = 0
+    for y in bits(v):
+        union |= spec.delta[y]
+    if res.kind == "witness":
+        assert is_subset(spec.delta[x], union)
+        assert res.v1 and is_subset(res.v1, v)
+        assert lat.leq(x, lat.join_of(res.v1))
+        union1 = 0
+        for y in bits(res.v1):
+            union1 |= spec.delta[y]
+        assert is_subset(spec.delta[x], union1)
+    else:
+        assert not is_subset(spec.delta[x], union)
+        k = 1 << spec.point_index(res.pair.a, res.pair.b)
+        assert spec.delta[x] & k and not union & k
+
+
+def test_gbd_every_generator_pair(lattices_upto_4):
+    kinds = {"witness": 0, "separating": 0}
+    for lat in lattices_upto_4:
+        spec = build_bitop_spectrum(lat)
+        for v in range(1, 1 << lat.n):
+            for w in range(1, 1 << lat.n):
+                res = gbd_witness(spec, v, w)
+                certify_gbd(lat, spec, v, w, res)
+                kinds[res.kind] += 1
+    # all (2^n - 1)^2 nonempty pairs of the 5 lattices: 509
+    assert kinds == {"witness": 469, "separating": 40}
+
+
+def test_delta_compactness_every_cover(lattices_upto_5):
+    kinds = {"witness": 0, "separating": 0}
+    for lat in lattices_upto_5:
+        spec = build_bitop_spectrum(lat)
+        for x in range(lat.n):
+            for v in range(1, 1 << lat.n):
+                res = delta_compactness_check(spec, x, v)
+                certify_delta(lat, spec, x, v, res)
+                kinds[res.kind] += 1
+    # n * (2^n - 1) pairs (x, V) over the 10 lattices: 923
+    assert kinds == {"witness": 772, "separating": 151}
 
 
 def test_delta_compactness_trivial(m5):
     a = m5.index("a")
-    res = delta_compactness_check(m5, a, mask_of([a, m5.index("b")]))
+    res = delta_compactness_check(build_bitop_spectrum(m5), a, mask_of([a, m5.index("b")]))
     assert res.kind == "witness"
     assert res.v1 == 1 << a
 
 
 def test_delta_compactness_m5(m5):
     a, b = m5.index("a"), m5.index("b")
-    res = delta_compactness_check(m5, m5.top, mask_of([a, b]))
+    spec = build_bitop_spectrum(m5)
+    res = delta_compactness_check(spec, m5.top, mask_of([a, b]))
     assert res.kind == "witness"
     assert res.v1 == mask_of([a, b])
-    res2 = delta_compactness_check(m5, a, 1 << b)
+    res2 = delta_compactness_check(spec, a, 1 << b)
     assert res2.kind == "separating"
     assert res2.pair.label() == "({0,b};{a,1})"
 
