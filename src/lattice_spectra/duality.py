@@ -290,16 +290,17 @@ def char_comaximal_of_essential(space: BitopSpace) -> CharComaximalReport:
     ess = essential_lattice(space)
     lat = ess.lattice
     spectrum = build_bitop_spectrum(lat)
+    d_images = [op_d(space, a) for a in ess.subsets]
     inter_d = full_mask(space.n)
     inter_a = full_mask(space.n)
-    for a in ess.subsets:
-        inter_d &= op_d(space, a)
+    for a, da in zip(ess.subsets, d_images):
+        inter_d &= da
         inter_a &= a
     point_to_pair = []
     ok = True
     for x in range(space.n):
         i_mask = mask_of(k for k, a in enumerate(ess.subsets) if not a >> x & 1)
-        f_mask = mask_of(k for k, a in enumerate(ess.subsets) if op_d(space, a) >> x & 1)
+        f_mask = mask_of(k for k, da in enumerate(d_images) if da >> x & 1)
         # a point (a, b) has the masks down[a] and up[b], so only the join of
         # I(x) with the meet of F(x) can match
         a, b = lat.join_of(i_mask), lat.meet_of(f_mask)
@@ -308,10 +309,9 @@ def char_comaximal_of_essential(space: BitopSpace) -> CharComaximalReport:
             found = spectrum.index.get((a, b), -1)
         ok = ok and found >= 0
         point_to_pair.append(found)
-    injective = len(set(point_to_pair)) == len(point_to_pair)
-    unmatched = tuple(
-        idx for idx in range(len(spectrum.points)) if idx not in set(point_to_pair)
-    )
+    matched = set(point_to_pair)
+    injective = len(matched) == len(point_to_pair)
+    unmatched = tuple(idx for idx in range(len(spectrum.points)) if idx not in matched)
     passed = (
         ok
         and injective

@@ -161,25 +161,79 @@ def count_lattices_brute(n):
     return len(seen)
 
 
+def _up_closure(up, a):
+    """i written out: the points above some member of ``a``."""
+    out = 0
+    for x in bits(a):
+        out |= up[x]
+    return out
+
+
+def _interior(up, a):
+    """d written out: the points whose least neighbourhood lies inside ``a``."""
+    return sum(1 << x for x, u in enumerate(up) if u & ~a == 0)
+
+
 def essential_subsets_brute(space):
     """Essential subsets by scanning every carrier subset: each tau-increasing
     m whose sigma-interior d(m) is sigma-open and whose tau up-closure
     i(d(m)) is m again, plus the empty set."""
-    n = space.n
     out = {0}
-    for m in range(1, 1 << n):
+    for m in range(1, 1 << space.n):
         if any(space.up_tau[x] & ~m for x in bits(m)):
             continue
-        dm = 0
-        for x in range(n):
-            if space.up_sigma[x] & ~m == 0:
-                dm |= 1 << x
-        idm = 0
-        for x in bits(dm):
-            idm |= space.up_tau[x]
-        if dm in space.sigma.opens and idm == m:
+        dm = _interior(space.up_sigma, m)
+        if dm in space.sigma.opens and _up_closure(space.up_tau, dm) == m:
             out.add(m)
     return frozenset(out)
+
+
+def essential_subsets_by_sigma_opens(space):
+    """Essential subsets by the loop over every sigma-open U: each candidate
+    i(U) kept when its d-image is sigma-open and i of that d-image is the
+    candidate again, plus the empty set."""
+    out = {0}
+    for u in space.sigma.opens:
+        a = _up_closure(space.up_tau, u)
+        da = _interior(space.up_sigma, a)
+        if da in space.sigma.opens and _up_closure(space.up_tau, da) == a:
+            out.add(a)
+    return frozenset(out)
+
+
+def pairwise_bd_axioms_iv_v_brute(space, essentials):
+    """The first failing axiom among (iv) and (v) of the pairwise
+    Balbes-Dwinger definition, evaluated literally, or None: (iv) the union
+    a | b and the meet i(d(a & b)) of any two essential sets are essential,
+    (v) in its witness form over subfamilies of one or two nonempty essential
+    sets: whenever the intersection of the d-images of V lies inside the
+    union of W, so does i(d(intersection of V))."""
+    ess = frozenset(essentials)
+    up_tau, up_sigma = space.up_tau, space.up_sigma
+    for a in ess:
+        for b in ess:
+            if a | b not in ess:
+                return "iv"
+            if _up_closure(up_tau, _interior(up_sigma, a & b)) not in ess:
+                return "iv"
+    full = (1 << space.n) - 1
+    nonempty = sorted(m for m in ess if m)
+    subfamilies = [
+        fam for k in (1, 2) for fam in itertools.combinations(nonempty, k)
+    ]
+    for v_fam in subfamilies:
+        inter_d = inter_a = full
+        for a in v_fam:
+            inter_d &= _interior(up_sigma, a)
+            inter_a &= a
+        meet_v = _up_closure(up_tau, _interior(up_sigma, inter_a))
+        for w_fam in subfamilies:
+            union_w = 0
+            for a in w_fam:
+                union_w |= a
+            if inter_d & ~union_w == 0 and meet_v & ~union_w:
+                return "v"
+    return None
 
 
 def is_continuous_brute(mapping, source, target):

@@ -42,9 +42,10 @@ def _lattices():
     # non-distributive products with witnesses on 25 and 12 elements
     lats["m3xm3"] = product_lattice(_diamond(3), _diamond(3), name="m3xm3")
     lats["m4xc2"] = product_lattice(_diamond(4), lats["chain2"], name="m4xc2")
-    # spectra of 30 and 21 points
+    # spectra of 30, 21 and 306 points; M18 has 2^18 tau-opens
     lats["m6"] = _diamond(6)
     lats["chain22"] = _chain(22)
+    lats["m18"] = _diamond(18)
     return lats
 
 
@@ -65,6 +66,7 @@ def _cases():
         cases[f"spec-bitop-{name}"] = ["spec", "{%s}" % name, "--bitop"]
         cases[f"spec-classical-{name}"] = ["spec", "{%s}" % name, "--classical"]
         cases[f"verify-{name}"] = ["verify", "{%s}" % name]
+    cases["verify-m18"] = ["verify", "{m18}"]
     for name, (_, src, tgt) in HOMS.items():
         cases[f"hom-{name}"] = ["hom", "{hom_%s}" % name, "{%s}" % src, "{%s}" % tgt]
     return cases

@@ -32,8 +32,10 @@ from lattice_spectra.topology import (
 from oracles import (
     bd_space_brute,
     essential_subsets_brute,
+    essential_subsets_by_sigma_opens,
     is_continuous_brute,
     is_homeomorphism_brute,
+    pairwise_bd_axioms_iv_v_brute,
     pairwise_bd_first_axioms_brute,
 )
 
@@ -61,6 +63,15 @@ def all_topologies(n):
         except ValueError:
             pass
     return out
+
+
+def small_bitop_spaces():
+    """Every bitopological space on one to three points."""
+    return [
+        bitop_space(tau, sigma)
+        for n in (1, 2, 3)
+        for tau, sigma in itertools.product(all_topologies(n), repeat=2)
+    ]
 
 
 # --- oracle: closure by definition -------------------------------------------
@@ -403,6 +414,33 @@ def test_essential_subsets_match_brute_force(cat, lattices_upto_5):
         assert essential_subsets(space).members == essential_subsets_brute(space)
 
 
+def test_essential_subsets_match_sigma_open_loop(cat):
+    # past the 12-point bound of the brute-force search: the literal loop
+    # over every sigma-open, on spaces with at most 2^12 of them
+    from lattice_spectra.lattices import product_lattice
+    from lattice_spectra.spectra import build_classical_spectrum
+
+    from test_golden import _chain, _diamond
+
+    b5 = _chain(2)
+    for k in range(4):
+        b5 = product_lattice(b5, _chain(2), name=f"b{k + 2}")
+    lats = [
+        _diamond(6),
+        _diamond(12),
+        _chain(22),
+        b5,
+        product_lattice(_diamond(3), _diamond(3), name="m3xm3"),
+        product_lattice(_diamond(4), _chain(2), name="m4xc2"),
+    ]
+    spaces = [build_bitop_spectrum(lat).space for lat in lats]
+    spaces += [doubled_space(build_classical_spectrum(lat).space) for lat in cat.values()]
+    assert max(len(space.sigma.opens) for space in spaces) == 1 << 12
+    assert [space.n for space in spaces[:6]] == [30, 132, 21, 5, 12, 13]
+    for space in spaces:
+        assert essential_subsets(space).members == essential_subsets_by_sigma_opens(space)
+
+
 def test_essential_one_point_indiscrete():
     space = doubled_space(indiscrete(1))
     assert essential_subsets(space).members == frozenset({0, 1})
@@ -453,11 +491,7 @@ def test_broken_sigma_basis_fails_axiom_iii():
 def test_axioms_ii_iii_match_open_family_forms():
     # every bitopological space on at most three points, including the
     # broken-sigma-basis space (Sierpinski, discrete) of the test above
-    spaces = [
-        bitop_space(tau, sigma)
-        for n in (1, 2, 3)
-        for tau, sigma in itertools.product(all_topologies(n), repeat=2)
-    ]
+    spaces = small_bitop_spaces()
     assert bitop_space(sierpinski(), discrete(2)) in spaces
     seen = set()
     for space in spaces:
@@ -469,6 +503,27 @@ def test_axioms_ii_iii_match_open_family_forms():
             assert report.failing_axiom == literal
         seen.add(literal)
     assert seen == {None, "i", "ii", "iii"}
+
+
+def test_axioms_iv_v_hold_on_every_small_space():
+    # (iv) and (v) hold on every finite space, not only where (i)-(iii) pass,
+    # so the checker evaluates neither; the oracle runs the literal clauses
+    # on the library's family, which must equal the brute-force search
+    spaces = small_bitop_spaces()
+    assert len(spaces) == 858
+    for space in spaces:
+        ess = essential_subsets(space).members
+        assert pairwise_bd_axioms_iv_v_brute(space, ess) is None
+        assert ess == essential_subsets_brute(space)
+        assert is_pairwise_bd(space).failing_axiom not in ("iv", "v")
+
+
+def test_axioms_iv_v_hold_on_spectra(lattices_upto_6):
+    spaces = [build_bitop_spectrum(lat).space for lat in lattices_upto_6]
+    assert len(spaces) == 25
+    for space in spaces:
+        assert pairwise_bd_axioms_iv_v_brute(space, essential_subsets(space).members) is None
+        assert is_pairwise_bd(space).failing_axiom not in ("iv", "v")
 
 
 def test_indiscrete_pair_fails_t0():
