@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bitsets import bits, full_mask
 from .errors import MissingMapping, ParseError, SizeBoundExceeded, UnknownElement
@@ -33,8 +34,7 @@ from .spectra import BitopSpectrum, ClassicalSpectrum
 _EXHAUSTIVE_BOUND = 6
 
 
-@dataclass(frozen=True)
-class LatticeDoc:
+class LatticeDoc(NamedTuple):
     """Parsed form of a lattice text document."""
 
     name: str

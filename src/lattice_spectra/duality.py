@@ -9,8 +9,8 @@ direct evaluation rather than symbolically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .bitsets import BitMask, bits, full_mask, is_subset, mask_of, preimage_mask
 from .errors import NotBDSpace, NotDoublyBD, NotPairwiseBD, NotQuasiProper
@@ -47,8 +47,7 @@ from .topology import (
 # homomorphism classification
 
 
-@dataclass(frozen=True)
-class HomClassification:
+class HomClassification(NamedTuple):
     """Properness data for a lattice homomorphism.
 
     proper: prime-ideal preimages are prime (vacuously true when the target
@@ -117,8 +116,7 @@ def classify_hom(hom: LatticeHom) -> HomClassification:
 # morphisms of pairwise Balbes-Dwinger spaces
 
 
-@dataclass(frozen=True)
-class PBDMorphism:
+class PBDMorphism(NamedTuple):
     """A verified morphism of pairwise Balbes-Dwinger spaces.
 
     ``mapping[k]`` is the target point of source point k.  Construction via
@@ -191,8 +189,7 @@ def spec_b_on_hom(hom: LatticeHom) -> PBDMorphism:
 # the essential-set lattice and functor
 
 
-@dataclass(frozen=True)
-class EssentialLattice:
+class EssentialLattice(NamedTuple):
     """The essential subsets of a space as a lattice under inclusion.
 
     Join is union and meet is i(d(intersection)); both are re-verified
@@ -264,8 +261,7 @@ def essential_functor_on_morphism(m: PBDMorphism) -> LatticeHom:
 # characterization of comaximal pairs of the essential lattice
 
 
-@dataclass(frozen=True)
-class CharComaximalReport:
+class CharComaximalReport(NamedTuple):
     """Per-point pairs (I(x), F(x)) of the essential lattice.
 
     I(x) collects the essential sets missing x, F(x) those whose d-image
@@ -324,8 +320,7 @@ def char_comaximal_of_essential(space: BitopSpace) -> CharComaximalReport:
     )
 
 
-@dataclass(frozen=True)
-class HIsoReport:
+class HIsoReport(NamedTuple):
     """The reconstruction map x |-> (I(x), F(x)) into spec_B(E(X)).
 
     Bijectivity comes from the comaximal characterization, and when that
@@ -370,8 +365,7 @@ def big_h_map(space: BitopSpace) -> HIsoReport:
 # classical side: h_X and the fundamental-set lattice
 
 
-@dataclass(frozen=True)
-class FundamentalLattice:
+class FundamentalLattice(NamedTuple):
     lattice: FiniteLattice
     subsets: tuple[BitMask, ...]
 
@@ -388,8 +382,7 @@ def fundamental_lattice(top: FiniteTopology) -> FundamentalLattice:
     return FundamentalLattice(lat, members)
 
 
-@dataclass(frozen=True)
-class ClassicalRepReport:
+class ClassicalRepReport(NamedTuple):
     """The map x |-> {fundamental A : x not in A} into spec(F(X))."""
 
     passed: bool
@@ -426,8 +419,7 @@ def h_map_classical(top: FiniteTopology) -> ClassicalRepReport:
 # naturality of the element embedding
 
 
-@dataclass(frozen=True)
-class NaturalityReport:
+class NaturalityReport(NamedTuple):
     passed: bool
     iso_ok: bool
     square_ok: bool
@@ -490,8 +482,7 @@ def to_bitopological(top: FiniteTopology) -> BitopSpace:
     return doubled_space(top)
 
 
-@dataclass(frozen=True)
-class DisCharReport:
+class DisCharReport(NamedTuple):
     """The four equivalent faces of distributivity for a pairwise
     Balbes-Dwinger space: coinciding topologies, distributive essential
     lattice, being a spectrum of a distributive lattice (decided with the
@@ -516,11 +507,8 @@ def dischar_equivalences(space: BitopSpace) -> DisCharReport:
     report = is_pairwise_bd(space)
     if not report.passed:
         raise NotPairwiseBD(f"axiom ({report.failing_axiom}) fails: {report.witness}")
-    from .lattices import is_distributive
-
     doubly = space.tau == space.sigma
-    ess = essential_lattice(space)
-    distributive = is_distributive(ess.lattice).distributive
+    distributive = essential_lattice(space).lattice.distributive
     h_iso = big_h_map(space)
     spectrum_of_distributive = distributive and h_iso.passed
     all_prime = equal_closure_points(space) == full_mask(space.n)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .bitsets import BitMask, bits, full_mask, is_subset, mask_of, preimage_mask
 from .errors import (
@@ -117,6 +118,20 @@ class FiniteLattice:
         return self.names.index(name)
 
     @cached_property
+    def distributive(self) -> bool:
+        """Distributivity from the order alone: every join-irreducible j (its
+        strict down-set joins to less than j; the empty join is the bottom) is
+        join-prime, i.e. the elements not above j form an ideal.  Conversely
+        x |-> {j <= x} then embeds the lattice into the down-sets of its
+        join-irreducibles (Birkhoff's representation)."""
+        down, full = self.down, full_mask(self.n)
+        return all(
+            self.join_of(down[j] & ~(1 << j)) == j
+            or (rest := full & ~self.up[j]) == down[self.join_of(rest)]
+            for j in range(self.n)
+        )
+
+    @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Hasse diagram edges as (lower, upper) pairs."""
         out = []
@@ -139,8 +154,10 @@ class FiniteLattice:
 def lattice_from_order(names, up, name: str = "") -> FiniteLattice:
     """Build a lattice from an explicit order relation, computing the tables.
 
-    Raises :class:`NotALattice` if some pair has no greatest lower or least
-    upper bound (uniqueness is automatic once existence holds).
+    The lower bounds ``down[i] & down[j]`` have a greatest member m exactly
+    when they equal ``down[m]``, so each meet (dually each join) is one lookup.
+    Raises :class:`NotALattice` for the first pair, meets before joins, that
+    has no greatest lower or least upper bound.
     """
     names = tuple(names)
     up = tuple(up)
@@ -149,18 +166,15 @@ def lattice_from_order(names, up, name: str = "") -> FiniteLattice:
     for i in range(n):
         for j in bits(up[i]):
             down[j] |= 1 << i
-
-    def bound(i, j, masks, which):
-        common = masks[i] & masks[j]
-        for m in bits(common):
-            if is_subset(common, masks[m]):
-                return m
-        raise NotALattice(names[i], names[j], which)
-
-    meet = tuple(
-        tuple(bound(i, j, down, "glb") for j in range(n)) for i in range(n)
-    )
-    join = tuple(tuple(bound(i, j, up, "lub") for j in range(n)) for i in range(n))
+    tables = []
+    for masks, which in ((down, "glb"), (up, "lub")):
+        principal = {m: i for i, m in enumerate(masks)}
+        rows = tuple(tuple(principal.get(mi & mj) for mj in masks) for mi in masks)
+        for i, row in enumerate(rows):
+            if None in row:
+                raise NotALattice(names[i], names[row.index(None)], which)
+        tables.append(rows)
+    meet, join = tables
     bottom = next(i for i in range(n) if up[i] == full_mask(n))
     top = next(i for i in range(n) if down[i] == full_mask(n))
     return FiniteLattice(names, up, meet, join, bottom, top, name=name)
@@ -315,12 +329,9 @@ def all_filters(lat: FiniteLattice) -> list[Filter]:
 
 def is_prime_ideal(lat: FiniteLattice, members: BitMask) -> bool:
     """Whether ``members`` is a nonempty proper ideal whose complement is a
-    filter.
-
-    Every ideal and filter of a finite lattice is principal, so the mask is
-    an ideal exactly when it is the down-set of its join, and the complement
-    is a filter exactly when it is the up-set of its meet.
-    """
+    filter.  Every ideal and filter of a finite lattice is principal, so the
+    mask is an ideal exactly when it is the down-set of its join, and the
+    complement is a filter exactly when it is the up-set of its meet."""
     full = full_mask(lat.n)
     rest = full & ~members
     if members == 0 or rest == 0 or members & ~full:
@@ -329,26 +340,22 @@ def is_prime_ideal(lat: FiniteLattice, members: BitMask) -> bool:
 
 
 def prime_ideals(lat: FiniteLattice) -> list[PrimeIdeal]:
-    """All ideals whose complement is a filter; the classical spectrum as a set."""
-    return [
-        PrimeIdeal(lat, i.members)
-        for i in all_ideals(lat)
-        if is_prime_ideal(lat, i.members)
-    ]
+    """All ideals whose complement is a filter, sorted by member mask; the
+    classical spectrum as a set.  Every ideal is some ``down[x]``, so only
+    those masks are tested."""
+    return [PrimeIdeal(lat, m) for m in sorted(set(lat.down)) if is_prime_ideal(lat, m)]
 
 
 # ---------------------------------------------------------------------------
 # distributivity
 
 
-@dataclass(frozen=True)
-class SublatticeWitness:
+class SublatticeWitness(NamedTuple):
     kind: str  # "m5" (diamond with three atoms) or "n5" (pentagon)
     elements: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DistributivityReport:
+class DistributivityReport(NamedTuple):
     distributive: bool
     triple: tuple[int, int, int] | None = None
     sublattice: SublatticeWitness | None = None
@@ -398,20 +405,11 @@ def _find_forbidden_sublattice(lat: FiniteLattice):
 
 
 def is_distributive(lat: FiniteLattice) -> DistributivityReport:
-    """Distributivity via the triple law, cross-checked against the forbidden
-    sublattice criterion (a copy of the three atom diamond or the pentagon).
-
-    The two detectors must agree; a disagreement would mean a broken lattice
-    and raises RuntimeError.
-    """
-    triple = _find_violating_triple(lat)
-    witness = _find_forbidden_sublattice(lat)
-    if (triple is None) != (witness is None):
-        raise RuntimeError(
-            f"distributivity detectors disagree on {lat!r}: "
-            f"triple={triple} sublattice={witness}"
-        )
-    return DistributivityReport(triple is None, triple, witness)
+    """``lat.distributive``; when negative, with the first violating triple
+    and the least copy of the three atom diamond or the pentagon."""
+    if lat.distributive:
+        return DistributivityReport(True)
+    return DistributivityReport(False, _find_violating_triple(lat), _find_forbidden_sublattice(lat))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .bitsets import BitMask, bits, full_mask, image_mask, is_subset, mask_of
 from .errors import EmptyInput, NotDisjoint
@@ -159,8 +160,7 @@ def build_bitop_spectrum(lat: FiniteLattice) -> BitopSpectrum:
     return BitopSpectrum(lat, points, delta, epsilon, bitop_space(tau, sigma))
 
 
-@dataclass(frozen=True)
-class ClassicalSpectrum:
+class ClassicalSpectrum(NamedTuple):
     """Prime ideals with the Zariski topology generated by the d-map image.
 
     For points that are prime ideals the image is automatically closed under
@@ -191,8 +191,7 @@ def build_classical_spectrum(lat: FiniteLattice) -> ClassicalSpectrum:
     return ClassicalSpectrum(lat, points, tuple(dmap), space, closed)
 
 
-@dataclass(frozen=True)
-class BMapReport:
+class BMapReport(NamedTuple):
     """The prime-ideal embedding P -> (P, complement) into the comaximal pairs."""
 
     point_map: tuple[int, ...]
@@ -224,8 +223,7 @@ def b_map(lat: FiniteLattice) -> BMapReport:
 # covering witnesses
 
 
-@dataclass(frozen=True)
-class GBDResult:
+class GBDResult(NamedTuple):
     """Outcome of the generalized covering reduction.
 
     Either a witness element z with meet(V1) <= z <= join(W1) certifying the
@@ -275,8 +273,7 @@ def gbd_witness(spectrum: BitopSpectrum, v_mask: BitMask, w_mask: BitMask) -> GB
     return GBDResult("separating", pair=pair)
 
 
-@dataclass(frozen=True)
-class DeltaCompactnessResult:
+class DeltaCompactnessResult(NamedTuple):
     kind: str  # "witness" | "separating"
     v1: BitMask | None = None
     pair: ComaximalPair | None = None
@@ -364,8 +361,7 @@ def has_bottom_via_fundamental(lat: FiniteLattice) -> tuple[bool, int]:
     return witness == lat.bottom, witness
 
 
-@dataclass(frozen=True)
-class EssentialDeltaReport:
+class EssentialDeltaReport(NamedTuple):
     passed: bool
     size: int
     essential_only: frozenset[BitMask]

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .bitsets import BitMask, bits, full_mask, image_mask, is_subset
 from .errors import CarrierTooLarge, NotACover, NotIncreasing, NotPairwiseBD
@@ -308,8 +309,7 @@ def essential_subsets(space: BitopSpace) -> SetFamily:
 # Balbes-Dwinger style axiom checkers
 
 
-@dataclass(frozen=True)
-class PairwiseBDReport:
+class PairwiseBDReport(NamedTuple):
     passed: bool
     failing_axiom: str | None = None
     witness: str | None = None
@@ -373,8 +373,7 @@ def _union(family) -> BitMask:
     return out
 
 
-@dataclass(frozen=True)
-class BDSpaceReport:
+class BDSpaceReport(NamedTuple):
     passed: bool
     reason: str | None = None
 

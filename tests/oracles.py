@@ -5,6 +5,8 @@ import functools
 import itertools
 
 from lattice_spectra.bitsets import bits
+from lattice_spectra.errors import NotALattice
+from lattice_spectra.lattices import PrimeIdeal, all_ideals, is_prime_ideal
 
 
 def ideal_masks_brute(lat):
@@ -133,6 +135,44 @@ def is_lattice_up_masks(up, n):
             if not any(cu & ~up[m] == 0 for m in bits(cu)):
                 return False
     return True
+
+
+def lattice_tables_by_bound_scan(names, up):
+    """(meet table, join table) of an order: each entry is the first common
+    bound that lies below (above) every common bound.  Raises NotALattice
+    for the first pair without one, all meets before any join."""
+    n = len(names)
+    down = [0] * n
+    for i in range(n):
+        for j in bits(up[i]):
+            down[j] |= 1 << i
+
+    def bound(i, j, masks, which):
+        common = masks[i] & masks[j]
+        for m in bits(common):
+            if common & ~masks[m] == 0:
+                return m
+        raise NotALattice(names[i], names[j], which)
+
+    meet = tuple(tuple(bound(i, j, down, "glb") for j in range(n)) for i in range(n))
+    join = tuple(tuple(bound(i, j, up, "lub") for j in range(n)) for i in range(n))
+    return meet, join
+
+
+def associativity_failure_brute(lat):
+    """The first (x, y, z) at which meet or join is not associative, or None."""
+    meet, join = lat.meet_table, lat.join_table
+    for x, y, z in itertools.product(range(lat.n), repeat=3):
+        if meet[meet[x][y]][z] != meet[x][meet[y][z]]:
+            return (x, y, z)
+        if join[join[x][y]][z] != join[x][join[y][z]]:
+            return (x, y, z)
+    return None
+
+
+def prime_ideals_by_ideal_scan(lat):
+    """Every ideal from ``all_ideals`` that passes ``is_prime_ideal``."""
+    return [PrimeIdeal(lat, i.members) for i in all_ideals(lat) if is_prime_ideal(lat, i.members)]
 
 
 def perm_canonical(up, n):

@@ -37,6 +37,14 @@ def _chain(k):
     return build_lattice(names, list(zip(names, names[1:])), name=f"chain{k}")
 
 
+def _boolean(k):
+    """B_k: the product of k two-element chains (2^k elements)."""
+    out = _chain(2)
+    for _ in range(k - 1):
+        out = product_lattice(out, _chain(2), name=f"b{k}")
+    return out
+
+
 def _lattices():
     lats = named_lattices()
     # non-distributive products with witnesses on 25 and 12 elements
@@ -46,6 +54,8 @@ def _lattices():
     lats["m6"] = _diamond(6)
     lats["chain22"] = _chain(22)
     lats["m18"] = _diamond(18)
+    # the largest distributive lattice here: 32 elements, 5 join-irreducibles
+    lats["b5"] = _boolean(5)
     return lats
 
 
@@ -67,6 +77,9 @@ def _cases():
         cases[f"spec-classical-{name}"] = ["spec", "{%s}" % name, "--classical"]
         cases[f"verify-{name}"] = ["verify", "{%s}" % name]
     cases["verify-m18"] = ["verify", "{m18}"]
+    cases["show-b5"] = ["show", "{b5}"]
+    cases["spec-classical-b5"] = ["spec", "{b5}", "--classical"]
+    cases["verify-b5"] = ["verify", "{b5}"]
     for name, (_, src, tgt) in HOMS.items():
         cases[f"hom-{name}"] = ["hom", "{hom_%s}" % name, "{%s}" % src, "{%s}" % tgt]
     return cases

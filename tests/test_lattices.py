@@ -17,8 +17,11 @@ from lattice_spectra.lattices import (
     generated_filter,
     generated_ideal,
     identity_hom,
+    _find_forbidden_sublattice,
+    _find_violating_triple,
     is_distributive,
     is_prime_ideal,
+    lattice_from_order,
     prime_ideals,
     principal_filter,
     principal_ideal,
@@ -26,7 +29,14 @@ from lattice_spectra.lattices import (
 )
 
 
-from oracles import all_homs_brute, filter_masks_brute, ideal_masks_brute
+from oracles import (
+    all_homs_brute,
+    filter_masks_brute,
+    ideal_masks_brute,
+    labeled_posets_brute,
+    lattice_tables_by_bound_scan,
+    prime_ideals_by_ideal_scan,
+)
 
 # --- construction ------------------------------------------------------------
 
@@ -49,6 +59,25 @@ def test_missing_lub_is_rejected():
         build_lattice(["0", "a", "b"], [("0", "a"), ("0", "b")])
     assert exc.value.which == "lub"
     assert {exc.value.x, exc.value.y} == {"a", "b"}
+
+
+def test_tables_match_bound_scan_on_every_small_order():
+    # lookup tables against the bound scan, NotALattice on the same pair
+    lattices = 0
+    for n in range(1, 6):
+        names = tuple(f"e{i}" for i in range(n))
+        for up in labeled_posets_brute(n):
+            try:
+                expected = lattice_tables_by_bound_scan(names, up)
+            except NotALattice as exc:
+                with pytest.raises(NotALattice) as got:
+                    lattice_from_order(names, up)
+                assert (got.value.x, got.value.y, got.value.which) == (exc.x, exc.y, exc.which)
+                continue
+            lat = lattice_from_order(names, up)
+            assert (lat.meet_table, lat.join_table) == expected
+            lattices += 1
+    assert lattices == 1 + 2 + 6 + 36 + 380  # labelled lattices on 1-5 points
 
 
 def test_cyclic_covers_rejected():
@@ -166,17 +195,33 @@ def test_n5_witness(n5):
     assert rep.sublattice.kind == "n5"
 
 
-def test_detectors_agree_upto_6(lattices_upto_6):
-    # is_distributive raises if the triple law and the sublattice search split
-    for lat in lattices_upto_6:
-        is_distributive(lat)
+def _boolean(chain2, k):
+    lat = chain2
+    for _ in range(k - 1):
+        lat = product_lattice(lat, chain2, name=f"b{k}")
+    return lat
+
+
+def _assert_detectors_agree(lats):
+    # the two witness searches and the join-prime verdict, on every lattice
+    for lat in lats:
+        triple = _find_violating_triple(lat)
+        sublattice = _find_forbidden_sublattice(lat)
+        assert (triple is None) == (sublattice is None) == lat.distributive, lat
+        assert is_distributive(lat) == (lat.distributive, triple, sublattice), lat
+
+
+def test_detectors_agree_upto_6(lattices_upto_6, cat, chain2):
+    products = [
+        product_lattice(a, b) for a in cat.values() for b in cat.values() if a.n * b.n <= 30
+    ]
+    _assert_detectors_agree([*lattices_upto_6, *products, _boolean(chain2, 5), _boolean(chain2, 6)])
 
 
 def test_detectors_agree_on_random_7():
     from lattice_spectra.catalog import GeneratorConfig, enumerate_lattices
 
-    for lat in enumerate_lattices(GeneratorConfig("random", 7, seed=99, count=40)):
-        is_distributive(lat)
+    _assert_detectors_agree(enumerate_lattices(GeneratorConfig("random", 7, seed=99, count=40)))
 
 
 def _forbidden_sublattice_by_5_subsets(lat):
@@ -234,6 +279,13 @@ def test_is_prime_ideal_matches_brute_force(lattices_upto_6):
         for m in range(1 << lat.n):
             assert is_prime_ideal(lat, m) == (m in expected), (lat.name, m)
         assert [p.members for p in prime_ideals(lat)] == sorted(expected), lat.name
+
+
+def test_prime_ideals_match_ideal_scan(lattices_upto_6, cat, chain2):
+    lats = [*lattices_upto_6, *cat.values(), _boolean(chain2, 5), _boolean(chain2, 6)]
+    lats += [product_lattice(a, b) for a in cat.values() for b in cat.values() if a.n * b.n <= 30]
+    for lat in lats:
+        assert prime_ideals(lat) == prime_ideals_by_ideal_scan(lat), lat
 
 
 def test_prime_ideals_exist_for_distributive(lattices_upto_6):
