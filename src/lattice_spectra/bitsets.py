@@ -44,12 +44,3 @@ def preimage_mask(mapping, target_mask: BitMask) -> BitMask:
 def is_subset(a: BitMask, b: BitMask) -> bool:
     return a & ~b == 0
 
-
-def submasks(mask: BitMask) -> Iterator[BitMask]:
-    """All submasks of ``mask``, including 0 and ``mask`` itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask

@@ -283,96 +283,78 @@ def canonical_form(lat: FiniteLattice) -> bytes:
     return bytes([n]) + best
 
 
-def _extensions(up: list[int], n: int):
-    """Down-sets of the current poset, as candidate strict-lower sets for a
-    new maximal element."""
-    down = [0] * n
-    for i in range(n):
-        for j in bits(up[i]):
-            down[j] |= 1 << i
-    full = full_mask(n)
-    for mask in range(full + 1):
-        ok = True
-        for i in bits(mask):
-            if down[i] & ~mask:
-                ok = False
-                break
-        if ok:
-            yield mask
+def _down_sets(down: list[int]) -> list[int]:
+    """The down-sets of a naturally labelled order, in ascending mask order.
 
-
-def _has_all_glbs(up: list[int], down: list[int], n: int) -> bool:
-    for i in range(n):
-        for j in range(i + 1, n):
-            common = down[i] & down[j]
-            if common == 0:
-                return False
-            if not any(common & ~down[m] == 0 for m in bits(common)):
-                return False
-    return True
-
-
-def _is_lattice_order(up: list[int], n: int) -> bool:
-    down = [0] * n
-    for i in range(n):
-        for j in bits(up[i]):
-            down[j] |= 1 << i
-    for i in range(n):
-        for j in range(i + 1, n):
-            common_d = down[i] & down[j]
-            if not any(common_d & ~down[m] == 0 for m in bits(common_d)):
-                return False
-            common_u = up[i] & up[j]
-            if not any(common_u & ~up[m] == 0 for m in bits(common_u)):
-                return False
-    return True
-
-
-def _grow(up: list[int], n: int, target: int, sink):
-    """Depth-first natural-labelled extension by maximal elements.
-
-    Prefixes that are not meet-semilattices are pruned: later elements are
-    only ever added above existing ones, so a pair without a greatest lower
-    bound can never acquire one.
+    Element k is maximal among elements 0..k, so the down-sets of 0..k are
+    those of 0..k-1, followed by those that contain k's strict down-set with
+    k added; both halves stay ascending.
     """
-    if n == target:
-        if _is_lattice_order(up, n):
-            sink(tuple(up))
-        return
-    for mask in _extensions(up, n):
-        new_up = [u | (1 << n) if mask >> i & 1 else u for i, u in enumerate(up)]
-        # also lift elements below the members of mask transitively: mask is
-        # down-closed already, so nothing else changes
-        new_up.append(1 << n)
-        down = [0] * (n + 1)
-        for i in range(n + 1):
-            for j in bits(new_up[i]):
-                down[j] |= 1 << i
-        if _has_all_glbs(new_up, down, n + 1):
-            _grow(new_up, n + 1, target, sink)
+    sets = [0]
+    for k, d in enumerate(down):
+        lower = d & ~(1 << k)
+        sets += [s | 1 << k for s in sets if s & lower == lower]
+    return sets
+
+
+def _extend(up: list[int], down: list[int], mask: int) -> tuple[list[int], list[int]] | None:
+    """The order grown by a new maximal element strictly above the down-set
+    ``mask``, as ``(up, down)``, or None when the new element has no meet
+    with some old one.
+
+    Old pairs keep their lower bounds, so only the new element's meets are
+    checked, and a missing meet never comes back once elements are added on
+    top.  Under a natural labelling a set's greatest member, when it has
+    one, is its highest-numbered member, so each meet is one mask test.
+    """
+    for d in down:
+        common = d & mask
+        if not common or common & ~down[common.bit_length() - 1]:
+            return None
+    bit = 1 << len(up)
+    return [u | bit if mask >> i & 1 else u for i, u in enumerate(up)] + [bit], down + [mask | bit]
+
+
+def _is_lattice(down: list[int]) -> bool:
+    """A nonempty finite meet-semilattice with a top is a lattice, and a
+    natural labelling puts the top last."""
+    return bool(down) and down[-1] == full_mask(len(down))
+
+
+def _labelled_lattices(max_size: int) -> list[list[tuple[int, ...]]]:
+    """The naturally labelled lattices with at most ``max_size`` elements as
+    up-mask tuples, listed by size, each size in the preorder of one
+    depth-first search that extends by maximal elements."""
+    found: list[list[tuple[int, ...]]] = [[] for _ in range(max_size + 1)]
+
+    def visit(up: list[int], down: list[int]) -> None:
+        if _is_lattice(down):
+            found[len(up)].append(tuple(up))
+        if len(up) < max_size:
+            for mask in _down_sets(down):
+                grown = _extend(up, down, mask)
+                if grown is not None:
+                    visit(*grown)
+
+    visit([], [])
+    return found
 
 
 def _exhaustive(max_size: int):
-    seen: set[bytes] = set()
-    for n in range(1, max_size + 1):
-        found: list[tuple[int, ...]] = []
-        _grow([], 0, n, found.append)
+    """The first labelled lattice found of each canonical class represents
+    it, sizes in turn, classes in canonical-form order."""
+    for n, orders in enumerate(_labelled_lattices(max_size)):
+        names = tuple(f"x{i}" for i in range(n))
         canon: dict[bytes, tuple[int, ...]] = {}
-        for up in found:
-            names = tuple(f"x{i}" for i in range(n))
-            lat = lattice_from_order(names, up)
-            key = canonical_form(lat)
-            if key not in canon:
-                canon[key] = up
+        for up in orders:
+            canon.setdefault(canonical_form(lattice_from_order(names, up)), up)
         for idx, key in enumerate(sorted(canon)):
-            if key in seen:
-                continue
-            seen.add(key)
-            names = tuple(f"x{i}" for i in range(n))
             yield lattice_from_order(names, canon[key], name=f"gen{n}_{idx}")
 
 
 def _random(max_size: int, seed: int, count: int):
+    """Each sample draws a size, then one down-set per element; samples that
+    lose a meet or end without a top are redrawn."""
     rng = random.Random(seed)
     produced = 0
     attempts = 0
@@ -382,21 +364,13 @@ def _random(max_size: int, seed: int, count: int):
             raise RuntimeError("random lattice sampling failed to converge")
         n = rng.randint(1, max_size)
         up: list[int] = []
-        ok = True
-        for k in range(n):
-            exts = list(_extensions(up, k))
-            mask = rng.choice(exts)
-            new_up = [u | (1 << k) if mask >> i & 1 else u for i, u in enumerate(up)]
-            new_up.append(1 << k)
-            down = [0] * (k + 1)
-            for i in range(k + 1):
-                for j in bits(new_up[i]):
-                    down[j] |= 1 << i
-            if not _has_all_glbs(new_up, down, k + 1):
-                ok = False
+        down: list[int] = []
+        while len(up) < n:
+            grown = _extend(up, down, rng.choice(_down_sets(down)))
+            if grown is None:
                 break
-            up = new_up
-        if not ok or not _is_lattice_order(up, n):
+            up, down = grown
+        if len(up) < n or not _is_lattice(down):
             continue
         names = tuple(f"x{i}" for i in range(n))
         produced += 1

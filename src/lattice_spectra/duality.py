@@ -515,17 +515,6 @@ def dischar_equivalences(space: BitopSpace) -> DisCharReport:
     return DisCharReport(doubly, distributive, spectrum_of_distributive, all_prime)
 
 
-def strongly_continuous(mapping, source: FiniteTopology, target: FiniteTopology) -> bool:
-    """Continuity plus fundamental preimages being fundamental."""
-    if not is_continuous(mapping, source, target):
-        return False
-    src_fund = fundamental_subsets(source).members
-    for a in fundamental_subsets(target).members:
-        if preimage_mask(mapping, a) not in src_fund:
-            return False
-    return True
-
-
 __all__ = [
     "CharComaximalReport",
     "ClassicalRepReport",
@@ -550,7 +539,6 @@ __all__ = [
     "identity_morphism",
     "pbd_morphism",
     "spec_b_on_hom",
-    "strongly_continuous",
     "to_bitopological",
     "to_topological",
 ]

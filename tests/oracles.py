@@ -4,9 +4,10 @@ they check."""
 import functools
 import itertools
 
-from lattice_spectra.bitsets import bits
+from lattice_spectra.bitsets import bits, preimage_mask
 from lattice_spectra.errors import NotALattice
 from lattice_spectra.lattices import PrimeIdeal, all_ideals, is_prime_ideal
+from lattice_spectra.topology import fundamental_subsets
 
 
 def ideal_masks_brute(lat):
@@ -284,6 +285,18 @@ def is_continuous_brute(mapping, source, target):
             if u >> v & 1:
                 pre |= 1 << x
         if pre not in source.opens:
+            return False
+    return True
+
+
+def strongly_continuous_brute(mapping, source, target):
+    """Continuity plus every fundamental subset pulling back to a
+    fundamental subset, both clauses over the open families."""
+    if not is_continuous_brute(mapping, source, target):
+        return False
+    src_fund = fundamental_subsets(source).members
+    for a in fundamental_subsets(target).members:
+        if preimage_mask(mapping, a) not in src_fund:
             return False
     return True
 

@@ -24,7 +24,7 @@ from lattice_spectra.errors import (
 from lattice_spectra.lattices import is_distributive
 from lattice_spectra.spectra import build_bitop_spectrum, build_classical_spectrum
 
-from oracles import count_lattices_brute
+from oracles import count_lattices_brute, is_lattice_up_masks, labeled_posets_brute
 
 
 M5_DOC = """\
@@ -166,6 +166,31 @@ def test_exhaustive_six_count(lattices_upto_6):
     by_size = Counter(lat.n for lat in lattices_upto_6)
     assert by_size[6] == 15
     assert len(lattices_upto_6) == 25
+
+
+def test_exhaustive_counts_up_to_seven():
+    # OEIS A006966, past the public bound: one pass of the search yields them all
+    from collections import Counter
+
+    from lattice_spectra.catalog import _exhaustive
+
+    by_size = Counter(lat.n for lat in _exhaustive(7))
+    assert [by_size[n] for n in range(1, 8)] == [1, 1, 1, 2, 5, 15, 53]
+
+
+def test_search_finds_every_naturally_labelled_lattice():
+    from lattice_spectra.catalog import _labelled_lattices
+
+    found = _labelled_lattices(5)
+    assert found[0] == []
+    for n in range(1, 6):
+        natural = {
+            up
+            for up in labeled_posets_brute(n)
+            if all(u >> i << i == u for i, u in enumerate(up)) and is_lattice_up_masks(up, n)
+        }
+        assert len(found[n]) == len(set(found[n]))
+        assert set(found[n]) == natural, n
 
 
 def test_exhaustive_contains_m5_and_n5(lattices_upto_5, m5, n5):

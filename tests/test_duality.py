@@ -31,9 +31,9 @@ from lattice_spectra.duality import (
     to_bitopological,
     to_topological,
 )
-from lattice_spectra.topology import doubled_space, op_d, op_i, topology_from_subbasis
+from lattice_spectra.topology import doubled_space, is_continuous, op_d, op_i, topology_from_subbasis
 
-from oracles import spectrum_map_brute
+from oracles import spectrum_map_brute, strongly_continuous_brute
 
 
 # --- essential lattice --------------------------------------------------------
@@ -246,6 +246,26 @@ def test_h_classical_all_distributive(lattices_upto_5):
             continue
         rep = h_map_classical(build_classical_spectrum(lat).space)
         assert rep.passed, lat.name
+
+
+def test_classical_point_maps_continuity_is_strong_continuity(lattices_upto_5):
+    # the corpus bridge checks continuity of each proper hom's prime-ideal map
+    distributive = [lat for lat in lattices_upto_5 if lat.distributive]
+    maps = 0
+    for a in distributive:
+        spec_a = build_classical_spectrum(a)
+        index = {p.members: k for k, p in enumerate(spec_a.points)}
+        for b in distributive:
+            spec_b = build_classical_spectrum(b)
+            for f in all_homs(a, b):
+                if not classify_hom(f).proper:
+                    continue
+                point_map = [index[f.preimage(p.members)] for p in spec_b.points]
+                continuous = is_continuous(point_map, spec_b.space, spec_a.space)
+                assert continuous == strongly_continuous_brute(point_map, spec_b.space, spec_a.space)
+                assert continuous, f.label()
+                maps += 1
+    assert maps == 381
 
 
 def test_h_classical_rejects_non_bd():
