@@ -238,15 +238,42 @@ class GBDResult(NamedTuple):
     pair: ComaximalPair | None = None
 
 
+def _greedy_shrink(mask: BitMask, table, unit: int, keeps) -> BitMask:
+    """Drop members of ``mask`` lowest index first while the rest stays
+    nonempty and its ``table`` product (meet or join, ``unit`` the empty
+    product) still ``keeps``.
+
+    When member x is tried, the candidate is the members already kept below
+    x plus every member above x, so its product is the kept product times the
+    suffix product after x: one table lookup per member instead of a fresh
+    product per candidate.
+    """
+    members = list(bits(mask))
+    suffix = [unit] * (len(members) + 1)
+    for i in range(len(members) - 1, -1, -1):
+        suffix[i] = table[members[i]][suffix[i + 1]]
+    kept, acc = mask, unit
+    for i, x in enumerate(members):
+        cand = kept & ~(1 << x)
+        if cand and keeps(table[acc][suffix[i + 1]]):
+            kept = cand
+        else:
+            acc = table[acc][x]
+    return kept
+
+
 def gbd_witness(spectrum: BitopSpectrum, v_mask: BitMask, w_mask: BitMask) -> GBDResult:
     """Certify whether inter(epsilon over V) lies inside union(delta over W).
 
     By the covering reduction it does iff meet(V) <= join(W); the certificate
-    is a z in that interval with V and W shrunk (lowest index first) to
-    subsets still bracketing z, or else the comaximal pair grown from
-    (join W, meet V).  ``suites.check_covering_witnesses`` holds the branch
-    and the separating point against the spectrum masks: a point (a, b) lies
-    in every epsilon[v] iff V <= up[b], and in no delta[w] iff W <= down[a].
+    is a z in that interval with V and W shrunk (lowest index first, in
+    O(|V| + |W|) table lookups) to subsets still bracketing z, or else the
+    comaximal pair grown from (join W, meet V).  The result is a pure
+    function of the spectrum and the two masks, so a repeated sample gets the
+    same certificate and ``suites.check_covering_witnesses`` certifies each
+    distinct one once.  The suite holds the branch and the separating point
+    against the spectrum masks: a point (a, b) lies in every epsilon[v] iff
+    V <= up[b], and in no delta[w] iff W <= down[a].
     """
     if v_mask == 0 or w_mask == 0:
         raise EmptyInput("both generator sets must be nonempty")
@@ -256,16 +283,8 @@ def gbd_witness(spectrum: BitopSpectrum, v_mask: BitMask, w_mask: BitMask) -> GB
     join_w = lat.join_of(w_mask)
     if up[meet_v] >> join_w & 1:
         z = next(bits(up[meet_v] & lat.down[join_w]))
-        v1 = v_mask
-        for x in bits(v_mask):
-            cand = v1 & ~(1 << x)
-            if cand and up[lat.meet_of(cand)] >> z & 1:
-                v1 = cand
-        w1 = w_mask
-        for y in bits(w_mask):
-            cand = w1 & ~(1 << y)
-            if cand and up[z] >> lat.join_of(cand) & 1:
-                w1 = cand
+        v1 = _greedy_shrink(v_mask, lat.meet_table, lat.top, lambda m: up[m] >> z & 1)
+        w1 = _greedy_shrink(w_mask, lat.join_table, lat.bottom, lambda j: up[z] >> j & 1)
         return GBDResult("witness", z=z, v1=v1, w1=w1)
     return GBDResult("separating", pair=extend_to_comaximal(lat, join_w, meet_v))
 
@@ -278,20 +297,18 @@ class DeltaCompactnessResult(NamedTuple):
 
 def delta_compactness_check(spectrum: BitopSpectrum, x: int, v_mask: BitMask) -> DeltaCompactnessResult:
     """Reduce a delta-cover of delta(x) to a finite witness V1 with x below
-    join(V1), or produce a comaximal pair inside delta(x) missing the cover.
+    join(V1) (V shrunk lowest index first, in O(|V|) table lookups), or
+    produce a comaximal pair inside delta(x) missing the cover.  Like
+    ``gbd_witness`` it is a pure function of its arguments, and
     ``suites.check_covering_witnesses`` holds the branch and the separating
-    point against the spectrum masks."""
+    point of each distinct sample against the spectrum masks once."""
     if v_mask == 0:
         raise EmptyInput("the covering set must be nonempty")
     lat = spectrum.lattice
     up = lat.up
     join_v = lat.join_of(v_mask)
     if up[x] >> join_v & 1:
-        v1 = v_mask
-        for y in bits(v_mask):
-            cand = v1 & ~(1 << y)
-            if cand and up[x] >> lat.join_of(cand) & 1:
-                v1 = cand
+        v1 = _greedy_shrink(v_mask, lat.join_table, lat.bottom, lambda j: up[x] >> j & 1)
         return DeltaCompactnessResult("witness", v1=v1)
     return DeltaCompactnessResult("separating", pair=extend_to_comaximal(lat, join_v, x))
 

@@ -213,15 +213,19 @@ def is_pairwise_t0(space: BitopSpace) -> tuple[bool, tuple[int, int] | None]:
     the first or a sigma-open around the second.
 
     Equivalently the two specialization preorders form a pairwise ordered
-    set: x <=_tau y and y <=_sigma x force x == y.
+    set: x <=_tau y and y <=_sigma x force x == y.  Per point x the points y
+    breaking that are ``up_tau[x]`` intersected with the sigma closure of x
+    (the y with x in ``up_sigma[y]``), minus x itself; the first witness is
+    the lowest such y of the lowest such x.
     """
-    up_tau, up_sigma = space.up_tau, space.up_sigma
-    for x in range(space.n):
-        for y in range(space.n):
-            if x == y:
-                continue
-            if up_tau[x] >> y & 1 and up_sigma[y] >> x & 1:
-                return False, (x, y)
+    closure_sigma = [0] * space.n
+    for y, u in enumerate(space.up_sigma):
+        for x in bits(u):
+            closure_sigma[x] |= 1 << y
+    for x, u in enumerate(space.up_tau):
+        bad = u & closure_sigma[x] & ~(1 << x)
+        if bad:
+            return False, (x, next(bits(bad)))
     return True, None
 
 

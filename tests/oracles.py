@@ -3,10 +3,12 @@ they check."""
 
 import functools
 import itertools
+import random
 
-from lattice_spectra.bitsets import bits, preimage_mask
+from lattice_spectra.bitsets import bits, full_mask, is_subset, preimage_mask
 from lattice_spectra.errors import NotALattice
 from lattice_spectra.lattices import PrimeIdeal, all_ideals, is_prime_ideal
+from lattice_spectra.spectra import build_bitop_spectrum, delta_compactness_check, gbd_witness
 from lattice_spectra.topology import fundamental_subsets
 
 
@@ -387,3 +389,68 @@ def bd_space_brute(top):
             if inter & ~(w_fam[0] | w_fam[1]) == 0 and inter not in fund:
                 return False, "birreducibility witness missing"
     return True, None
+
+
+def is_pairwise_t0_brute(space):
+    """Pairwise T0 over every ordered pair of distinct points: the first
+    (x, y), x ascending then y, with y tau-above x and x sigma-above y."""
+    for x in range(space.n):
+        for y in range(space.n):
+            if x != y and space.up_tau[x] >> y & 1 and space.up_sigma[y] >> x & 1:
+                return False, (x, y)
+    return True, None
+
+
+def greedy_shrink_brute(mask, product_of, keeps):
+    """Drop members of ``mask`` lowest index first while the rest stays
+    nonempty and ``keeps(product_of(rest))``, recomputing the product of
+    every candidate from scratch."""
+    kept = mask
+    for x in bits(mask):
+        cand = kept & ~(1 << x)
+        if cand and keeps(product_of(cand)):
+            kept = cand
+    return kept
+
+
+def covering_witnesses_literal(lat, gbd=gbd_witness, delta=delta_compactness_check):
+    """The covering-witness certification over all 60 samples in draw order,
+    repeats included: per sample V, W, then x from one ``Random(7)``, with
+    ``gbd`` and ``delta`` standing for the two covering functions.  Returns
+    None or the first failure's witness text."""
+    s = build_bitop_spectrum(lat)
+    rng = random.Random(7)
+    full = full_mask(lat.n)
+    for _ in range(60):
+        v = rng.randint(1, full)
+        w = rng.randint(1, full)
+        inter = full_mask(len(s.points))
+        union_v = union_w = 0
+        for x in bits(v):
+            inter &= s.epsilon[x]
+            union_v |= s.delta[x]
+        for y in bits(w):
+            union_w |= s.delta[y]
+        res = gbd(s, v, w)
+        if is_subset(inter, union_w) != (res.kind == "witness"):
+            return f"branch mismatch for V={lat.set_label(v)} W={lat.set_label(w)}"
+        if res.kind == "witness":
+            if not (lat.leq(lat.meet_of(res.v1), res.z) and lat.leq(res.z, lat.join_of(res.w1))):
+                return f"witness chain broken for V={lat.set_label(v)} W={lat.set_label(w)}"
+            if res.v1 & ~v or res.w1 & ~w:
+                return "witness subsets escape the inputs"
+        else:
+            k = 1 << s.point_index(res.pair.a, res.pair.b)
+            if not (inter & k and not union_w & k):
+                return "separating pair is not a counterexample point"
+        x = rng.randrange(lat.n)
+        res2 = delta(s, x, v)
+        if is_subset(s.delta[x], union_v) != (res2.kind == "witness"):
+            return f"cover branch mismatch at x={lat.names[x]} V={lat.set_label(v)}"
+        if res2.kind == "witness" and not lat.leq(x, lat.join_of(res2.v1)):
+            return "cover witness join does not dominate"
+        if res2.kind == "separating":
+            k = 1 << s.point_index(res2.pair.a, res2.pair.b)
+            if not (s.delta[x] & k and not union_v & k):
+                return "cover separating pair is not a counterexample point"
+    return None

@@ -22,7 +22,7 @@ from lattice_spectra.spectra import (
     prime_points,
 )
 
-from oracles import comaximal_pairs_brute
+from oracles import comaximal_pairs_brute, greedy_shrink_brute
 
 
 def test_comaximal_matches_literal_definition(lattices_upto_6, cat):
@@ -292,6 +292,54 @@ def test_delta_compactness_every_cover(lattices_upto_5):
                 kinds[res.kind] += 1
     # n * (2^n - 1) pairs (x, V) over the 10 lattices: 923
     assert kinds == {"witness": 772, "separating": 151}
+
+
+def _gbd_by_brute_shrink(spec, v, w):
+    """``gbd_witness`` as a tuple, with V and W shrunk by the quadratic loop."""
+    lat = spec.lattice
+    meet_v, join_w = lat.meet_of(v), lat.join_of(w)
+    if not lat.leq(meet_v, join_w):
+        return ("separating", None, None, None, extend_to_comaximal(lat, join_w, meet_v))
+    z = next(bits(lat.up[meet_v] & lat.down[join_w]))
+    v1 = greedy_shrink_brute(v, lat.meet_of, lambda m: lat.leq(m, z))
+    w1 = greedy_shrink_brute(w, lat.join_of, lambda j: lat.leq(z, j))
+    return ("witness", z, v1, w1, None)
+
+
+def _delta_by_brute_shrink(spec, x, v):
+    """``delta_compactness_check`` as a tuple, V shrunk by the quadratic loop."""
+    lat = spec.lattice
+    join_v = lat.join_of(v)
+    if not lat.leq(x, join_v):
+        return ("separating", None, extend_to_comaximal(lat, join_v, x))
+    return ("witness", greedy_shrink_brute(v, lat.join_of, lambda j: lat.leq(x, j)), None)
+
+
+def test_greedy_shrink_matches_quadratic_loop_exhaustive(lattices_upto_4):
+    for lat in lattices_upto_4:
+        spec = build_bitop_spectrum(lat)
+        masks = range(1, 1 << lat.n)
+        for v, w in itertools.product(masks, repeat=2):
+            assert tuple(gbd_witness(spec, v, w)) == _gbd_by_brute_shrink(spec, v, w), (lat.name, v, w)
+        for x, v in itertools.product(range(lat.n), masks):
+            assert tuple(delta_compactness_check(spec, x, v)) == _delta_by_brute_shrink(spec, x, v)
+
+
+def test_greedy_shrink_matches_quadratic_loop_sampled(lattices_upto_6):
+    from test_golden import _boolean, _diamond
+
+    rng = random.Random(31)
+    shrunk = 0
+    for lat in [*lattices_upto_6, _boolean(5), _diamond(6)]:
+        spec = build_bitop_spectrum(lat)
+        full = full_mask(lat.n)
+        for _ in range(100):
+            v, w, x = rng.randint(1, full), rng.randint(1, full), rng.randrange(lat.n)
+            res = gbd_witness(spec, v, w)
+            assert tuple(res) == _gbd_by_brute_shrink(spec, v, w), (lat.name, v, w)
+            assert tuple(delta_compactness_check(spec, x, v)) == _delta_by_brute_shrink(spec, x, v)
+            shrunk += res.kind == "witness" and res.v1 != v
+    assert shrunk > 1000
 
 
 def test_delta_compactness_trivial(m5):

@@ -5,10 +5,11 @@ from types import SimpleNamespace
 import pytest
 
 from lattice_spectra import suites
+from lattice_spectra.bitsets import bits
 from lattice_spectra.lattices import FiniteLattice
-from lattice_spectra.spectra import build_bitop_spectrum
+from lattice_spectra.spectra import build_bitop_spectrum, delta_compactness_check, gbd_witness
 
-from oracles import associativity_failure_brute
+from oracles import associativity_failure_brute, covering_witnesses_literal
 
 CORPUS_CHECKS = ["hom_classification", "functor_laws", "naturality_squares", "classical_bridge"]
 
@@ -40,9 +41,22 @@ def test_corpus_table_failure_fails_every_check(monkeypatch, broken):
     ]
 
 
+def _covering_draws(lat):
+    """The 60 (V, W, x) draws of the covering suite, repeats included."""
+    rng = random.Random(7)
+    full = (1 << lat.n) - 1
+    draws = []
+    for _ in range(60):
+        v = rng.randint(1, full)
+        w = rng.randint(1, full)
+        draws.append((v, w, rng.randrange(lat.n)))
+    return draws
+
+
 def test_covering_witnesses_sample_stream(monkeypatch, cat):
     # the suite draws V, W, then x per sample, 60 samples from Random(7), and
-    # hands both covering functions the lattice's one cached spectrum
+    # hands both covering functions the lattice's one cached spectrum once
+    # per distinct triple, in order of first occurrence
     calls = []
     gbd, delta = suites.gbd_witness, suites.delta_compactness_check
 
@@ -61,16 +75,77 @@ def test_covering_witnesses_sample_stream(monkeypatch, cat):
         spec = build_bitop_spectrum(lat)
         calls.clear()
         assert suites.check_covering_witnesses(lat) is None
-        rng = random.Random(7)
-        full = (1 << lat.n) - 1
         expected = []
-        for _ in range(60):
-            v = rng.randint(1, full)
-            w = rng.randint(1, full)
-            x = rng.randrange(lat.n)
+        for v, w, x in dict.fromkeys(_covering_draws(lat)):
             expected += [(spec, "gbd", v, w), (spec, "delta", x, v)]
         assert all(c[0] is spec for c in calls), name
         assert calls == expected, name
+        if name == "chain1":
+            assert calls == [(spec, "gbd", 1, 1), (spec, "delta", 0, 1)]
+
+
+def test_covering_witnesses_equal_literal_loop(lattices_upto_6, cat):
+    # certifying each distinct sample once gives the verdict of all 60
+    for lat in [*lattices_upto_6, *cat.values()]:
+        assert covering_witnesses_literal(lat) is None
+        assert suites.check_covering_witnesses(lat) is None
+
+
+def _planted_faults(lat, side, fault):
+    """Wrong answers of one covering function ("gbd" or "delta") on triples
+    that repeat in the stream, as (argument tuple, bad result): the other
+    branch ("branch"), or a separating pair that is no counterexample point
+    ("pair")."""
+    s = build_bitop_spectrum(lat)
+    draws = _covering_draws(lat)
+    out = []
+    for v, w, x in dict.fromkeys(draws):
+        if draws.count((v, w, x)) < 2:
+            continue
+        inter, union_v, union_w = (1 << len(s.points)) - 1, 0, 0
+        for y in bits(v):
+            inter &= s.epsilon[y]
+            union_v |= s.delta[y]
+        for y in bits(w):
+            union_w |= s.delta[y]
+        if side == "gbd":
+            args, res, counter = (v, w), gbd_witness(s, v, w), inter & ~union_w
+            witness = res._replace(kind="witness", z=lat.bottom, v1=v, w1=w, pair=None)
+        else:
+            args, res, counter = (x, v), delta_compactness_check(s, x, v), s.delta[x] & ~union_v
+            witness = res._replace(kind="witness", v1=v, pair=None)
+        if fault == "branch" and res.kind == "separating":
+            out.append((args, witness))
+        elif fault == "branch" and s.points:
+            out.append((args, res._replace(kind="separating", pair=s.points[0])))
+        elif fault == "pair" and res.kind == "separating":
+            harmless = [p for k, p in enumerate(s.points) if not counter >> k & 1]
+            if harmless:
+                out.append((args, res._replace(pair=harmless[0])))
+    return out
+
+
+@pytest.mark.parametrize("side", ["gbd", "delta"])
+@pytest.mark.parametrize("fault", ["branch", "pair"])
+def test_covering_witnesses_first_failure_equals_literal_loop(monkeypatch, lattices_upto_4, cat, side, fault):
+    # a fault planted on a triple that repeats in the stream is reported
+    # with the same witness text as the literal 60-sample loop reports it
+    name = {"gbd": "gbd_witness", "delta": "delta_compactness_check"}[side]
+    real = getattr(suites, name)
+    planted = 0
+    for lat in [*lattices_upto_4, *cat.values()]:
+        for target, bad in _planted_faults(lat, side, fault):
+            def faulty(spectrum, *args, target=target, bad=bad):
+                return bad if args == target else real(spectrum, *args)
+
+            monkeypatch.setattr(suites, name, faulty)
+            got = suites.check_covering_witnesses(lat)
+            monkeypatch.undo()
+            assert got is not None, (lat.name, target)
+            assert got == covering_witnesses_literal(lat, **{side: faulty}), (lat.name, target)
+            planted += 1
+    # triples repeat on 2-4 elements: the generated lattices, chain2-4, diamond
+    assert planted == {"branch": 54, "pair": 4}[fault]
 
 
 def _corrupt(lat, table_name, i, j, value):

@@ -35,6 +35,7 @@ from oracles import (
     essential_subsets_by_sigma_opens,
     is_continuous_brute,
     is_homeomorphism_brute,
+    is_pairwise_t0_brute,
     pairwise_bd_axioms_iv_v_brute,
     pairwise_bd_first_axioms_brute,
 )
@@ -211,6 +212,22 @@ def test_pairwise_t0_equals_pairwise_ordered(lattices_upto_5):
             for y in range(space.n)
         )
         assert ok == ordered
+
+
+def test_pairwise_t0_matches_pair_scan(lattices_upto_6):
+    # the per-point mask form names the same first witness as the literal
+    # scan over ordered pairs, x ascending, then the lowest y
+    spaces = small_bitop_spaces()
+    for lat in lattices_upto_6:
+        spectrum = build_bitop_spectrum(lat)
+        spaces += [spectrum.space, doubled_space(spectrum.space.tau), doubled_space(spectrum.space.sigma)]
+    failing = 0
+    for space in spaces:
+        expected = is_pairwise_t0_brute(space)
+        assert is_pairwise_t0(space) == expected, (space.up_tau, space.up_sigma)
+        failing += not expected[0]
+    assert len(spaces) == 858 + 3 * 25
+    assert 0 < failing < len(spaces)
 
 
 # --- compact subsets ---------------------------------------------------------
