@@ -5,115 +5,143 @@ ideal/filter pairs), reconstructs the lattice from the essential subsets of
 that space, and machine-checks the whole theorem suite at desk scale.  See
 the ``catalog`` module for file formats and named examples and ``cli`` for
 the batch front end.
+
+The public names below are loaded on first access (PEP 562): importing the
+package runs none of its modules, and ``lattice_spectra.build_bitop_spectrum``
+imports ``spectra`` (and what it needs) the first time it is read.
 """
 
-from .bitsets import BitMask, bits, full_mask, mask_of
-from .errors import (
-    CarrierTooLarge,
-    CyclicCovers,
-    EmptyGeneratorSet,
-    EmptyInput,
-    LatticeToolError,
-    MissingMapping,
-    NotACover,
-    NotAHom,
-    NotALattice,
-    NotBDSpace,
-    NotDisjoint,
-    NotDoublyBD,
-    NotIncreasing,
-    NotPairwiseBD,
-    NotQuasiProper,
-    ParseError,
-    SizeBoundExceeded,
-    UnknownElement,
-)
-from .lattices import (
-    Filter,
-    FiniteLattice,
-    Ideal,
-    LatticeHom,
-    PrimeIdeal,
-    all_filters,
-    all_homs,
-    all_ideals,
-    build_lattice,
-    check_hom,
-    compose,
-    generated_filter,
-    generated_ideal,
-    identity_hom,
-    is_distributive,
-    lattice_from_order,
-    prime_ideals,
-    principal_filter,
-    principal_ideal,
-    product_lattice,
-)
-from .topology import (
-    BitopSpace,
-    FiniteTopology,
-    SetFamily,
-    bitop_space,
-    doubled_space,
-    empty_set_is_fundamental,
-    essential_subsets,
-    fundamental_subsets,
-    is_bd_space,
-    is_bounded_pbd,
-    is_compact_subset,
-    is_costable,
-    is_doubly_bd,
-    is_pairwise_bd,
-    is_pairwise_t0,
-    is_stable,
-    op_d,
-    op_i,
-    topology_from_subbasis,
-)
-from .spectra import (
-    BitopSpectrum,
-    ClassicalSpectrum,
-    ComaximalPair,
-    b_map,
-    build_bitop_spectrum,
-    build_classical_spectrum,
-    comaximal_pairs,
-    delta_compactness_check,
-    essential_equals_delta,
-    extend_to_comaximal,
-    gbd_witness,
-    has_bottom_via_fundamental,
-    has_top_via_compactness,
-    prime_points,
-)
-from .duality import (
-    EssentialLattice,
-    HomClassification,
-    PBDMorphism,
-    big_h_map,
-    char_comaximal_of_essential,
-    classify_hom,
-    delta_embedding,
-    delta_natural_iso_check,
-    dischar_equivalences,
-    essential_functor_on_morphism,
-    essential_lattice,
-    h_map_classical,
-    pbd_morphism,
-    spec_b_on_hom,
-    to_bitopological,
-    to_topological,
-)
-from .catalog import (
-    GeneratorConfig,
-    LatticeDoc,
-    canonical_form,
-    enumerate_lattices,
-    named_lattices,
-    parse_hom,
-    parse_lattice,
-    render_lattice,
-    to_dot,
-    validate_dot,
-)
+from importlib import import_module
+
+# submodule -> the public names it defines
+_PUBLIC = {
+    "bitsets": ("BitMask", "bits", "full_mask", "mask_of"),
+    "errors": (
+        "CarrierTooLarge",
+        "CyclicCovers",
+        "EmptyGeneratorSet",
+        "EmptyInput",
+        "LatticeToolError",
+        "MissingMapping",
+        "NotACover",
+        "NotAHom",
+        "NotALattice",
+        "NotBDSpace",
+        "NotDisjoint",
+        "NotDoublyBD",
+        "NotIncreasing",
+        "NotPairwiseBD",
+        "NotQuasiProper",
+        "ParseError",
+        "SizeBoundExceeded",
+        "UnknownElement",
+    ),
+    "lattices": (
+        "Filter",
+        "FiniteLattice",
+        "Ideal",
+        "LatticeHom",
+        "PrimeIdeal",
+        "all_filters",
+        "all_homs",
+        "all_ideals",
+        "build_lattice",
+        "check_hom",
+        "compose",
+        "generated_filter",
+        "generated_ideal",
+        "identity_hom",
+        "is_distributive",
+        "lattice_from_order",
+        "prime_ideals",
+        "principal_filter",
+        "principal_ideal",
+        "product_lattice",
+    ),
+    "topology": (
+        "BitopSpace",
+        "FiniteTopology",
+        "SetFamily",
+        "bitop_space",
+        "doubled_space",
+        "empty_set_is_fundamental",
+        "essential_subsets",
+        "fundamental_subsets",
+        "is_bd_space",
+        "is_bounded_pbd",
+        "is_compact_subset",
+        "is_costable",
+        "is_doubly_bd",
+        "is_pairwise_bd",
+        "is_pairwise_t0",
+        "is_stable",
+        "op_d",
+        "op_i",
+        "topology_from_subbasis",
+    ),
+    "spectra": (
+        "BitopSpectrum",
+        "ClassicalSpectrum",
+        "ComaximalPair",
+        "b_map",
+        "build_bitop_spectrum",
+        "build_classical_spectrum",
+        "comaximal_pairs",
+        "delta_compactness_check",
+        "essential_equals_delta",
+        "extend_to_comaximal",
+        "gbd_witness",
+        "has_bottom_via_fundamental",
+        "has_top_via_compactness",
+        "prime_points",
+    ),
+    "duality": (
+        "EssentialLattice",
+        "HomClassification",
+        "PBDMorphism",
+        "big_h_map",
+        "char_comaximal_of_essential",
+        "classify_hom",
+        "delta_embedding",
+        "delta_natural_iso_check",
+        "dischar_equivalences",
+        "essential_functor_on_morphism",
+        "essential_lattice",
+        "h_map_classical",
+        "pbd_morphism",
+        "spec_b_on_hom",
+        "to_bitopological",
+        "to_topological",
+    ),
+    "catalog": (
+        "GeneratorConfig",
+        "LatticeDoc",
+        "canonical_form",
+        "enumerate_lattices",
+        "named_lattices",
+        "parse_hom",
+        "parse_lattice",
+        "render_lattice",
+        "to_dot",
+        "validate_dot",
+    ),
+}
+_SUBMODULES = frozenset((*_PUBLIC, "cli", "suites"))
+_MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later reads skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -29,7 +29,6 @@ from .lattices import (
     lattice_from_order,
     product_lattice,
 )
-from .spectra import BitopSpectrum, ClassicalSpectrum
 
 _EXHAUSTIVE_BOUND = 6
 
@@ -476,6 +475,8 @@ def _quote(s: str) -> str:
 def to_dot(obj) -> str:
     """DOT rendering of a lattice (Hasse diagram), a classical spectrum or a
     bitopological spectrum (both specialization preorders, labelled)."""
+    from .spectra import BitopSpectrum, ClassicalSpectrum
+
     if isinstance(obj, FiniteLattice):
         lines = [f"digraph {_quote(obj.name or 'lattice')} {{", "  rankdir=BT;"]
         for name in obj.names:

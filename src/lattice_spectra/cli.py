@@ -5,13 +5,19 @@ default and byte-deterministic for fixed inputs; ``--format structured``
 emits JSON lines.  Exit codes: 0 ok, 1 verification failure, 2 input error.
 Verification runs serially; ``verify --jobs N`` is accepted for compatibility
 and ignored.
+
+Each command imports only the modules it runs, so a short command does not
+pay for loading the whole package: ``show`` loads ``catalog`` and
+``lattices``; ``spec`` adds ``spectra`` and ``topology``; ``verify`` adds
+``duality`` and ``suites``; ``hom`` adds ``duality``.  ``json`` is imported
+only where structured output is written.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from typing import TYPE_CHECKING
 
 from .bitsets import bits
 from .catalog import (
@@ -24,14 +30,20 @@ from .catalog import (
 )
 from .errors import LatticeToolError
 from .lattices import all_filters, all_ideals, is_distributive, prime_ideals
-from .spectra import build_bitop_spectrum, build_classical_spectrum
-from .duality import classify_hom, delta_natural_iso_check, spec_b_on_hom
-from .suites import CheckResult, corpus_checks, run_lattice_suites
+
+if TYPE_CHECKING:
+    from .suites import CheckResult
 
 
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
         return fh.read()
+
+
+def _json_line(record: dict) -> str:
+    import json
+
+    return json.dumps(record, sort_keys=True) + "\n"
 
 
 def _emit_results(results: list[CheckResult], fmt: str, out) -> int:
@@ -41,16 +53,14 @@ def _emit_results(results: list[CheckResult], fmt: str, out) -> int:
             failures += 1
         if fmt == "structured":
             out.write(
-                json.dumps(
+                _json_line(
                     {
                         "lattice": r.lattice,
                         "check": r.check,
                         "status": "PASS" if r.passed else "FAIL",
                         "witness": r.witness or None,
-                    },
-                    sort_keys=True,
+                    }
                 )
-                + "\n"
             )
         else:
             line = f"{'PASS' if r.passed else 'FAIL'} {r.lattice} {r.check}"
@@ -93,6 +103,8 @@ def cmd_show(args, out) -> int:
 
 
 def cmd_spec(args, out) -> int:
+    from .spectra import build_bitop_spectrum, build_classical_spectrum
+
     lat = parse_lattice(_read(args.file))
     # the opens are counted before the first line, so a size limit prints nothing
     if args.classical:
@@ -145,6 +157,8 @@ def _generator(*args, **kwargs) -> GeneratorConfig:
 
 
 def cmd_verify(args, out) -> int:
+    from .suites import corpus_checks, run_lattice_suites
+
     run_corpus = False
     if args.catalog:
         lattices = list(named_lattices().values())
@@ -170,7 +184,7 @@ def cmd_verify(args, out) -> int:
         "failures": failures,
     }
     if args.format == "structured":
-        out.write(json.dumps({"summary": summary}, sort_keys=True) + "\n")
+        out.write(_json_line({"summary": summary}))
     else:
         out.write(
             f"lattices: {summary['lattices']}  checks: {summary['checks']}  "
@@ -180,6 +194,8 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_hom(args, out) -> int:
+    from .duality import classify_hom, delta_natural_iso_check, spec_b_on_hom
+
     source = parse_lattice(_read(args.source))
     target = parse_lattice(_read(args.target))
     hom = parse_hom(_read(args.homfile), source, target)

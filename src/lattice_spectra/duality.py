@@ -280,6 +280,13 @@ class CharComaximalReport(NamedTuple):
 
 
 def char_comaximal_of_essential(space: BitopSpace) -> CharComaximalReport:
+    """The pairs (I(x), F(x)) matched against the essential lattice's
+    spectrum.  The report is part of the reconstruction report that
+    :func:`big_h_map` keeps on the space, so it is computed once per space."""
+    return big_h_map(space).comaximal
+
+
+def _comaximal_characterization(space: BitopSpace) -> CharComaximalReport:
     report = is_pairwise_bd(space)
     if not report.passed:
         raise NotPairwiseBD(f"axiom ({report.failing_axiom}) fails: {report.witness}")
@@ -323,11 +330,12 @@ def char_comaximal_of_essential(space: BitopSpace) -> CharComaximalReport:
 class HIsoReport(NamedTuple):
     """The reconstruction map x |-> (I(x), F(x)) into spec_B(E(X)).
 
-    Bijectivity comes from the comaximal characterization, and when that
-    fails nothing else is evaluated and every flag reads False.  Otherwise
-    the bihomeo check compares both specialization preorders along the map,
-    and the preimage identities H^{-1}(delta(A)) = A and
-    H^{-1}(epsilon(A)) = d(A) are verified alongside."""
+    Bijectivity comes from the comaximal characterization (``comaximal``),
+    and when that fails nothing else is evaluated and every flag reads
+    False.  Otherwise the bihomeo check compares both specialization
+    preorders along the map, and the preimage identities
+    H^{-1}(delta(A)) = A and H^{-1}(epsilon(A)) = d(A) are verified
+    alongside."""
 
     passed: bool
     essential: EssentialLattice
@@ -337,15 +345,25 @@ class HIsoReport(NamedTuple):
     delta_identity: bool
     epsilon_identity: bool
     bihomeomorphism: bool
+    comaximal: CharComaximalReport
 
 
 def big_h_map(space: BitopSpace) -> HIsoReport:
-    char = char_comaximal_of_essential(space)
+    """The reconstruction report, computed once per space and kept on it
+    (``BitopSpace.reconstruction_report``), so the suites and corpus checks
+    that each need it, or its comaximal characterization, share one
+    evaluation.  Raises :class:`NotPairwiseBD` off pairwise Balbes-Dwinger
+    spaces."""
+    return space.reconstruction_report
+
+
+def _reconstruction_report(space: BitopSpace) -> HIsoReport:
+    char = _comaximal_characterization(space)
     ess = essential_lattice(space)
     spectrum = build_bitop_spectrum(ess.lattice)
     mapping = char.point_to_pair
     if not char.passed:
-        return HIsoReport(False, ess, spectrum, mapping, False, False, False, False)
+        return HIsoReport(False, ess, spectrum, mapping, False, False, False, False, char)
     delta_ok = all(
         preimage_mask(mapping, spectrum.delta[k]) == ess.subsets[k]
         for k in range(ess.lattice.n)
@@ -358,7 +376,7 @@ def big_h_map(space: BitopSpace) -> HIsoReport:
         mapping, space.sigma, spectrum.space.sigma
     )
     passed = delta_ok and epsilon_ok and bihomeo
-    return HIsoReport(passed, ess, spectrum, mapping, True, delta_ok, epsilon_ok, bihomeo)
+    return HIsoReport(passed, ess, spectrum, mapping, True, delta_ok, epsilon_ok, bihomeo, char)
 
 
 # ---------------------------------------------------------------------------

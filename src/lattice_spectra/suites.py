@@ -184,7 +184,22 @@ def check_transition_operators(lat: FiniteLattice):
     return None
 
 
-def check_covering_witnesses(lat: FiniteLattice):
+def covering_samples(n: int) -> tuple[tuple[int, int, int], ...]:
+    """The distinct seeded samples (V, W, x) for a lattice of ``n`` elements,
+    in order of first occurrence: 60 draws of V, then W, then x from one
+    ``Random(7)``.  The stream depends on ``n`` alone, so
+    :func:`run_lattice_suites` draws it once per lattice size."""
+    rng = random.Random(_COVERING_SEED)
+    full = full_mask(n)
+    samples = {}  # an ordered set of the drawn triples
+    for _ in range(_COVERING_SAMPLES):
+        v = rng.randint(1, full)
+        w = rng.randint(1, full)
+        samples[v, w, rng.randrange(n)] = None
+    return tuple(samples)
+
+
+def check_covering_witnesses(lat: FiniteLattice, samples=None):
     """Certify the covering reduction on seeded samples (V, W, x).
 
     ``gbd_witness`` and ``delta_compactness_check`` read their branch off the
@@ -198,15 +213,11 @@ def check_covering_witnesses(lat: FiniteLattice):
     on the spectrum and the triple, so a repeat cannot change the verdict,
     and the first failing triple (hence the witness text) is the same as in
     draw order.  Small lattices repeat heavily: a one-element lattice draws
-    the one triple (1, 1, 0) sixty times."""
+    the one triple (1, 1, 0) sixty times.  ``samples`` is
+    ``covering_samples(lat.n)``, drawn here when not given."""
     s = build_bitop_spectrum(lat)
-    rng = random.Random(_COVERING_SEED)
-    full = full_mask(lat.n)
-    samples = {}  # an ordered set of the drawn triples
-    for _ in range(_COVERING_SAMPLES):
-        v = rng.randint(1, full)
-        w = rng.randint(1, full)
-        samples[v, w, rng.randrange(lat.n)] = None
+    if samples is None:
+        samples = covering_samples(lat.n)
     for v, w, x in samples:
         inter = full_mask(len(s.points))
         union_v = union_w = 0
@@ -375,9 +386,15 @@ LATTICE_SUITES = (
 )
 
 
-def suite_for_lattice(lat: FiniteLattice) -> list[CheckResult]:
+def suite_for_lattice(lat: FiniteLattice, samples=None) -> list[CheckResult]:
+    """One result per suite, in ``LATTICE_SUITES`` order.  ``samples`` goes
+    to the covering suite (see :func:`check_covering_witnesses`)."""
     name = lat.name or ",".join(lat.names)
-    return [_check(name, check_name, lambda fn=fn: fn(lat)) for check_name, fn in LATTICE_SUITES]
+    extra = {"covering_witnesses": (samples,)}
+    return [
+        _check(name, check_name, lambda fn=fn, more=extra.get(check_name, ()): fn(lat, *more))
+        for check_name, fn in LATTICE_SUITES
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -530,5 +547,12 @@ def _check_classical_bridge(lats, homs):
 
 
 def run_lattice_suites(lattices) -> list[CheckResult]:
-    """Evaluate the per-lattice suites, serially and in input order."""
-    return [r for lat in lattices for r in suite_for_lattice(lat)]
+    """Evaluate the per-lattice suites, serially and in input order.  The
+    covering samples are drawn once per lattice size within the call."""
+    samples = {}
+    results = []
+    for lat in lattices:
+        if lat.n not in samples:
+            samples[lat.n] = covering_samples(lat.n)
+        results += suite_for_lattice(lat, samples[lat.n])
+    return results

@@ -17,7 +17,12 @@ transition operators ``i`` and ``d`` are defined pointwise:
     d(A) = {x : every y with x <=_sigma y is in A}
 
 which makes (i, d) an adjoint pair between sigma-increasing and
-tau-increasing subsets.
+tau-increasing subsets.  Both are unions of neighbourhoods: i(A) is the
+union of up_tau over A, and d(A) is the complement of the union of the
+sigma down-sets over the complement of A.  Each topology keeps chunk tables
+for those unions (``FiniteTopology.up_chunks``/``down_chunks``), so either
+operator costs one lookup per 8-point block; ``tests/oracles.py`` keeps the
+per-point loops they replace.
 """
 
 from __future__ import annotations
@@ -85,6 +90,40 @@ class FiniteTopology:
                 raise CarrierTooLarge(f"open families stop at {_OPEN_FAMILY_BOUND} members")
         return frozenset(opens)
 
+    @cached_property
+    def down(self) -> tuple[BitMask, ...]:
+        """``down[y]`` is the specialization down-set {x : x <= y}, the
+        closure of y."""
+        down = [0] * self.n
+        for x, ux in enumerate(self.up):
+            for y in bits(ux):
+                down[y] |= 1 << x
+        return tuple(down)
+
+    @cached_property
+    def up_chunks(self) -> tuple[list[BitMask], ...]:
+        """Up-closure tables: per block of 8 points, the union of ``up`` over
+        each subset of the block (see :func:`_chunk_unions`)."""
+        return _chunk_unions(self.up)
+
+    @cached_property
+    def down_chunks(self) -> tuple[list[BitMask], ...]:
+        """Down-closure tables, as ``up_chunks`` for ``down``."""
+        return _chunk_unions(self.down)
+
+
+def _chunk_unions(masks) -> tuple[list[BitMask], ...]:
+    """For each block of 8 consecutive indices, the union of ``masks`` over
+    each subset of the block, indexed by the subset's 8-bit pattern.  The
+    union over any index set is then one lookup per block."""
+    tables = []
+    for base in range(0, len(masks), 8):
+        table = [0]
+        for m in masks[base : base + 8]:
+            table += [t | m for t in table]
+        tables.append(table)
+    return tuple(tables)
+
 
 def topology_from_subbasis(n: int, family) -> FiniteTopology:
     """Smallest topology containing the family.
@@ -151,6 +190,14 @@ class BitopSpace:
         """The pairwise Balbes-Dwinger report, computed once per space."""
         return _pairwise_bd_report(self)
 
+    @cached_property
+    def reconstruction_report(self):
+        """The reconstruction report of :func:`lattice_spectra.duality.big_h_map`,
+        its comaximal characterization included, computed once per space."""
+        from .duality import _reconstruction_report
+
+        return _reconstruction_report(self)
+
 
 def bitop_space(tau: FiniteTopology, sigma: FiniteTopology) -> BitopSpace:
     if tau.n != sigma.n:
@@ -167,23 +214,27 @@ def doubled_space(top: FiniteTopology) -> BitopSpace:
 # transition operators
 
 
+def _union_of(tables, a: BitMask) -> BitMask:
+    """The union of the masks indexed by ``a``, one lookup per 8-point block
+    of ``a`` in chunk tables built by :func:`_chunk_unions`."""
+    out = 0
+    for table, byte in zip(tables, a.to_bytes(len(tables), "little")):
+        if byte:
+            out |= table[byte]
+    return out
+
+
 def op_i(space: BitopSpace, a: BitMask) -> BitMask:
     """tau up-closure: points above some member of ``a``."""
-    up = space.up_tau
-    out = 0
-    for x in bits(a):
-        out |= up[x]
-    return out
+    return _union_of(space.tau.up_chunks, a)
 
 
 def op_d(space: BitopSpace, a: BitMask) -> BitMask:
-    """Largest sigma-increasing subset of ``a``."""
-    outside = ~a
-    out = 0
-    for x, u in enumerate(space.up_sigma):
-        if not u & outside:
-            out |= 1 << x
-    return out
+    """Largest sigma-increasing subset of ``a``: the points none of whose
+    sigma successors lies outside ``a``, that is the complement of the sigma
+    down-closure of the complement."""
+    full = full_mask(space.n)
+    return full & ~_union_of(space.sigma.down_chunks, full & ~a)
 
 
 def is_increasing(up_masks, a: BitMask) -> bool:
@@ -215,13 +266,10 @@ def is_pairwise_t0(space: BitopSpace) -> tuple[bool, tuple[int, int] | None]:
     Equivalently the two specialization preorders form a pairwise ordered
     set: x <=_tau y and y <=_sigma x force x == y.  Per point x the points y
     breaking that are ``up_tau[x]`` intersected with the sigma closure of x
-    (the y with x in ``up_sigma[y]``), minus x itself; the first witness is
-    the lowest such y of the lowest such x.
+    (the y with x in ``up_sigma[y]``, that is ``sigma.down[x]``), minus x
+    itself; the first witness is the lowest such y of the lowest such x.
     """
-    closure_sigma = [0] * space.n
-    for y, u in enumerate(space.up_sigma):
-        for x in bits(u):
-            closure_sigma[x] |= 1 << y
+    closure_sigma = space.sigma.down
     for x, u in enumerate(space.up_tau):
         bad = u & closure_sigma[x] & ~(1 << x)
         if bad:

@@ -217,6 +217,26 @@ def _interior(up, a):
     return sum(1 << x for x, u in enumerate(up) if u & ~a == 0)
 
 
+def op_i_loop(space, a):
+    """i as one OR per member of ``a``: the tau up-closure."""
+    up = space.up_tau
+    out = 0
+    for x in bits(a):
+        out |= up[x]
+    return out
+
+
+def op_d_loop(space, a):
+    """d as one containment test per point: the points whose sigma
+    neighbourhood lies inside ``a``."""
+    outside = ~a
+    out = 0
+    for x, u in enumerate(space.up_sigma):
+        if not u & outside:
+            out |= 1 << x
+    return out
+
+
 def essential_subsets_brute(space):
     """Essential subsets by scanning every carrier subset: each tau-increasing
     m whose sigma-interior d(m) is sigma-open and whose tau up-closure

@@ -199,3 +199,60 @@ def test_verify_bad_size_is_input_error(args):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+# --- loading contract: each command imports only the modules it runs -------
+
+_PRINT_LOADED = "import sys\nprint(*sorted(k for k in sys.modules if k.startswith('lattice_spectra.')))\n"
+
+
+def _probe(code):
+    """The stdout lines of ``code`` run in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_import_loads_no_submodule():
+    assert _probe("import lattice_spectra\n" + _PRINT_LOADED) == [""]
+
+
+@pytest.mark.parametrize(
+    "command, absent",
+    [
+        ("show", {"spectra", "topology", "duality", "suites"}),
+        ("spec", {"duality", "suites"}),
+    ],
+)
+def test_command_loads_only_what_it_runs(lattice_dir, command, absent):
+    args = [command, str(lattice_dir / "m5.lat")]
+    run = f"import io\nfrom lattice_spectra import cli\nassert cli.main({args!r}, out=io.StringIO()) == 0\n"
+    loaded = set(_probe(run + _PRINT_LOADED)[0].split())
+    assert "lattice_spectra.lattices" in loaded
+    assert not loaded & {f"lattice_spectra.{m}" for m in absent}
+
+
+def test_dir_lists_names_before_first_access():
+    listed, loaded = _probe("import lattice_spectra\nprint(*dir(lattice_spectra))\n" + _PRINT_LOADED)
+    assert {"build_bitop_spectrum", "named_lattices", "LatticeToolError"} <= set(listed.split())
+    assert loaded == ""
+
+
+def test_public_names_resolve_lazily():
+    import importlib
+
+    import lattice_spectra
+
+    exported = set(lattice_spectra.__all__)
+    assert len(exported) == len(lattice_spectra.__all__) == 101
+    for name in exported:
+        module = importlib.import_module(f"lattice_spectra.{lattice_spectra._MODULE_OF[name]}")
+        assert getattr(lattice_spectra, name) is getattr(module, name), name
+    assert exported <= set(dir(lattice_spectra))
+    assert lattice_spectra.suites is importlib.import_module("lattice_spectra.suites")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        lattice_spectra.no_such_name
+    namespace = {}
+    exec("from lattice_spectra import *", namespace)
+    assert exported <= set(namespace)
+    assert namespace["build_bitop_spectrum"] is lattice_spectra.build_bitop_spectrum

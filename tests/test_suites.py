@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from lattice_spectra import suites
+from lattice_spectra import duality, suites
 from lattice_spectra.bitsets import bits
 from lattice_spectra.lattices import FiniteLattice
 from lattice_spectra.spectra import build_bitop_spectrum, delta_compactness_check, gbd_witness
@@ -89,6 +89,81 @@ def test_covering_witnesses_equal_literal_loop(lattices_upto_6, cat):
     for lat in [*lattices_upto_6, *cat.values()]:
         assert covering_witnesses_literal(lat) is None
         assert suites.check_covering_witnesses(lat) is None
+
+
+def test_covering_samples_drawn_once_per_size(monkeypatch, lattices_upto_5, cat):
+    # one run draws each lattice size's stream once and gives every lattice
+    # of that size the triples it would draw alone
+    lats = [*lattices_upto_5, *cat.values()]
+    alone = [r for lat in lats for r in suites.suite_for_lattice(lat)]
+    sizes = []
+    draw = suites.covering_samples
+
+    def counting(n):
+        sizes.append(n)
+        return draw(n)
+
+    monkeypatch.setattr(suites, "covering_samples", counting)
+    assert suites.run_lattice_suites(lats) == alone
+    assert sorted(sizes) == sorted({lat.n for lat in lats})
+    for lat in lats:
+        assert draw(lat.n) == tuple(dict.fromkeys(_covering_draws(lat)))
+
+
+def _counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records its first argument."""
+    seen = []
+    real = getattr(module, name)
+
+    def counting(space):
+        seen.append(space)
+        return real(space)
+
+    monkeypatch.setattr(module, name, counting)
+    return seen
+
+
+def test_one_reconstruction_report_per_space(monkeypatch, cat):
+    # the comaximal characterization and the reconstruction report run once
+    # per spectrum in verify, though three suites read them, and once per
+    # corpus lattice in the corpus checks, not per quasi-proper hom
+    build_bitop_spectrum.cache_clear()  # fresh spaces carry no report yet
+    chars = _counting(monkeypatch, duality, "_comaximal_characterization")
+    reports = _counting(monkeypatch, duality, "_reconstruction_report")
+    lats = list(cat.values())
+    assert all(r.passed for r in suites.run_lattice_suites(lats))
+    spaces = {id(build_bitop_spectrum(lat).space) for lat in lats}
+    for seen in (chars, reports):
+        assert sorted(map(id, seen)) == sorted(spaces)
+
+    build_bitop_spectrum.cache_clear()
+    chars.clear()
+    reports.clear()
+    corpus = suites.corpus_lattices()
+    assert all(r.passed for r in suites.corpus_checks(corpus))
+    assert len(chars) == len(reports) == len(corpus) == 5
+
+
+def test_failing_reconstruction_keeps_each_witness(monkeypatch, cat):
+    # one planted comaximal-characterization failure surfaces in the three
+    # suites that read the report, each with its own witness text
+    build_bitop_spectrum.cache_clear()
+    bad = duality.CharComaximalReport(False, (-1,), True, (0,), True, False)
+    monkeypatch.setattr(duality, "_comaximal_characterization", lambda space: bad)
+    results = {r.check: r for r in suites.suite_for_lattice(cat["chain2"])}
+    assert results["essential_comaximal_points"].witness == (
+        "comaximal characterization fails (injective=True, unmatched=[0], "
+        "empty-d=True, empty-A=False)"
+    )
+    assert results["space_roundtrip"].witness == (
+        "reconstruction map not an isomorphism (bijective=False, delta=False, "
+        "epsilon=False, bihomeo=False)"
+    )
+    assert results["distributive_equivalences"].witness == (
+        "equivalence faces disagree: doubly=True, E-distributive=True, "
+        "spectrum-of-distributive=False, all-prime=True"
+    )
+    build_bitop_spectrum.cache_clear()  # drop the planted reports
 
 
 def _planted_faults(lat, side, fault):

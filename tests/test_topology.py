@@ -1,11 +1,13 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lattice_spectra.bitsets import bits, full_mask, is_subset
+from lattice_spectra.bitsets import bits, full_mask, is_subset, mask_of
 from lattice_spectra.errors import CarrierTooLarge, NotACover, NotIncreasing, NotPairwiseBD
+from lattice_spectra.lattices import build_lattice
 from lattice_spectra.spectra import build_bitop_spectrum
 from lattice_spectra.topology import (
     FiniteTopology,
@@ -36,6 +38,8 @@ from oracles import (
     is_continuous_brute,
     is_homeomorphism_brute,
     is_pairwise_t0_brute,
+    op_d_loop,
+    op_i_loop,
     pairwise_bd_axioms_iv_v_brute,
     pairwise_bd_first_axioms_brute,
 )
@@ -372,6 +376,57 @@ def test_d_preserves_intersections_i_unions(lattices_upto_4):
             for b in range(full + 1):
                 assert op_d(space, a & b) == op_d(space, a) & op_d(space, b)
                 assert op_i(space, a | b) == op_i(space, a) | op_i(space, b)
+
+
+def _m(k):
+    atoms = [f"a{i}" for i in range(k)]
+    return build_lattice(["0", *atoms, "1"], [("0", a) for a in atoms] + [(a, "1") for a in atoms])
+
+
+def test_operators_equal_loops_on_small_spaces():
+    # every bitopological space on one to three points, every subset
+    for space in small_bitop_spaces():
+        for a in range(1 << space.n):
+            assert op_i(space, a) == op_i_loop(space, a)
+            assert op_d(space, a) == op_d_loop(space, a)
+
+
+def test_operators_equal_loops_on_spectra(lattices_upto_6):
+    for lat in lattices_upto_6:
+        s = build_bitop_spectrum(lat)
+        space = s.space
+        masks = {0, full_mask(space.n), *s.delta, *s.epsilon, *space.up_tau, *space.up_sigma}
+        if space.n <= 8:
+            masks.update(range(1 << space.n))
+        for a in masks:
+            assert op_i(space, a) == op_i_loop(space, a), lat.name
+            assert op_d(space, a) == op_d_loop(space, a), lat.name
+
+
+@pytest.mark.parametrize("k", [6, 30])  # M6 and M30 (k atoms): 30 and 870 points
+def test_operators_equal_loops_on_seeded_masks(k):
+    space = build_bitop_spectrum(_m(k)).space
+    rng = random.Random(k)
+    full = full_mask(space.n)
+    # dense masks, and sparse ones that leave most 8-point blocks empty
+    masks = [rng.randint(0, full) for _ in range(200)]
+    masks += [mask_of(rng.sample(range(space.n), 3)) for _ in range(200)]
+    for a in masks:
+        assert op_i(space, a) == op_i_loop(space, a)
+        assert op_d(space, a) == op_d_loop(space, a)
+
+
+def test_chunk_tables():
+    # a 9-point chain: two blocks, the second of one point
+    top = topology_from_subbasis(9, [full_mask(9) & ~((1 << k) - 1) for k in range(9)])
+    assert [len(t) for t in top.up_chunks] == [256, 2]
+    assert top.down == tuple((1 << (y + 1)) - 1 for y in range(9))
+    for a in range(1 << 9):
+        union = 0
+        for x in bits(a):
+            union |= top.up[x]
+        table, low = top.up_chunks, a & 0xFF
+        assert table[0][low] | table[1][a >> 8] == union
 
 
 # --- stability ---------------------------------------------------------------
