@@ -47,31 +47,21 @@ _PUBLIC = {
         "all_ideals",
         "build_lattice",
         "check_hom",
-        "compose",
-        "generated_filter",
-        "generated_ideal",
-        "identity_hom",
         "is_distributive",
         "lattice_from_order",
         "prime_ideals",
-        "principal_filter",
-        "principal_ideal",
         "product_lattice",
     ),
     "topology": (
         "BitopSpace",
         "FiniteTopology",
-        "SetFamily",
         "bitop_space",
         "doubled_space",
         "empty_set_is_fundamental",
         "essential_subsets",
         "fundamental_subsets",
         "is_bd_space",
-        "is_bounded_pbd",
-        "is_compact_subset",
         "is_costable",
-        "is_doubly_bd",
         "is_pairwise_bd",
         "is_pairwise_t0",
         "is_stable",
@@ -110,6 +100,7 @@ _PUBLIC = {
         "h_map_classical",
         "pbd_morphism",
         "spec_b_on_hom",
+        "spec_b_witness",
         "to_bitopological",
         "to_topological",
     ),
@@ -123,7 +114,6 @@ _PUBLIC = {
         "parse_lattice",
         "render_lattice",
         "to_dot",
-        "validate_dot",
     ),
 }
 _SUBMODULES = frozenset((*_PUBLIC, "cli", "suites"))

@@ -243,15 +243,19 @@ def canonical_form(lat: FiniteLattice) -> bytes:
     plus the multiset of neighbour invariants); the minimum relation matrix
     over all group-respecting permutations is the canonical form.
     """
-    n = lat.n
-    down = lat.down
-    inv = [(bin(down[i]).count("1"), bin(lat.up[i]).count("1")) for i in range(n)]
+    return _canonical_form(lat.up, lat.down)
+
+
+def _canonical_form(up, down) -> bytes:
+    """:func:`canonical_form` of the order given by its up- and down-masks."""
+    n = len(up)
+    inv = [(bin(down[i]).count("1"), bin(up[i]).count("1")) for i in range(n)]
     for _ in range(2):
         inv = [
             (
                 inv[i],
                 tuple(sorted(inv[j] for j in bits(down[i]))),
-                tuple(sorted(inv[j] for j in bits(lat.up[i]))),
+                tuple(sorted(inv[j] for j in bits(up[i]))),
             )
             for i in range(n)
         ]
@@ -272,7 +276,7 @@ def canonical_form(lat: FiniteLattice) -> bytes:
         rows = bytearray()
         for old in perm:
             row = 0
-            for j in bits(lat.up[old]):
+            for j in bits(up[old]):
                 row |= 1 << pos[j]
             rows += row.to_bytes((n + 7) // 8, "little")
         enc = bytes(rows)
@@ -320,15 +324,15 @@ def _is_lattice(down: list[int]) -> bool:
     return bool(down) and down[-1] == full_mask(len(down))
 
 
-def _labelled_lattices(max_size: int) -> list[list[tuple[int, ...]]]:
+def _labelled_lattices(max_size: int) -> list[list[tuple[tuple[int, ...], tuple[int, ...]]]]:
     """The naturally labelled lattices with at most ``max_size`` elements as
-    up-mask tuples, listed by size, each size in the preorder of one
-    depth-first search that extends by maximal elements."""
-    found: list[list[tuple[int, ...]]] = [[] for _ in range(max_size + 1)]
+    (up-mask, down-mask) tuple pairs, listed by size, each size in the
+    preorder of one depth-first search that extends by maximal elements."""
+    found: list[list] = [[] for _ in range(max_size + 1)]
 
     def visit(up: list[int], down: list[int]) -> None:
         if _is_lattice(down):
-            found[len(up)].append(tuple(up))
+            found[len(up)].append((tuple(up), tuple(down)))
         if len(up) < max_size:
             for mask in _down_sets(down):
                 grown = _extend(up, down, mask)
@@ -341,12 +345,13 @@ def _labelled_lattices(max_size: int) -> list[list[tuple[int, ...]]]:
 
 def _exhaustive(max_size: int):
     """The first labelled lattice found of each canonical class represents
-    it, sizes in turn, classes in canonical-form order."""
+    it, sizes in turn, classes in canonical-form order.  Classes are told
+    apart from the order masks; only representatives become lattices."""
     for n, orders in enumerate(_labelled_lattices(max_size)):
         names = tuple(f"x{i}" for i in range(n))
         canon: dict[bytes, tuple[int, ...]] = {}
-        for up in orders:
-            canon.setdefault(canonical_form(lattice_from_order(names, up)), up)
+        for up, down in orders:
+            canon.setdefault(_canonical_form(up, down), up)
         for idx, key in enumerate(sorted(canon)):
             yield lattice_from_order(names, canon[key], name=f"gen{n}_{idx}")
 
@@ -393,79 +398,6 @@ def enumerate_lattices(config: GeneratorConfig):
 
 # ---------------------------------------------------------------------------
 # DOT export
-
-
-def _split_statements(body: str):
-    """Split a DOT body on ';' outside quoted strings."""
-    out = []
-    current = []
-    in_string = False
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if in_string:
-            if ch == "\\" and i + 1 < len(body):
-                current.append(body[i : i + 2])
-                i += 2
-                continue
-            if ch == '"':
-                in_string = False
-            current.append(ch)
-        elif ch == '"':
-            in_string = True
-            current.append(ch)
-        elif ch == ";":
-            out.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-        i += 1
-    if in_string:
-        raise ValueError("unterminated string")
-    out.append("".join(current))
-    return out
-
-
-def validate_dot(text: str) -> None:
-    """Minimal syntactic check of a DOT digraph document."""
-    stripped = text.strip()
-    if not stripped.startswith("digraph"):
-        raise ValueError("missing digraph header")
-    if not stripped.endswith("}"):
-        raise ValueError("missing closing brace")
-    body = stripped[stripped.index("{") + 1 : stripped.rindex("}")]
-    for stmt in _split_statements(body):
-        stmt = stmt.strip()
-        if not stmt:
-            continue
-        bare = _strip_strings(stmt)
-        if "{" in bare or "}" in bare:
-            raise ValueError(f"unexpected brace in statement {stmt!r}")
-        if "[" in bare or "]" in bare:
-            if bare.count("[") != 1 or bare.count("]") != 1 or bare.index("[") > bare.index("]"):
-                raise ValueError(f"malformed attribute list in {stmt!r}")
-
-
-def _strip_strings(stmt: str) -> str:
-    out = []
-    in_string = False
-    i = 0
-    while i < len(stmt):
-        ch = stmt[i]
-        if in_string:
-            if ch == "\\":
-                i += 2
-                continue
-            if ch == '"':
-                in_string = False
-        elif ch == '"':
-            in_string = True
-        else:
-            out.append(ch)
-        i += 1
-    if in_string:
-        raise ValueError(f"unbalanced quotes in statement {stmt!r}")
-    return "".join(out)
 
 
 def _quote(s: str) -> str:
@@ -521,6 +453,4 @@ def to_dot(obj) -> str:
         lines.append("}")
     else:
         raise TypeError(f"no DOT rendering for {type(obj).__name__}")
-    text = "\n".join(lines) + "\n"
-    validate_dot(text)
-    return text
+    return "\n".join(lines) + "\n"

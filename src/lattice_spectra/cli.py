@@ -194,7 +194,13 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_hom(args, out) -> int:
-    from .duality import classify_hom, delta_natural_iso_check, spec_b_on_hom
+    from .duality import (
+        classify_hom,
+        delta_natural_iso_check,
+        essential_functor_on_morphism,
+        spec_b_on_hom,
+        spec_b_witness,
+    )
 
     source = parse_lattice(_read(args.source))
     target = parse_lattice(_read(args.target))
@@ -213,8 +219,12 @@ def cmd_hom(args, out) -> int:
             f"spectrum map: {len(morphism.source.up_tau)} points -> "
             f"{len(morphism.target.up_tau)} points\n"
         )
+        witness = spec_b_witness(hom, morphism)
+        if witness is not None:
+            out.write(f"pbd-morphism conditions: FAIL witness={witness}\n")
+            return 1
         out.write("pbd-morphism conditions: PASS\n")
-        nat = delta_natural_iso_check(hom)
+        nat = delta_natural_iso_check(hom, essential_functor_on_morphism(morphism))
         if nat.passed:
             out.write("naturality square: PASS\n")
         else:

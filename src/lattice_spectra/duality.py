@@ -2,9 +2,12 @@
 essential-set functors on morphisms, the reconstruction isomorphisms, and the
 bridge between the bitopological and the classical pictures.
 
-Everything here is verified extensionally: the categories at desk scale are
-concrete and finite, so functor laws and naturality squares are checked by
-direct evaluation rather than symbolically.
+The functions here compute; a theorem about what they compute is checked
+once, by the suite or corpus check in :mod:`lattice_spectra.suites` that
+reports it (and by the ``hom`` command for one homomorphism).  The
+categories at desk scale are concrete and finite, so functor laws and
+naturality squares are checked by direct evaluation rather than
+symbolically.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from .errors import NotBDSpace, NotDoublyBD, NotPairwiseBD, NotQuasiProper
 from .lattices import (
     FiniteLattice,
     LatticeHom,
+    check_hom,
     is_prime_ideal,
     lattice_from_order,
 )
@@ -117,12 +121,13 @@ def classify_hom(hom: LatticeHom) -> HomClassification:
 
 
 class PBDMorphism(NamedTuple):
-    """A verified morphism of pairwise Balbes-Dwinger spaces.
+    """A morphism of pairwise Balbes-Dwinger spaces, as a plain record.
 
-    ``mapping[k]`` is the target point of source point k.  Construction via
-    :func:`pbd_morphism` checks bicontinuity, that essential sets pull back
-    to essential sets, and that preimage commutes with the transition
-    operators on essential sets.
+    ``mapping[k]`` is the target point of source point k.  The morphism
+    conditions are bicontinuity, that essential sets pull back to essential
+    sets, and that preimage commutes with the transition operators on
+    essential sets: :func:`pbd_morphism` checks them on a raw point map, and
+    :func:`spec_b_witness` on the image of a homomorphism under spec_B.
     """
 
     source: BitopSpace
@@ -133,56 +138,68 @@ class PBDMorphism(NamedTuple):
         return preimage_mask(self.mapping, target_mask)
 
 
+def _pbd_conditions(source: BitopSpace, target: BitopSpace, mapping) -> str | None:
+    """The first morphism condition the point map fails, or None."""
+    if not is_continuous(mapping, source.tau, target.tau):
+        return "map is not tau-continuous"
+    if not is_continuous(mapping, source.sigma, target.sigma):
+        return "map is not sigma-continuous"
+    src_ess = essential_subsets(source)
+    for a in essential_subsets(target):
+        pre = preimage_mask(mapping, a)
+        if pre not in src_ess:
+            return "essential set does not pull back to an essential set"
+        if preimage_mask(mapping, op_d(target, a)) != op_d(source, pre):
+            return "preimage does not commute with d on essential sets"
+        if preimage_mask(mapping, op_i(target, a)) != op_i(source, pre):
+            return "preimage does not commute with i on essential sets"
+    return None
+
+
 def pbd_morphism(source: BitopSpace, target: BitopSpace, mapping) -> PBDMorphism:
+    """Validate a raw point map as a morphism of pairwise Balbes-Dwinger
+    spaces; a failing condition raises ``ValueError`` with its text."""
     mapping = tuple(mapping)
     if len(mapping) != source.n or any(not 0 <= v < target.n for v in mapping):
         raise ValueError("mapping is not a point map between the carriers")
-    if not is_continuous(mapping, source.tau, target.tau):
-        raise ValueError("map is not tau-continuous")
-    if not is_continuous(mapping, source.sigma, target.sigma):
-        raise ValueError("map is not sigma-continuous")
-    src_ess = essential_subsets(source).members
-    tgt_ess = essential_subsets(target).members
-    for a in tgt_ess:
-        pre = preimage_mask(mapping, a)
-        if pre not in src_ess:
-            raise ValueError("essential set does not pull back to an essential set")
-        if preimage_mask(mapping, op_d(target, a)) != op_d(source, pre):
-            raise ValueError("preimage does not commute with d on essential sets")
-        if preimage_mask(mapping, op_i(target, a)) != op_i(source, pre):
-            raise ValueError("preimage does not commute with i on essential sets")
+    witness = _pbd_conditions(source, target, mapping)
+    if witness is not None:
+        raise ValueError(witness)
     return PBDMorphism(source, target, mapping)
-
-
-def identity_morphism(space: BitopSpace) -> PBDMorphism:
-    return pbd_morphism(space, space, tuple(range(space.n)))
-
-
-def compose_morphisms(f: PBDMorphism, g: PBDMorphism) -> PBDMorphism:
-    """g after f (requires f.target == g.source)."""
-    if f.target != g.source:
-        raise ValueError("morphisms are not composable")
-    return pbd_morphism(f.source, g.target, tuple(g.mapping[v] for v in f.mapping))
 
 
 def spec_b_on_hom(hom: LatticeHom) -> PBDMorphism:
     """The spectrum functor on a quasi-proper homomorphism f: L -> N, sending
-    a comaximal pair of N to its preimage pair; contravariant.
+    a comaximal pair of N to its preimage pair; contravariant.  Raises
+    :class:`NotQuasiProper` when f is not quasi-proper.
 
-    Verifies the preimage identities (delta and epsilon pull back along f)
-    before checking the morphism conditions.
+    It computes the point map only; :func:`spec_b_witness` checks that the
+    result is a morphism carrying delta and epsilon along f.
     """
     mapping, failing = _pull_back(hom)
     if failing is not None:
         raise NotQuasiProper(_not_comaximal(failing))
+    return PBDMorphism(
+        build_bitop_spectrum(hom.target).space, build_bitop_spectrum(hom.source).space, mapping
+    )
+
+
+def spec_b_witness(hom: LatticeHom, morphism: PBDMorphism) -> str | None:
+    """Check ``morphism = spec_b_on_hom(hom)`` against the theorem that makes
+    spec_B a functor: delta and epsilon pull back along it (the preimage of
+    delta(x) is delta(f(x)), dually for epsilon), and it satisfies every
+    morphism condition of :func:`pbd_morphism`.  Returns the first failure's
+    text, or None.  The corpus check ``hom_classification`` runs it once per
+    quasi-proper homomorphism, and the ``hom`` command on its input."""
     src_spec = build_bitop_spectrum(hom.source)
     tgt_spec = build_bitop_spectrum(hom.target)
+    mapping = morphism.mapping
     for x in range(hom.source.n):
         if preimage_mask(mapping, src_spec.delta[x]) != tgt_spec.delta[hom(x)]:
-            raise RuntimeError("delta preimage identity fails")
+            return "delta preimage identity fails"
         if preimage_mask(mapping, src_spec.epsilon[x]) != tgt_spec.epsilon[hom(x)]:
-            raise RuntimeError("epsilon preimage identity fails")
-    return pbd_morphism(tgt_spec.space, src_spec.space, mapping)
+            return "epsilon preimage identity fails"
+    return _pbd_conditions(morphism.source, morphism.target, mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +209,10 @@ def spec_b_on_hom(hom: LatticeHom) -> PBDMorphism:
 class EssentialLattice(NamedTuple):
     """The essential subsets of a space as a lattice under inclusion.
 
-    Join is union and meet is i(d(intersection)); both are re-verified
-    against the greatest-lower/least-upper bounds computed from the order.
-    ``subsets[k]`` is the point mask realising lattice element k.
+    Join is union and meet is i(d(intersection));
+    ``suites.check_essential_family`` checks both against the tables
+    computed from the order.  ``subsets[k]`` is the point mask realising
+    lattice element k.
     """
 
     space: BitopSpace
@@ -205,15 +223,9 @@ class EssentialLattice(NamedTuple):
         return self.subsets.index(subset)
 
 
-def _inclusion_lattice(
-    family, name: str, meet, meet_label: str
-) -> tuple[FiniteLattice, tuple[BitMask, ...]]:
+def _inclusion_lattice(family, name: str) -> tuple[FiniteLattice, tuple[BitMask, ...]]:
     """A family of point sets ordered by inclusion, as a lattice whose
-    element k is ``members[k]`` (the family in sorted order).
-
-    The joins and meets computed from the order are re-verified to be the
-    union and ``meet(u, v)`` of the two sets.
-    """
+    element k is ``members[k]`` (the family in sorted order)."""
     members = tuple(sorted(family))
     k = len(members)
     names = tuple("{" + ",".join(f"p{i}" for i in bits(m)) + "}" for m in members)
@@ -221,40 +233,25 @@ def _inclusion_lattice(
         mask_of(j for j in range(k) if is_subset(members[i], members[j]))
         for i in range(k)
     )
-    lat = lattice_from_order(names, up, name=name)
-    for i in range(k):
-        for j in range(k):
-            if members[lat.join_table[i][j]] != members[i] | members[j]:
-                raise RuntimeError(f"{name} join is not union")
-            if members[lat.meet_table[i][j]] != meet(members[i], members[j]):
-                raise RuntimeError(f"{name} meet is not {meet_label}")
-    return lat, members
+    return lattice_from_order(names, up, name=name), members
 
 
 @lru_cache(maxsize=None)
 def essential_lattice(space: BitopSpace) -> EssentialLattice:
-    lat, members = _inclusion_lattice(
-        essential_subsets(space).members,
-        "essential",
-        lambda u, v: op_i(space, op_d(space, u & v)),
-        "i(d(intersection))",
-    )
+    lat, members = _inclusion_lattice(essential_subsets(space), "essential")
     return EssentialLattice(space, lat, members)
 
 
 def essential_functor_on_morphism(m: PBDMorphism) -> LatticeHom:
     """The essential-set functor on a morphism f: X -> Y, giving the
-    quasi-proper homomorphism A |-> preimage(A) from E(Y) to E(X)."""
+    homomorphism A |-> preimage(A) from E(Y) to E(X).  The corpus check
+    ``functor_laws`` validates each result as a quasi-proper homomorphism."""
     ess_y = essential_lattice(m.target)
     ess_x = essential_lattice(m.source)
     mapping = tuple(
         ess_x.element_of(m.preimage(a)) for a in ess_y.subsets
     )
-    hom = LatticeHom(ess_y.lattice, ess_x.lattice, mapping)
-    cls = classify_hom(hom)
-    if not cls.quasi_proper:
-        raise RuntimeError("essential functor produced a non-quasi-proper hom")
-    return hom
+    return LatticeHom(ess_y.lattice, ess_x.lattice, mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -392,11 +389,10 @@ class FundamentalLattice(NamedTuple):
 
 
 def fundamental_lattice(top: FiniteTopology) -> FundamentalLattice:
-    """The fundamental subsets ordered by inclusion (meet and join are
-    intersection and union; the family is closed under both)."""
-    lat, members = _inclusion_lattice(
-        fundamental_subsets(top).members, "fundamental", lambda u, v: u & v, "intersection"
-    )
+    """The fundamental subsets ordered by inclusion.  The family is closed
+    under intersection and union, so those are meet and join;
+    ``suites.check_classical_stone`` checks both against the tables."""
+    lat, members = _inclusion_lattice(fundamental_subsets(top), "fundamental")
     return FundamentalLattice(lat, members)
 
 
@@ -446,17 +442,21 @@ class NaturalityReport(NamedTuple):
 
 def delta_embedding(lat: FiniteLattice) -> LatticeHom:
     """The element embedding x |-> delta(x) of a lattice into the essential
-    lattice of its spectrum; an isomorphism by the reconstruction theorem."""
+    lattice of its spectrum; an isomorphism by the reconstruction theorem.
+    Built through :func:`check_hom`, so the isomorphism that the
+    ``lattice_roundtrip`` suite and ``hom`` report rests on a checked
+    homomorphism."""
     spectrum = build_bitop_spectrum(lat)
     ess = essential_lattice(spectrum.space)
     mapping = tuple(ess.element_of(spectrum.delta[x]) for x in range(lat.n))
-    return LatticeHom(lat, ess.lattice, mapping)
+    return check_hom(lat, ess.lattice, mapping)
 
 
-def delta_natural_iso_check(hom: LatticeHom) -> NaturalityReport:
-    """For a quasi-proper f: L -> N, check that the element embeddings are
-    lattice isomorphisms and that E(spec_B(f)) after the embedding of L equals
-    the embedding of N after f."""
+def delta_natural_iso_check(hom: LatticeHom, transported: LatticeHom) -> NaturalityReport:
+    """For a quasi-proper f: L -> N with ``transported`` = E(spec_B(f)),
+    check that the element embeddings are lattice isomorphisms and that
+    ``transported`` after the embedding of L equals the embedding of N
+    after f."""
     src, tgt = hom.source, hom.target
     emb_src = delta_embedding(src)
     emb_tgt = delta_embedding(tgt)
@@ -464,8 +464,6 @@ def delta_natural_iso_check(hom: LatticeHom) -> NaturalityReport:
         len(set(emb_src.mapping)) == emb_src.target.n == src.n
         and len(set(emb_tgt.mapping)) == emb_tgt.target.n == tgt.n
     )
-    morphism = spec_b_on_hom(hom)
-    transported = essential_functor_on_morphism(morphism)
     square_ok = True
     failing = None
     for x in range(src.n):
@@ -546,7 +544,6 @@ __all__ = [
     "big_h_map",
     "char_comaximal_of_essential",
     "classify_hom",
-    "compose_morphisms",
     "delta_embedding",
     "delta_natural_iso_check",
     "dischar_equivalences",
@@ -554,9 +551,9 @@ __all__ = [
     "essential_lattice",
     "fundamental_lattice",
     "h_map_classical",
-    "identity_morphism",
     "pbd_morphism",
     "spec_b_on_hom",
+    "spec_b_witness",
     "to_bitopological",
     "to_topological",
 ]

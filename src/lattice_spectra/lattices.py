@@ -1,8 +1,9 @@
 """Finite lattices, their ideals, filters, prime ideals and homomorphisms.
 
 Carriers are index based (0..n-1) with a name table; carrier subsets are bit
-masks (see :mod:`lattice_spectra.bitsets`).  Every structure validates its
-axioms eagerly at construction and is immutable afterwards, so instances are
+masks (see :mod:`lattice_spectra.bitsets`).  Lattices, ideals and filters
+validate their axioms eagerly at construction; a homomorphism is a plain
+record validated by :func:`check_hom`.  Instances are immutable, so they are
 safe to share between threads and all operations here are pure functions.
 """
 
@@ -16,7 +17,6 @@ from typing import NamedTuple
 from .bitsets import BitMask, bits, full_mask, is_subset, mask_of, preimage_mask
 from .errors import (
     CyclicCovers,
-    EmptyGeneratorSet,
     MissingMapping,
     NotAHom,
     NotALattice,
@@ -291,29 +291,6 @@ class PrimeIdeal(Ideal):
         Filter(self.lattice, rest)
 
 
-def principal_ideal(lat: FiniteLattice, x: int) -> Ideal:
-    return Ideal(lat, lat.down[x])
-
-
-def principal_filter(lat: FiniteLattice, x: int) -> Filter:
-    return Filter(lat, lat.up[x])
-
-
-def generated_ideal(lat: FiniteLattice, generators: BitMask) -> Ideal:
-    """Least ideal containing the generators: the down-set of their join
-    (every ideal of a finite lattice is principal)."""
-    if generators == 0:
-        raise EmptyGeneratorSet("ideal generation needs a nonempty set")
-    return Ideal(lat, lat.down[lat.join_of(generators)])
-
-
-def generated_filter(lat: FiniteLattice, generators: BitMask) -> Filter:
-    """Least filter containing the generators: the up-set of their meet."""
-    if generators == 0:
-        raise EmptyGeneratorSet("filter generation needs a nonempty set")
-    return Filter(lat, lat.up[lat.meet_of(generators)])
-
-
 def all_ideals(lat: FiniteLattice) -> list[Ideal]:
     """Every ideal of the lattice, sorted by member mask.
 
@@ -420,25 +397,15 @@ def is_distributive(lat: FiniteLattice) -> DistributivityReport:
 class LatticeHom:
     """A total map between lattice carriers preserving meet and join.
 
-    Preservation is verified exhaustively at construction.
+    A plain record: :func:`check_hom` is the one validator, and it is what
+    parses and tests call on a raw map.  ``all_homs`` builds records for the
+    maps its search has already checked, and the corpus checks validate the
+    essential functor's output with :func:`check_hom`.
     """
 
     source: FiniteLattice
     target: FiniteLattice
     mapping: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        src, tgt, f = self.source, self.target, self.mapping
-        if len(f) != src.n:
-            raise MissingMapping("mapping must cover every source element")
-        if any(not 0 <= v < tgt.n for v in f):
-            raise ValueError("mapping hits elements outside the target carrier")
-        for x in range(src.n):
-            for y in range(src.n):
-                if f[src.meet_table[x][y]] != tgt.meet_table[f[x]][f[y]]:
-                    raise NotAHom(src.names[x], src.names[y], "meet")
-                if f[src.join_table[x][y]] != tgt.join_table[f[x]][f[y]]:
-                    raise NotAHom(src.names[x], src.names[y], "join")
 
     def __call__(self, x: int) -> int:
         return self.mapping[x]
@@ -454,19 +421,21 @@ class LatticeHom:
 
 
 def check_hom(source: FiniteLattice, target: FiniteLattice, mapping) -> LatticeHom:
-    """Validate a raw element map as a lattice homomorphism."""
-    return LatticeHom(source, target, tuple(mapping))
-
-
-def identity_hom(lat: FiniteLattice) -> LatticeHom:
-    return LatticeHom(lat, lat, tuple(range(lat.n)))
-
-
-def compose(f: LatticeHom, g: LatticeHom) -> LatticeHom:
-    """g after f (requires f.target == g.source)."""
-    if f.target != g.source:
-        raise ValueError("homomorphisms are not composable")
-    return LatticeHom(f.source, g.target, tuple(g.mapping[v] for v in f.mapping))
+    """Validate a raw element map as a lattice homomorphism: it covers the
+    source carrier, lands in the target carrier and preserves every meet and
+    join (:class:`NotAHom` names the first failing pair)."""
+    f = tuple(mapping)
+    if len(f) != source.n:
+        raise MissingMapping("mapping must cover every source element")
+    if any(not 0 <= v < target.n for v in f):
+        raise ValueError("mapping hits elements outside the target carrier")
+    for x in range(source.n):
+        for y in range(source.n):
+            if f[source.meet_table[x][y]] != target.meet_table[f[x]][f[y]]:
+                raise NotAHom(source.names[x], source.names[y], "meet")
+            if f[source.join_table[x][y]] != target.join_table[f[x]][f[y]]:
+                raise NotAHom(source.names[x], source.names[y], "join")
+    return LatticeHom(source, target, f)
 
 
 def all_homs(source: FiniteLattice, target: FiniteLattice) -> list[LatticeHom]:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .bitsets import BitMask, bits, full_mask, image_mask, is_subset, mask_of
 from .errors import EmptyInput, NotDisjoint
-from .lattices import Filter, FiniteLattice, Ideal, PrimeIdeal, prime_ideals
+from .lattices import FiniteLattice, PrimeIdeal, prime_ideals
 from .topology import (
     BitopSpace,
     FiniteTopology,
@@ -48,14 +48,6 @@ class ComaximalPair:
     def __post_init__(self) -> None:
         if not _is_comaximal(self.lattice, self.a, self.b):
             raise ValueError(f"{self.label()} is not a comaximal pair")
-
-    @property
-    def ideal(self) -> Ideal:
-        return Ideal(self.lattice, self.lattice.down[self.a])
-
-    @property
-    def filter(self) -> Filter:
-        return Filter(self.lattice, self.lattice.up[self.b])
 
     def label(self) -> str:
         lat = self.lattice
@@ -321,22 +313,15 @@ def prime_points(spectrum: BitopSpectrum) -> tuple[int, ...]:
     """Points whose closures in the two topologies coincide.
 
     Equal closures force the point's ideal to be prime with the filter as its
-    complement; that direction is re-verified here: the point ``(a, b)`` is
-    disjoint, so ``down[a]`` and ``up[b]`` covering the carrier says exactly
-    that.  The converse is false in general (the pentagon has a point of the
-    form (P, complement) with a prime P whose closures differ), so only the
-    sound direction is asserted.
-    All points are prime exactly for distributive lattices; that biconditional
-    lives in the verification suites.
+    complement (``down[a]`` and ``up[b]`` cover the carrier);
+    ``suites.check_prime_point_closures`` checks that direction on every
+    point returned here.  The converse is false in general (the pentagon has
+    a point of the form (P, complement) with a prime P whose closures
+    differ), so only the sound direction is asserted.  All points are prime
+    exactly for distributive lattices; that biconditional lives in the same
+    suite.
     """
-    lat = spectrum.lattice
-    full = full_mask(lat.n)
-    out = tuple(bits(equal_closure_points(spectrum.space)))
-    for k in out:
-        p = spectrum.points[k]
-        if lat.down[p.a] | lat.up[p.b] != full:
-            raise RuntimeError("closure-prime point that is not a prime ideal with its complement")
-    return out
+    return tuple(bits(equal_closure_points(spectrum.space)))
 
 
 def has_top_via_compactness(lat: FiniteLattice) -> tuple[bool, int]:
@@ -385,7 +370,7 @@ class EssentialDeltaReport(NamedTuple):
 def essential_equals_delta(lat: FiniteLattice) -> EssentialDeltaReport:
     """Compare the essential subsets of the spectrum with the delta image."""
     spectrum = build_bitop_spectrum(lat)
-    ess = essential_subsets(spectrum.space).members
+    ess = essential_subsets(spectrum.space)
     image = frozenset(spectrum.delta)
     return EssentialDeltaReport(
         ess == image and len(image) == lat.n,

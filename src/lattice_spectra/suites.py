@@ -34,9 +34,11 @@ from .duality import (
     delta_natural_iso_check,
     dischar_equivalences,
     essential_functor_on_morphism,
+    essential_lattice,
     fundamental_lattice,
     h_map_classical,
     spec_b_on_hom,
+    spec_b_witness,
     to_bitopological,
     to_topological,
 )
@@ -251,22 +253,52 @@ def check_covering_witnesses(lat: FiniteLattice, samples=None):
 
 
 def check_prime_point_closures(lat: FiniteLattice):
+    """Each closure-prime point is a prime ideal with its complement (its
+    ideal and filter cover the carrier), and all points are closure-prime
+    exactly when the lattice is distributive."""
     s = build_bitop_spectrum(lat)
     pts = prime_points(s)
+    full = full_mask(lat.n)
+    for k in pts:
+        p = s.points[k]
+        if lat.down[p.a] | lat.up[p.b] != full:
+            return "closure-prime point that is not a prime ideal with its complement"
     all_prime = len(pts) == len(s.points)
     if all_prime != lat.distributive:
         return f"all-points-prime is {all_prime} but distributivity disagrees"
     return None
 
 
+def _inclusion_table_witness(lat: FiniteLattice, subsets, meet, meet_label: str):
+    """The first table entry of a lattice of point sets ordered by inclusion
+    (element k is ``subsets[k]``) that is not the union, or the meet, of its
+    two sets, as witness text; None when every entry is.  ``meet(i, j)`` is
+    the expected meet of elements i and j."""
+    for i in range(lat.n):
+        for j in range(lat.n):
+            if subsets[lat.join_table[i][j]] != subsets[i] | subsets[j]:
+                return f"{lat.name} join is not union"
+            if subsets[lat.meet_table[i][j]] != meet(i, j):
+                return f"{lat.name} meet is not {meet_label}"
+    return None
+
+
 def check_essential_family(lat: FiniteLattice):
+    """The essential sets of the spectrum are the delta image, and they form
+    a lattice with union as join and i(d(intersection)) as meet."""
     rep = essential_equals_delta(lat)
     if not rep.passed:
         return (
             f"essential family differs from the delta image "
             f"(extra {sorted(rep.essential_only)}, missing {sorted(rep.delta_only)})"
         )
-    return None
+    space = build_bitop_spectrum(lat).space
+    ess = essential_lattice(space)
+    # d preserves intersections, so d(u & v) is d(u) & d(v)
+    d = [op_d(space, u) for u in ess.subsets]
+    return _inclusion_table_witness(
+        ess.lattice, ess.subsets, lambda i, j: op_i(space, d[i] & d[j]), "i(d(intersection))"
+    )
 
 
 def check_bounds_from_topology(lat: FiniteLattice):
@@ -349,6 +381,12 @@ def check_classical_stone(lat: FiniteLattice):
     if not (bm.bijective and bm.homeomorphism):
         return f"prime-ideal embedding not a homeomorphism (bijective={bm.bijective})"
     fund = fundamental_lattice(classical.space)
+    subsets = fund.subsets
+    witness = _inclusion_table_witness(
+        fund.lattice, subsets, lambda i, j: subsets[i] & subsets[j], "intersection"
+    )
+    if witness is not None:
+        return witness
     if fund.lattice.n != lat.n:
         return f"fundamental lattice has {fund.lattice.n} members, expected {lat.n}"
     mapping = tuple(fund.element_of(classical.dmap[x]) for x in range(lat.n))
@@ -450,17 +488,31 @@ def _corpus_homs(lats):
 
 
 def _check_hom_classification(lats, homs):
+    """Quasi-proper implies proper, the two agree between distributive
+    lattices, and spec_B of each quasi-proper hom is a morphism carrying
+    delta and epsilon along it (:func:`spec_b_witness`)."""
     for (i, j), rows in homs.items():
         both_distributive = lats[i].distributive and lats[j].distributive
-        for hom, cls, _, _ in rows:
+        for hom, cls, m, _ in rows:
             if cls.quasi_proper and not cls.proper:
                 return f"quasi-proper but not proper: {hom.label()}"
             if both_distributive and cls.proper != cls.quasi_proper:
                 return f"proper/quasi-proper split on distributive pair: {hom.label()}"
+            if m is not None and (witness := spec_b_witness(hom, m)) is not None:
+                return witness
     return None
 
 
 def _check_functor_laws(lats, homs):
+    """E sends each spectrum morphism to a quasi-proper homomorphism, and
+    spec_B and E preserve identities and composition."""
+    # the quasi-proper rows of each pair, in hom-table order
+    quasi = {pair: [row for row in rows if row[2] is not None] for pair, rows in homs.items()}
+    for rows in quasi.values():
+        for _, _, _, e in rows:
+            check_hom(e.source, e.target, e.mapping)
+            if not classify_hom(e).quasi_proper:
+                return "essential functor produced a non-quasi-proper hom"
     by_mapping = {pair: {row[0].mapping: row for row in rows} for pair, rows in homs.items()}
     for i, lat in enumerate(lats):
         _, _, m, eh = by_mapping[i, i][tuple(range(lat.n))]
@@ -468,8 +520,6 @@ def _check_functor_laws(lats, homs):
             return f"spectrum of the identity is not the identity on {lat.name}"
         if eh.mapping != tuple(range(eh.source.n)):
             return f"essential functor of the identity is not the identity on {lat.name}"
-    # the quasi-proper rows of each pair, in hom-table order
-    quasi = {pair: [row for row in rows if row[2] is not None] for pair, rows in homs.items()}
     for (i, j), rows in quasi.items():
         for f, _, m_f, e_f in rows:
             for k in range(len(lats)):
@@ -490,7 +540,7 @@ def _check_naturality(lats, homs):
         for f, _, m, em in rows:
             if m is None:
                 continue
-            rep = delta_natural_iso_check(f)
+            rep = delta_natural_iso_check(f, em)
             if not rep.passed:
                 return f"element-embedding square fails on {f.label()} at {rep.failing_element}"
             hx = big_h_map(m.source)

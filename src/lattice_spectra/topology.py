@@ -33,23 +33,10 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .bitsets import BitMask, bits, full_mask, image_mask, is_subset
-from .errors import CarrierTooLarge, NotACover, NotIncreasing, NotPairwiseBD
+from .errors import CarrierTooLarge, NotIncreasing
 
 # most opens FiniteTopology.opens enumerates before refusing
 _OPEN_FAMILY_BOUND = 1 << 17
-
-
-@dataclass(frozen=True)
-class SetFamily:
-    """A duplicate-free family of subsets of a fixed carrier."""
-
-    n: int
-    members: frozenset[BitMask]
-
-    def __post_init__(self) -> None:
-        full = full_mask(self.n)
-        if any(m & ~full for m in self.members):
-            raise ValueError("family member outside the carrier")
 
 
 @dataclass(frozen=True)
@@ -289,26 +276,6 @@ def equal_closure_points(space: BitopSpace) -> BitMask:
     return full_mask(space.n) & ~differ
 
 
-def is_compact_subset(top: FiniteTopology, a: BitMask, cover) -> list[BitMask]:
-    """Greedy-minimal finite subcover of ``a``; always succeeds on a finite
-    carrier.  Raises :class:`NotACover` when the precondition fails."""
-    cover = list(cover)
-    union = 0
-    for u in cover:
-        if not is_increasing(top.up, u):
-            raise NotACover(f"cover member {u:#x} is not open")
-        union |= u
-    if a & ~union:
-        raise NotACover("the family does not cover the target set")
-    chosen: list[BitMask] = []
-    remaining = a
-    while remaining:
-        best = max(range(len(cover)), key=lambda k: ((cover[k] & remaining).bit_count(), -k))
-        chosen.append(cover[best])
-        remaining &= ~cover[best]
-    return chosen
-
-
 def empty_set_is_fundamental(top: FiniteTopology) -> bool:
     """Whether the empty set counts as fundamental: every collection of
     compact-open subsets with the finite intersection property must have a
@@ -322,18 +289,18 @@ def empty_set_is_fundamental(top: FiniteTopology) -> bool:
     return True
 
 
-def fundamental_subsets(top: FiniteTopology) -> SetFamily:
+def fundamental_subsets(top: FiniteTopology) -> frozenset[BitMask]:
     """Nonempty compact-open subsets, plus the empty set when it qualifies.
 
     On a finite carrier the nonempty compact-opens are all nonempty opens and
     the empty set always qualifies (:func:`empty_set_is_fundamental`), so the
     fundamental family is the whole open family.
     """
-    return SetFamily(top.n, top.opens)
+    return top.opens
 
 
 @lru_cache(maxsize=None)
-def essential_subsets(space: BitopSpace) -> SetFamily:
+def essential_subsets(space: BitopSpace) -> frozenset[BitMask]:
     """Essential subsets: tau-compact stable sets with sigma-open d-image,
     plus the empty set when it is sigma-fundamental, which on a finite
     carrier it always is.
@@ -354,7 +321,7 @@ def essential_subsets(space: BitopSpace) -> SetFamily:
     found = {0}
     for g in {op_i(space, u) for u in space.up_sigma}:
         found |= {g | a for a in found}
-    return SetFamily(space.n, frozenset(found))
+    return frozenset(found)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +332,7 @@ class PairwiseBDReport(NamedTuple):
     passed: bool
     failing_axiom: str | None = None
     witness: str | None = None
-    essentials: SetFamily | None = None
+    essentials: frozenset[BitMask] | None = None
 
 
 def is_pairwise_bd(space: BitopSpace) -> PairwiseBDReport:
@@ -402,12 +369,12 @@ def _pairwise_bd_report(space: BitopSpace) -> PairwiseBDReport:
     if not ok:
         return PairwiseBDReport(False, "i", f"points {pair[0]} and {pair[1]} are not separated", ess)
 
-    generated = topology_from_subbasis(space.n, ess.members)
+    generated = topology_from_subbasis(space.n, ess)
     if generated != space.tau:
         diff = [x for x in range(space.n) if generated.up[x] != space.up_tau[x]]
         return PairwiseBDReport(False, "ii", f"essential sets do not generate tau (neighbourhoods differ at points {diff})", ess)
 
-    d_family = {op_d(space, a) for a in ess.members}
+    d_family = {op_d(space, a) for a in ess}
     for a, b in itertools.combinations(sorted(d_family), 2):
         if a & b not in d_family:
             return PairwiseBDReport(False, "iii", f"d-image family not closed under intersection: {a:#x} & {b:#x}", ess)
@@ -453,24 +420,3 @@ def is_bd_space(top: FiniteTopology) -> BDSpaceReport:
     if not ok:
         return BDSpaceReport(False, f"not T0: points {pair[0]} and {pair[1]}")
     return BDSpaceReport(True)
-
-
-def is_doubly_bd(space: BitopSpace) -> bool:
-    """Pairwise Balbes-Dwinger with coinciding topologies."""
-    report = is_pairwise_bd(space)
-    if not report.passed:
-        raise NotPairwiseBD(f"axiom ({report.failing_axiom}) fails: {report.witness}")
-    return space.tau == space.sigma
-
-
-def is_bounded_pbd(space: BitopSpace) -> bool:
-    """Bounded pairwise Balbes-Dwinger: tau-compact carrier and a
-    sigma-fundamental empty set.  Both clauses always hold at finite scale:
-    the compactness clause is evaluated by extracting a finite subcover of
-    the principal opens ``up_tau`` (any open cover would do), the empty-set
-    clause is the constant :func:`empty_set_is_fundamental`."""
-    report = is_pairwise_bd(space)
-    if not report.passed:
-        raise NotPairwiseBD(f"axiom ({report.failing_axiom}) fails: {report.witness}")
-    subcover = is_compact_subset(space.tau, full_mask(space.n), space.up_tau)
-    return isinstance(subcover, list) and empty_set_is_fundamental(space.sigma)

@@ -6,10 +6,28 @@ import itertools
 import random
 
 from lattice_spectra.bitsets import bits, full_mask, is_subset, preimage_mask
-from lattice_spectra.errors import NotALattice
-from lattice_spectra.lattices import PrimeIdeal, all_ideals, is_prime_ideal
+from lattice_spectra.duality import pbd_morphism
+from lattice_spectra.errors import (
+    EmptyGeneratorSet,
+    NotACover,
+    NotALattice,
+    NotPairwiseBD,
+)
+from lattice_spectra.lattices import (
+    Filter,
+    Ideal,
+    PrimeIdeal,
+    all_ideals,
+    check_hom,
+    is_prime_ideal,
+)
 from lattice_spectra.spectra import build_bitop_spectrum, delta_compactness_check, gbd_witness
-from lattice_spectra.topology import fundamental_subsets
+from lattice_spectra.topology import (
+    empty_set_is_fundamental,
+    fundamental_subsets,
+    is_increasing,
+    is_pairwise_bd,
+)
 
 
 def ideal_masks_brute(lat):
@@ -316,8 +334,8 @@ def strongly_continuous_brute(mapping, source, target):
     fundamental subset, both clauses over the open families."""
     if not is_continuous_brute(mapping, source, target):
         return False
-    src_fund = fundamental_subsets(source).members
-    for a in fundamental_subsets(target).members:
+    src_fund = fundamental_subsets(source)
+    for a in fundamental_subsets(target):
         if preimage_mask(mapping, a) not in src_fund:
             return False
     return True
@@ -474,3 +492,192 @@ def covering_witnesses_literal(lat, gbd=gbd_witness, delta=delta_compactness_che
             if not (s.delta[x] & k and not union_v & k):
                 return "cover separating pair is not a counterexample point"
     return None
+
+
+# ---------------------------------------------------------------------------
+# constructions the library does not use itself, kept as test references
+
+
+def identity_hom(lat):
+    """The identity homomorphism of a lattice, validated by ``check_hom``."""
+    return check_hom(lat, lat, range(lat.n))
+
+
+def compose(f, g):
+    """g after f (requires f.target == g.source), validated by ``check_hom``."""
+    if f.target != g.source:
+        raise ValueError("homomorphisms are not composable")
+    return check_hom(f.source, g.target, (g.mapping[v] for v in f.mapping))
+
+
+def identity_morphism(space):
+    """The identity point map of a pairwise Balbes-Dwinger space, validated
+    by ``pbd_morphism``: the identity of the category the spectrum functor
+    lands in."""
+    return pbd_morphism(space, space, range(space.n))
+
+
+def compose_morphisms(f, g):
+    """g after f for morphisms of pairwise Balbes-Dwinger spaces (requires
+    f.target == g.source), validated by ``pbd_morphism``."""
+    if f.target != g.source:
+        raise ValueError("morphisms are not composable")
+    return pbd_morphism(f.source, g.target, (g.mapping[v] for v in f.mapping))
+
+
+def principal_ideal(lat, x):
+    """The principal ideal of x: every element below x."""
+    return Ideal(lat, lat.down[x])
+
+
+def principal_filter(lat, x):
+    """The principal filter of x: every element above x."""
+    return Filter(lat, lat.up[x])
+
+
+def generated_ideal(lat, generators):
+    """The least ideal containing a nonempty generator set: the down-set of
+    their join, since every ideal of a finite lattice is principal."""
+    if generators == 0:
+        raise EmptyGeneratorSet("ideal generation needs a nonempty set")
+    return Ideal(lat, lat.down[lat.join_of(generators)])
+
+
+def generated_filter(lat, generators):
+    """The least filter containing a nonempty generator set: the up-set of
+    their meet."""
+    if generators == 0:
+        raise EmptyGeneratorSet("filter generation needs a nonempty set")
+    return Filter(lat, lat.up[lat.meet_of(generators)])
+
+
+def pair_ideal(pair):
+    """The ideal ``down[a]`` of a comaximal pair, as a validated ``Ideal``."""
+    return Ideal(pair.lattice, pair.lattice.down[pair.a])
+
+
+def pair_filter(pair):
+    """The filter ``up[b]`` of a comaximal pair, as a validated ``Filter``."""
+    return Filter(pair.lattice, pair.lattice.up[pair.b])
+
+
+def is_compact_subset(top, a, cover):
+    """A subset is compact when every open cover of it has a finite
+    subcover.  Returns a greedy-minimal subcover of ``a`` from ``cover``,
+    which on a finite carrier always exists; raises ``NotACover`` when a
+    member is not open or the family does not cover ``a``."""
+    cover = list(cover)
+    union = 0
+    for u in cover:
+        if not is_increasing(top.up, u):
+            raise NotACover(f"cover member {u:#x} is not open")
+        union |= u
+    if a & ~union:
+        raise NotACover("the family does not cover the target set")
+    chosen = []
+    remaining = a
+    while remaining:
+        best = max(range(len(cover)), key=lambda k: ((cover[k] & remaining).bit_count(), -k))
+        chosen.append(cover[best])
+        remaining &= ~cover[best]
+    return chosen
+
+
+def _pairwise_bd_or_raise(space):
+    report = is_pairwise_bd(space)
+    if not report.passed:
+        raise NotPairwiseBD(f"axiom ({report.failing_axiom}) fails: {report.witness}")
+
+
+def is_doubly_bd(space):
+    """A doubly Balbes-Dwinger space is a pairwise Balbes-Dwinger space whose
+    two topologies coincide."""
+    _pairwise_bd_or_raise(space)
+    return space.tau == space.sigma
+
+
+def is_bounded_pbd(space):
+    """A bounded pairwise Balbes-Dwinger space has a tau-compact carrier and
+    a sigma-fundamental empty set.  The compactness clause is evaluated by
+    extracting a finite subcover of the principal opens ``up_tau`` (any open
+    cover would do), the empty-set clause is ``empty_set_is_fundamental``."""
+    _pairwise_bd_or_raise(space)
+    subcover = is_compact_subset(space.tau, full_mask(space.n), space.up_tau)
+    return isinstance(subcover, list) and empty_set_is_fundamental(space.sigma)
+
+
+# ---------------------------------------------------------------------------
+# DOT syntax
+
+
+def _split_statements(body):
+    """Split a DOT body on ';' outside quoted strings."""
+    out = []
+    current = []
+    in_string = False
+    i = 0
+    while i < len(body):
+        ch = body[i]
+        if in_string:
+            if ch == "\\" and i + 1 < len(body):
+                current.append(body[i : i + 2])
+                i += 2
+                continue
+            if ch == '"':
+                in_string = False
+            current.append(ch)
+        elif ch == '"':
+            in_string = True
+            current.append(ch)
+        elif ch == ";":
+            out.append("".join(current))
+            current = []
+        else:
+            current.append(ch)
+        i += 1
+    if in_string:
+        raise ValueError("unterminated string")
+    out.append("".join(current))
+    return out
+
+
+def _strip_strings(stmt):
+    out = []
+    in_string = False
+    i = 0
+    while i < len(stmt):
+        ch = stmt[i]
+        if in_string:
+            if ch == "\\":
+                i += 2
+                continue
+            if ch == '"':
+                in_string = False
+        elif ch == '"':
+            in_string = True
+        else:
+            out.append(ch)
+        i += 1
+    if in_string:
+        raise ValueError(f"unbalanced quotes in statement {stmt!r}")
+    return "".join(out)
+
+
+def validate_dot(text):
+    """Minimal syntactic check of a DOT digraph document."""
+    stripped = text.strip()
+    if not stripped.startswith("digraph"):
+        raise ValueError("missing digraph header")
+    if not stripped.endswith("}"):
+        raise ValueError("missing closing brace")
+    body = stripped[stripped.index("{") + 1 : stripped.rindex("}")]
+    for stmt in _split_statements(body):
+        stmt = stmt.strip()
+        if not stmt:
+            continue
+        bare = _strip_strings(stmt)
+        if "{" in bare or "}" in bare:
+            raise ValueError(f"unexpected brace in statement {stmt!r}")
+        if "[" in bare or "]" in bare:
+            if bare.count("[") != 1 or bare.count("]") != 1 or bare.index("[") > bare.index("]"):
+                raise ValueError(f"malformed attribute list in {stmt!r}")

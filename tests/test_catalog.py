@@ -11,7 +11,6 @@ from lattice_spectra.catalog import (
     parse_lattice_doc,
     render_lattice,
     to_dot,
-    validate_dot,
 )
 from lattice_spectra.errors import (
     MissingMapping,
@@ -24,7 +23,7 @@ from lattice_spectra.errors import (
 from lattice_spectra.lattices import is_distributive
 from lattice_spectra.spectra import build_bitop_spectrum, build_classical_spectrum
 
-from oracles import count_lattices_brute, is_lattice_up_masks, labeled_posets_brute
+from oracles import count_lattices_brute, is_lattice_up_masks, labeled_posets_brute, validate_dot
 
 
 M5_DOC = """\
@@ -189,8 +188,14 @@ def test_search_finds_every_naturally_labelled_lattice():
             for up in labeled_posets_brute(n)
             if all(u >> i << i == u for i, u in enumerate(up)) and is_lattice_up_masks(up, n)
         }
-        assert len(found[n]) == len(set(found[n]))
-        assert set(found[n]) == natural, n
+        ups = [up for up, _ in found[n]]
+        assert len(ups) == len(set(ups))
+        assert set(ups) == natural, n
+        # each order comes with its down-masks, the transpose of its up-masks
+        for up, down in found[n]:
+            assert down == tuple(
+                sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)
+            )
 
 
 def test_exhaustive_contains_m5_and_n5(lattices_upto_5, m5, n5):
@@ -263,6 +268,13 @@ def test_dot_spectra(m5, diamond):
     validate_dot(bit)
     classical = to_dot(build_classical_spectrum(diamond))
     validate_dot(classical)
+
+
+def test_dot_outputs_are_valid(cat):
+    # to_dot does not check its own output; every catalog rendering is checked here
+    for lat in cat.values():
+        for obj in (lat, build_bitop_spectrum(lat), build_classical_spectrum(lat)):
+            validate_dot(to_dot(obj))
 
 
 def test_dot_stable_output(m5):

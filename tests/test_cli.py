@@ -10,6 +10,8 @@ from lattice_spectra.catalog import render_lattice
 from lattice_spectra.lattices import build_lattice
 from lattice_spectra import cli
 
+from oracles import validate_dot
+
 
 @pytest.fixture()
 def lattice_dir(tmp_path, cat):
@@ -81,8 +83,6 @@ def test_spec_dot_output(lattice_dir, tmp_path):
     dot_path = tmp_path / "m5.dot"
     code, _ = run_cli(["spec", str(lattice_dir / "m5.lat"), "--bitop", "--dot", str(dot_path)])
     assert code == 0
-    from lattice_spectra.catalog import validate_dot
-
     validate_dot(dot_path.read_text(encoding="utf-8"))
 
 
@@ -157,6 +157,28 @@ def test_hom_surjection(lattice_dir, tmp_path):
     assert code == 0
     assert "quasi-proper: yes" in out
     assert "pbd-morphism conditions: PASS" in out
+
+
+def test_hom_morphism_failure_exits_1(lattice_dir, tmp_path, monkeypatch):
+    # a spectrum map sending every point to point 0 breaks the delta
+    # preimage identity: reported on the conditions line, exit 1
+    from lattice_spectra import duality
+
+    real = duality.spec_b_on_hom
+
+    def collapsed(hom):
+        m = real(hom)
+        return m._replace(mapping=(0,) * len(m.mapping))
+
+    monkeypatch.setattr(duality, "spec_b_on_hom", collapsed)
+    hom = tmp_path / "id.hom"
+    hom.write_text("hom id from m5 to m5\n" + "".join(f"map {x} {x}\n" for x in "0abc1"), encoding="utf-8")
+    code, out = run_cli(["hom", str(hom), str(lattice_dir / "m5.lat"), str(lattice_dir / "m5.lat")])
+    assert code == 1
+    assert out.splitlines()[-2:] == [
+        "spectrum map: 6 points -> 6 points",
+        "pbd-morphism conditions: FAIL witness=delta preimage identity fails",
+    ]
 
 
 def test_console_entrypoint_runs(lattice_dir):
@@ -244,7 +266,7 @@ def test_public_names_resolve_lazily():
     import lattice_spectra
 
     exported = set(lattice_spectra.__all__)
-    assert len(exported) == len(lattice_spectra.__all__) == 101
+    assert len(exported) == len(lattice_spectra.__all__) == 91
     for name in exported:
         module = importlib.import_module(f"lattice_spectra.{lattice_spectra._MODULE_OF[name]}")
         assert getattr(lattice_spectra, name) is getattr(module, name), name

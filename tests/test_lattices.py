@@ -13,29 +13,29 @@ from lattice_spectra.lattices import (
     all_ideals,
     build_lattice,
     check_hom,
-    compose,
-    generated_filter,
-    generated_ideal,
-    identity_hom,
     _find_forbidden_sublattice,
     _find_violating_triple,
     is_distributive,
     is_prime_ideal,
     lattice_from_order,
     prime_ideals,
-    principal_filter,
-    principal_ideal,
     product_lattice,
 )
 
 
 from oracles import (
     all_homs_brute,
+    compose,
     filter_masks_brute,
+    generated_filter,
+    generated_ideal,
     ideal_masks_brute,
+    identity_hom,
     labeled_posets_brute,
     lattice_tables_by_bound_scan,
     prime_ideals_by_ideal_scan,
+    principal_filter,
+    principal_ideal,
 )
 
 # --- construction ------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from lattice_spectra.bitsets import bits, full_mask, is_subset, mask_of
 from lattice_spectra.catalog import GeneratorConfig, enumerate_lattices
 from lattice_spectra.errors import EmptyInput, NotDisjoint
-from lattice_spectra.lattices import is_distributive, principal_filter
+from lattice_spectra.lattices import is_distributive
 from lattice_spectra.spectra import (
     ComaximalPair,
     b_map,
@@ -22,14 +22,20 @@ from lattice_spectra.spectra import (
     prime_points,
 )
 
-from oracles import comaximal_pairs_brute, greedy_shrink_brute
+from oracles import (
+    comaximal_pairs_brute,
+    greedy_shrink_brute,
+    pair_filter,
+    pair_ideal,
+    principal_filter,
+)
 
 
 def test_comaximal_matches_literal_definition(lattices_upto_6, cat):
     sample = list(lattices_upto_6) + [cat["hexagon"], cat["m5_doubled_arm"], cat["b3"]]
     sample += enumerate_lattices(GeneratorConfig("random", 8, seed=99, count=40))
     for lat in sample:
-        got = [(p.ideal.members, p.filter.members) for p in comaximal_pairs(lat)]
+        got = [(pair_ideal(p).members, pair_filter(p).members) for p in comaximal_pairs(lat)]
         assert got == comaximal_pairs_brute(lat), lat.name
 
 
@@ -82,8 +88,8 @@ def test_extend_n5(n5):
     pair = extend_to_comaximal(n5, n5.bottom, n5.index("c"))
     # lowest-index growth adds a first; ({0,a};{c,1}) is the maximal extension
     assert pair.label() == "({0,a};{c,1})"
-    assert is_subset(0b1, pair.ideal.members)
-    assert is_subset(principal_filter(n5, n5.index("c")).members, pair.filter.members)
+    assert is_subset(0b1, pair_ideal(pair).members)
+    assert is_subset(principal_filter(n5, n5.index("c")).members, pair_filter(pair).members)
 
 
 def test_extend_requires_disjoint(m5):
@@ -436,10 +442,10 @@ def test_order_characterizations(lattices_upto_5, cat):
         pts = spec.points
         for p, q in itertools.product(range(len(pts)), repeat=2):
             assert bool(space.up_tau[p] >> q & 1) == is_subset(
-                pts[q].ideal.members, pts[p].ideal.members
+                pair_ideal(pts[q]).members, pair_ideal(pts[p]).members
             )
             assert bool(space.up_sigma[p] >> q & 1) == is_subset(
-                pts[p].filter.members, pts[q].filter.members
+                pair_filter(pts[p]).members, pair_filter(pts[q]).members
             )
 
 

@@ -1,13 +1,21 @@
+import ast
 import itertools
 import random
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from lattice_spectra import duality, suites
 from lattice_spectra.bitsets import bits
-from lattice_spectra.lattices import FiniteLattice
-from lattice_spectra.spectra import build_bitop_spectrum, delta_compactness_check, gbd_witness
+from lattice_spectra.lattices import FiniteLattice, LatticeHom, check_hom
+from lattice_spectra.spectra import (
+    build_bitop_spectrum,
+    build_classical_spectrum,
+    delta_compactness_check,
+    gbd_witness,
+)
+from lattice_spectra.topology import FiniteTopology, bitop_space
 
 from oracles import associativity_failure_brute, covering_witnesses_literal
 
@@ -23,10 +31,18 @@ def test_corpus_classifies_each_hom_once(monkeypatch):
         return classify(hom)
 
     monkeypatch.setattr(suites, "classify_hom", counting)
-    results = suites.corpus_checks()
+    corpus = suites.corpus_lattices()
+    results = suites.corpus_checks(corpus)
     assert [(r.check, r.passed) for r in results] == [(c, True) for c in CORPUS_CHECKS]
-    # the default corpus (the 5 lattices with at most 4 elements) has 221 homs
-    assert len(seen) == len(set(seen)) == 221
+    # the default corpus (the 5 lattices with at most 4 elements) has 221
+    # homs; the functor laws then classify the essential functor's image of
+    # each of the 60 quasi-proper ones, once
+    table = [h for h in seen if h.source in corpus]
+    assert len(table) == len(set(table)) == 221
+    quasi = [h for h in table if duality.classify_hom(h).quasi_proper]
+    images = seen[len(table):]
+    assert len(images) == len(set(images)) == len(quasi) == 60
+    assert all(h.source.name == "essential" for h in images)
 
 
 @pytest.mark.parametrize("broken", ["classify_hom", "spec_b_on_hom"])
@@ -281,3 +297,174 @@ def test_specialization_order_witness_matches_pair_scan(monkeypatch, cat):
             monkeypatch.setattr(suites, "build_bitop_spectrum", lambda _: fake)
             assert suites.check_specialization_orders(lat) == expected, (name, p, q_tau, q_sig)
             monkeypatch.undo()
+
+
+# --- theorem checks owned by the suites: planted faults ------------------------
+
+
+def _corpus_with_row(monkeypatch, lat, m=None, e=None):
+    """The corpus checks on ``[lat]`` alone, by check name, with the hom
+    table's identity row carrying the spectrum morphism ``m`` or the
+    essential-functor image ``e`` in place of the computed one."""
+    real = suites._corpus_homs
+
+    def planted(lats):
+        homs = real(lats)
+        rows = homs[0, 0]
+        k = next(k for k, row in enumerate(rows) if row[0].mapping == tuple(range(lat.n)))
+        h, cls, m0, e0 = rows[k]
+        rows[k] = (h, cls, m0 if m is None else m, e0 if e is None else e)
+        return homs
+
+    monkeypatch.setattr(suites, "_corpus_homs", planted)
+    return {r.check: r for r in suites.corpus_checks([lat])}
+
+
+def _spec_b_of_identity(lat):
+    return duality.spec_b_on_hom(check_hom(lat, lat, range(lat.n)))
+
+
+def test_preimage_identity_faults_reach_hom_classification(monkeypatch, m5):
+    ident = _spec_b_of_identity(m5)
+    pts = build_bitop_spectrum(m5).points
+    # every point to point 0: delta(a) is neither empty nor everything
+    collapsed = ident._replace(mapping=(0,) * len(pts))
+    # two points with the same ideal are tau-equivalent: swapping them keeps
+    # every delta preimage and breaks an epsilon one
+    p, q = next((p, q) for p, q in itertools.combinations(range(len(pts)), 2) if pts[p].a == pts[q].a)
+    swapped = list(range(len(pts)))
+    swapped[p], swapped[q] = q, p
+    swapped = ident._replace(mapping=tuple(swapped))
+    for bad, message in (
+        (collapsed, "delta preimage identity fails"),
+        (swapped, "epsilon preimage identity fails"),
+    ):
+        result = _corpus_with_row(monkeypatch, m5, m=bad)["hom_classification"]
+        assert (result.passed, result.witness) == (False, message)
+        monkeypatch.undo()
+
+
+# 3-point spaces, as (tau up-masks, sigma up-masks) of the record's source and
+# target, on which the identity point map fails one morphism condition
+_BAD_SPACES = {
+    "map is not tau-continuous": (((1, 2, 5), (1, 2, 4)), ((1, 2, 4), (1, 2, 4))),
+    "map is not sigma-continuous": (((1, 2, 4), (1, 2, 5)), ((1, 2, 4), (1, 2, 4))),
+    "essential set does not pull back to an essential set": (
+        ((1, 2, 4), (1, 2, 5)),
+        ((1, 6, 4), (1, 2, 5)),
+    ),
+    "preimage does not commute with d on essential sets": (
+        ((1, 2, 4), (1, 2, 4)),
+        ((1, 2, 5), (3, 2, 4)),
+    ),
+}
+
+
+def _space(tau, sigma):
+    return bitop_space(FiniteTopology(len(tau), tau), FiniteTopology(len(sigma), sigma))
+
+
+@pytest.mark.parametrize("message", sorted(_BAD_SPACES))
+def test_morphism_condition_faults_reach_hom_classification(monkeypatch, cat, message):
+    chain4 = cat["chain4"]  # three points: the identity map is the identity on them
+    source, target = (_space(*pair) for pair in _BAD_SPACES[message])
+    bad = _spec_b_of_identity(chain4)._replace(source=source, target=target)
+    result = _corpus_with_row(monkeypatch, chain4, m=bad)["hom_classification"]
+    assert (result.passed, result.witness) == (False, message)
+
+
+def test_i_commuting_fault_reaches_hom_classification(monkeypatch, cat):
+    # an essential set is tau-increasing, so once essential sets pull back, i
+    # commutes by itself: only a faulty i can break it
+    real = duality.op_i
+    monkeypatch.setattr(duality, "op_i", lambda space, a: real(space, a) ^ 1)
+    result = suites.corpus_checks([cat["chain4"]])[0]
+    assert (result.check, result.passed) == ("hom_classification", False)
+    assert result.witness == "preimage does not commute with i on essential sets"
+
+
+def test_essential_functor_faults_reach_functor_laws(monkeypatch, cat, m5):
+    # a homomorphism that is not quasi-proper, and a map that is no homomorphism
+    not_quasi = check_hom(cat["chain2"], m5, (0, m5.index("a")))
+    reversal = LatticeHom(cat["chain2"], cat["chain2"], (1, 0))
+    result = _corpus_with_row(monkeypatch, m5, e=not_quasi)["functor_laws"]
+    assert (result.passed, result.witness) == (False, "essential functor produced a non-quasi-proper hom")
+    monkeypatch.undo()
+    result = _corpus_with_row(monkeypatch, m5, e=reversal)["functor_laws"]
+    assert (result.passed, result.witness) == (False, "NotAHom: map does not preserve meet of '0' and '1'")
+
+
+def test_naturality_reads_the_table(monkeypatch, cat):
+    # the square compares against the table's essential-functor image, so a
+    # wrong image there fails the naturality line
+    chain3 = cat["chain3"]
+    ident = duality.essential_functor_on_morphism(_spec_b_of_identity(chain3))
+    wrong = LatticeHom(ident.source, ident.target, (0,) * ident.source.n)
+    result = _corpus_with_row(monkeypatch, chain3, e=wrong)["naturality_squares"]
+    assert not result.passed
+    assert result.witness.startswith("element-embedding square fails on ")
+
+
+def _corrupt_bound(lat, table):
+    """``lat`` with the join of elements 1 and 2 (neither the bottom nor the
+    top) set to the bottom, or their meet set to the top."""
+    return _corrupt(lat, table, 1, 2, lat.bottom if table == "join_table" else lat.top)
+
+
+def _suite_result(lat, check):
+    return next(r for r in suites.suite_for_lattice(lat) if r.check == check)
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [("join_table", "essential join is not union"), ("meet_table", "essential meet is not i(d(intersection))")],
+)
+def test_essential_table_faults_reach_essential_family(monkeypatch, m5, table, message):
+    ess = duality.essential_lattice(build_bitop_spectrum(m5).space)
+    bad = ess._replace(lattice=_corrupt_bound(ess.lattice, table))
+    monkeypatch.setattr(suites, "essential_lattice", lambda space: bad)
+    result = _suite_result(m5, "essential_family")
+    assert (result.passed, result.witness) == (False, message)
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [("join_table", "fundamental join is not union"), ("meet_table", "fundamental meet is not intersection")],
+)
+def test_fundamental_table_faults_reach_classical_stone(monkeypatch, diamond, table, message):
+    fund = duality.fundamental_lattice(build_classical_spectrum(diamond).space)
+    bad = fund._replace(lattice=_corrupt_bound(fund.lattice, table))
+    monkeypatch.setattr(suites, "fundamental_lattice", lambda top: bad)
+    result = _suite_result(diamond, "classical_stone")
+    assert (result.passed, result.witness) == (False, message)
+
+
+def test_non_prime_closure_point_reaches_prime_point_closures(monkeypatch, m5):
+    # m5 has no closure-prime point; claiming all of them plants the fault
+    monkeypatch.setattr(suites, "prime_points", lambda s: tuple(range(len(s.points))))
+    result = _suite_result(m5, "prime_point_closures")
+    assert (result.passed, result.witness) == (
+        False,
+        "closure-prime point that is not a prime ideal with its complement",
+    )
+
+
+def test_library_raises_no_runtime_error():
+    # theorem checks report through the suites; the one RuntimeError left in
+    # the package is the random sampler's convergence guard, which keeps
+    # ``verify --random`` from looping forever
+    package = Path(duality.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Raise) and node.exc is not None):
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "RuntimeError":
+                # the innermost function around the raise, if any
+                around = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                owner = min(around, key=lambda f: f.end_lineno - f.lineno).name if around else "<module>"
+                found.append(f"{path.stem}.{owner}")
+    assert found == ["catalog._random"]

@@ -17,11 +17,8 @@ from lattice_spectra.topology import (
     essential_subsets,
     fundamental_subsets,
     is_bd_space,
-    is_bounded_pbd,
-    is_compact_subset,
     is_continuous,
     is_costable,
-    is_doubly_bd,
     is_homeomorphism,
     is_pairwise_bd,
     is_pairwise_t0,
@@ -35,7 +32,10 @@ from oracles import (
     bd_space_brute,
     essential_subsets_brute,
     essential_subsets_by_sigma_opens,
+    is_bounded_pbd,
+    is_compact_subset,
     is_continuous_brute,
+    is_doubly_bd,
     is_homeomorphism_brute,
     is_pairwise_t0_brute,
     op_d_loop,
@@ -269,7 +269,7 @@ def test_not_a_cover(m5):
 
 def test_fundamental_sierpinski():
     fam = fundamental_subsets(sierpinski())
-    assert fam.members == frozenset({0, 0b01, 0b11})
+    assert fam == frozenset({0, 0b01, 0b11})
 
 
 def test_fundamental_discrete_pair():
@@ -277,8 +277,8 @@ def test_fundamental_discrete_pair():
     # finite intersection property always has a nonempty total intersection,
     # so the empty set qualifies even in the discrete topology
     fam = fundamental_subsets(discrete(2))
-    assert 0 in fam.members
-    assert fam.members == frozenset({0, 0b01, 0b10, 0b11})
+    assert 0 in fam
+    assert fam == frozenset({0, 0b01, 0b10, 0b11})
 
 
 def test_fundamental_zariski_two_chain(chain2):
@@ -286,7 +286,7 @@ def test_fundamental_zariski_two_chain(chain2):
 
     spec = build_classical_spectrum(chain2)
     fam = fundamental_subsets(spec.space)
-    assert fam.members == frozenset({0, 1})  # d(1) and the empty set
+    assert fam == frozenset({0, 1})  # d(1) and the empty set
 
 
 def fip_scan_oracle(top):
@@ -458,17 +458,17 @@ def test_stability_requires_increasing(m5):
 def test_essential_m5(m5):
     spec = build_bitop_spectrum(m5)
     fam = essential_subsets(spec.space)
-    assert fam.members == frozenset(spec.delta)
-    assert len(fam.members) == 5
+    assert fam == frozenset(spec.delta)
+    assert len(fam) == 5
 
 
 def test_essential_of_doubled_space_is_fundamental(diamond):
     from lattice_spectra.spectra import build_classical_spectrum
 
     top = build_classical_spectrum(diamond).space
-    assert essential_subsets(doubled_space(top)).members == fundamental_subsets(top).members
+    assert essential_subsets(doubled_space(top)) == fundamental_subsets(top)
     s = sierpinski()
-    assert essential_subsets(doubled_space(s)).members == fundamental_subsets(s).members
+    assert essential_subsets(doubled_space(s)) == fundamental_subsets(s)
 
 
 def test_essential_subsets_match_brute_force(cat, lattices_upto_5):
@@ -483,7 +483,7 @@ def test_essential_subsets_match_brute_force(cat, lattices_upto_5):
     spaces = [space for space in spaces if space.n <= 12]
     assert len(spaces) == 14 + 40 + len(lattices_upto_5)
     for space in spaces:
-        assert essential_subsets(space).members == essential_subsets_brute(space)
+        assert essential_subsets(space) == essential_subsets_brute(space)
 
 
 def test_essential_subsets_match_sigma_open_loop(cat):
@@ -510,12 +510,27 @@ def test_essential_subsets_match_sigma_open_loop(cat):
     assert max(len(space.sigma.opens) for space in spaces) == 1 << 12
     assert [space.n for space in spaces[:6]] == [30, 132, 21, 5, 12, 13]
     for space in spaces:
-        assert essential_subsets(space).members == essential_subsets_by_sigma_opens(space)
+        assert essential_subsets(space) == essential_subsets_by_sigma_opens(space)
+
+
+def test_families_stay_inside_the_carrier(lattices_upto_6):
+    # the essential and fundamental families are plain frozensets of point
+    # masks; none of them mentions a point outside the carrier
+    spaces = small_bitop_spaces() + [build_bitop_spectrum(lat).space for lat in lattices_upto_6]
+    for space in spaces:
+        full = full_mask(space.n)
+        for family in (
+            essential_subsets(space),
+            fundamental_subsets(space.tau),
+            fundamental_subsets(space.sigma),
+        ):
+            assert isinstance(family, frozenset)
+            assert all(m & ~full == 0 for m in family)
 
 
 def test_essential_one_point_indiscrete():
     space = doubled_space(indiscrete(1))
-    assert essential_subsets(space).members == frozenset({0, 1})
+    assert essential_subsets(space) == frozenset({0, 1})
 
 
 def test_doubled_space_operators_are_identity(diamond):
@@ -568,7 +583,7 @@ def test_axioms_ii_iii_match_open_family_forms():
     seen = set()
     for space in spaces:
         report = is_pairwise_bd(space)
-        literal = pairwise_bd_first_axioms_brute(space, essential_subsets(space).members)
+        literal = pairwise_bd_first_axioms_brute(space, essential_subsets(space))
         if literal is None:
             assert report.failing_axiom not in ("i", "ii", "iii")
         else:
@@ -584,7 +599,7 @@ def test_axioms_iv_v_hold_on_every_small_space():
     spaces = small_bitop_spaces()
     assert len(spaces) == 858
     for space in spaces:
-        ess = essential_subsets(space).members
+        ess = essential_subsets(space)
         assert pairwise_bd_axioms_iv_v_brute(space, ess) is None
         assert ess == essential_subsets_brute(space)
         assert is_pairwise_bd(space).failing_axiom not in ("iv", "v")
@@ -594,7 +609,7 @@ def test_axioms_iv_v_hold_on_spectra(lattices_upto_6):
     spaces = [build_bitop_spectrum(lat).space for lat in lattices_upto_6]
     assert len(spaces) == 25
     for space in spaces:
-        assert pairwise_bd_axioms_iv_v_brute(space, essential_subsets(space).members) is None
+        assert pairwise_bd_axioms_iv_v_brute(space, essential_subsets(space)) is None
         assert is_pairwise_bd(space).failing_axiom not in ("iv", "v")
 
 
