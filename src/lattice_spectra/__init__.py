@@ -19,11 +19,9 @@ _PUBLIC = {
     "errors": (
         "CarrierTooLarge",
         "CyclicCovers",
-        "EmptyGeneratorSet",
         "EmptyInput",
         "LatticeToolError",
         "MissingMapping",
-        "NotACover",
         "NotAHom",
         "NotALattice",
         "NotBDSpace",
@@ -37,11 +35,8 @@ _PUBLIC = {
         "UnknownElement",
     ),
     "lattices": (
-        "Filter",
         "FiniteLattice",
-        "Ideal",
         "LatticeHom",
-        "PrimeIdeal",
         "all_filters",
         "all_homs",
         "all_ideals",

@@ -139,6 +139,8 @@ def parse_hom(text: str, source: FiniteLattice, target: FiniteLattice) -> Lattic
             mapping[src] = target.index(words[2])
         else:
             raise ParseError(lineno, f"unknown directive {words[0]!r}")
+    if not header_seen:
+        raise ParseError(1, "missing 'hom' line")
     missing = [source.names[i] for i in range(source.n) if i not in mapping]
     if missing:
         raise MissingMapping(f"unmapped source elements: {' '.join(missing)}")
@@ -418,15 +420,14 @@ def to_dot(obj) -> str:
         lines.append("}")
     elif isinstance(obj, ClassicalSpectrum):
         lines = [f"digraph {_quote((obj.lattice.name or 'lattice') + '_spec')} {{", "  rankdir=BT;"]
-        for p in obj.points:
-            lines.append(f"  {_quote(p.label())};")
+        labels = [obj.lattice.set_label(p) for p in obj.points]
+        for label in labels:
+            lines.append(f"  {_quote(label)};")
         up = obj.space.up
         for x in range(len(obj.points)):
             for y in bits(up[x]):
                 if x != y:
-                    lines.append(
-                        f"  {_quote(obj.points[x].label())} -> {_quote(obj.points[y].label())};"
-                    )
+                    lines.append(f"  {_quote(labels[x])} -> {_quote(labels[y])};")
         lines.append("}")
     elif isinstance(obj, BitopSpectrum):
         lat = obj.lattice

@@ -80,12 +80,12 @@ def cmd_show(args, out) -> int:
     out.write(f"bottom: {lat.names[lat.bottom]}   top: {lat.names[lat.top]}\n")
     ideals = all_ideals(lat)
     filters = all_filters(lat)
-    out.write(f"ideals ({len(ideals)}): " + " ".join(i.label() for i in ideals) + "\n")
-    out.write(f"filters ({len(filters)}): " + " ".join(f.label() for f in filters) + "\n")
+    out.write(f"ideals ({len(ideals)}): " + " ".join(map(lat.set_label, ideals)) + "\n")
+    out.write(f"filters ({len(filters)}): " + " ".join(map(lat.set_label, filters)) + "\n")
     primes = prime_ideals(lat)
     if primes:
         out.write(
-            f"prime ideals: {len(primes)} " + " ".join(p.label() for p in primes) + "\n"
+            f"prime ideals: {len(primes)} " + " ".join(map(lat.set_label, primes)) + "\n"
         )
     else:
         out.write("prime ideals: 0\n")
@@ -112,11 +112,12 @@ def cmd_spec(args, out) -> int:
         zariski = len(spec.space.opens)
         out.write(f"classical spectrum of {lat.name}\n")
         out.write(f"points: {len(spec.points)}\n")
-        for p in spec.points:
-            out.write(f"  {p.label()}\n")
+        labels = [lat.set_label(p) for p in spec.points]
+        for label in labels:
+            out.write(f"  {label}\n")
         out.write("d:\n")
         for x in range(lat.n):
-            names = [spec.points[k].label() for k in bits(spec.dmap[x])]
+            names = [labels[k] for k in bits(spec.dmap[x])]
             out.write(f"  {lat.names[x]} -> {{{','.join(names)}}}\n")
         out.write(f"zariski opens: {zariski}\n")
         out.write(

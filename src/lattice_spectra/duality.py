@@ -100,10 +100,9 @@ def classify_hom(hom: LatticeHom) -> HomClassification:
     proper = True
     proper_witness = None
     for p in primes:
-        pre = hom.preimage(p.members)
-        if not is_prime_ideal(src, pre):
+        if not is_prime_ideal(src, hom.preimage(p)):
             proper = False
-            proper_witness = f"preimage of {p.label()} is not a prime ideal"
+            proper_witness = f"preimage of {tgt.set_label(p)} is not a prime ideal"
             break
     _, failing = _pull_back(hom)
     return HomClassification(
@@ -413,7 +412,7 @@ def h_map_classical(top: FiniteTopology) -> ClassicalRepReport:
         raise NotBDSpace(verdict.reason or "not a Balbes-Dwinger space")
     fund = fundamental_lattice(top)
     spectrum = build_classical_spectrum(fund.lattice)
-    prime_masks = {p.members: k for k, p in enumerate(spectrum.points)}
+    prime_masks = {p: k for k, p in enumerate(spectrum.points)}
     mapping = []
     ok = True
     for x in range(top.n):

@@ -21,10 +21,6 @@ class NotALattice(LatticeToolError):
         super().__init__(f"no {which} for elements {x!r} and {y!r}")
 
 
-class EmptyGeneratorSet(LatticeToolError):
-    """Ideal/filter generation needs at least one generator."""
-
-
 class NotAHom(LatticeToolError):
     """A map between lattices fails to preserve meet or join."""
 
@@ -33,10 +29,6 @@ class NotAHom(LatticeToolError):
         self.y = y
         self.op = op
         super().__init__(f"map does not preserve {op} of {x!r} and {y!r}")
-
-
-class NotACover(LatticeToolError):
-    """The supplied family does not cover the target set or is not open."""
 
 
 class NotIncreasing(LatticeToolError):

@@ -1,10 +1,12 @@
-"""Finite lattices, their ideals, filters, prime ideals and homomorphisms.
+"""Finite lattices and their homomorphisms.
 
 Carriers are index based (0..n-1) with a name table; carrier subsets are bit
-masks (see :mod:`lattice_spectra.bitsets`).  Lattices, ideals and filters
-validate their axioms eagerly at construction; a homomorphism is a plain
-record validated by :func:`check_hom`.  Instances are immutable, so they are
-safe to share between threads and all operations here are pure functions.
+masks (see :mod:`lattice_spectra.bitsets`), and so are ideals, filters and
+prime ideals.  A lattice is a plain record: :func:`lattice_from_order`
+validates the order it is handed and computes the tables from it, and the
+``lattice_axioms`` suite checks the tables and the declared bounds.  A
+homomorphism is a plain record validated by :func:`check_hom`.  The
+operations here are pure functions.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
-from .bitsets import BitMask, bits, full_mask, is_subset, mask_of, preimage_mask
+from .bitsets import BitMask, bits, full_mask, mask_of, preimage_mask
 from .errors import (
     CyclicCovers,
     MissingMapping,
@@ -27,10 +29,11 @@ from .errors import (
 class FiniteLattice:
     """A finite (hence bounded) lattice given by its order and operation tables.
 
-    ``up[i]`` is the bit mask of elements above ``i`` (inclusive).  The meet
-    and join tables must hold the exact greatest lower / least upper bounds;
-    this is re-verified exhaustively at construction together with the order
-    axioms, so no unchecked instance can exist.
+    ``up[i]`` is the bit mask of elements above ``i`` (inclusive).  A plain
+    record: :func:`lattice_from_order` is its one builder, and the meet and
+    join tables it computes hold the greatest lower / least upper bounds by
+    construction; ``suites.check_lattice_axioms`` checks the tables and the
+    declared ``bottom`` and ``top`` of any instance.
     """
 
     names: tuple[str, ...]
@@ -40,42 +43,6 @@ class FiniteLattice:
     bottom: int
     top: int
     name: str = field(default="", compare=False)
-
-    def __post_init__(self) -> None:
-        n = len(self.names)
-        if n < 1:
-            raise ValueError("a lattice needs at least one element")
-        if len(set(self.names)) != n:
-            raise ValueError("element names must be unique")
-        if len(self.up) != n or len(self.meet_table) != n or len(self.join_table) != n:
-            raise ValueError("table sizes disagree with the carrier")
-        full = full_mask(n)
-        for i in range(n):
-            if self.up[i] & ~full:
-                raise ValueError("order relation mentions elements outside the carrier")
-            if not self.up[i] >> i & 1:
-                raise ValueError("order relation is not reflexive")
-        for i in range(n):
-            for j in bits(self.up[i]):
-                if i != j and self.up[j] >> i & 1:
-                    raise ValueError("order relation is not antisymmetric")
-                if self.up[j] & ~self.up[i]:
-                    raise ValueError("order relation is not transitive")
-        down = self.down
-        for i in range(n):
-            for j in range(n):
-                m = self.meet_table[i][j]
-                lb = down[i] & down[j]
-                if not (lb >> m & 1 and is_subset(lb, down[m])):
-                    raise NotALattice(self.names[i], self.names[j], "glb")
-                w = self.join_table[i][j]
-                ub = self.up[i] & self.up[j]
-                if not (ub >> w & 1 and is_subset(ub, self.up[w])):
-                    raise NotALattice(self.names[i], self.names[j], "lub")
-        if self.up[self.bottom] != full:
-            raise ValueError("declared bottom is not below every element")
-        if down[self.top] != full:
-            raise ValueError("declared top is not above every element")
 
     @property
     def n(self) -> int:
@@ -154,17 +121,37 @@ class FiniteLattice:
 def lattice_from_order(names, up, name: str = "") -> FiniteLattice:
     """Build a lattice from an explicit order relation, computing the tables.
 
-    The lower bounds ``down[i] & down[j]`` have a greatest member m exactly
-    when they equal ``down[m]``, so each meet (dually each join) is one lookup.
-    Raises :class:`NotALattice` for the first pair, meets before joins, that
-    has no greatest lower or least upper bound.
+    The order is validated first, in one pass over each up-set: the carrier
+    is nonempty with unique names, ``up`` has one mask per element, inside
+    the carrier, and the relation is reflexive, antisymmetric and
+    transitive (``ValueError`` names the first failure).  The lower bounds
+    ``down[i] & down[j]`` have a greatest member m exactly when they equal
+    ``down[m]``, so each meet (dually each join) is one lookup.  Raises
+    :class:`NotALattice` for the first pair, meets before joins, that has
+    no greatest lower or least upper bound.
     """
     names = tuple(names)
     up = tuple(up)
     n = len(names)
+    if n < 1:
+        raise ValueError("a lattice needs at least one element")
+    if len(set(names)) != n:
+        raise ValueError("element names must be unique")
+    if len(up) != n:
+        raise ValueError("table sizes disagree with the carrier")
+    full = full_mask(n)
+    for i, u in enumerate(up):
+        if u & ~full:
+            raise ValueError("order relation mentions elements outside the carrier")
+        if not u >> i & 1:
+            raise ValueError("order relation is not reflexive")
     down = [0] * n
-    for i in range(n):
-        for j in bits(up[i]):
+    for i, u in enumerate(up):
+        for j in bits(u):
+            if i != j and up[j] >> i & 1:
+                raise ValueError("order relation is not antisymmetric")
+            if up[j] & ~u:
+                raise ValueError("order relation is not transitive")
             down[j] |= 1 << i
     tables = []
     for masks, which in ((down, "glb"), (up, "lub")):
@@ -175,9 +162,7 @@ def lattice_from_order(names, up, name: str = "") -> FiniteLattice:
                 raise NotALattice(names[i], names[row.index(None)], which)
         tables.append(rows)
     meet, join = tables
-    bottom = next(i for i in range(n) if up[i] == full_mask(n))
-    top = next(i for i in range(n) if down[i] == full_mask(n))
-    return FiniteLattice(names, up, meet, join, bottom, top, name=name)
+    return FiniteLattice(names, up, meet, join, up.index(full), down.index(full), name=name)
 
 
 def build_lattice(names, cover_pairs, name: str = "") -> FiniteLattice:
@@ -194,6 +179,9 @@ def build_lattice(names, cover_pairs, name: str = "") -> FiniteLattice:
     index = {s: i for i, s in enumerate(names)}
     up = [1 << i for i in range(n)]
     for lo, hi in cover_pairs:
+        for s in (lo, hi):
+            if s not in index:
+                raise ValueError(f"cover mentions unknown element {s!r}")
         up[index[lo]] |= 1 << index[hi]
     changed = True
     while changed:
@@ -231,77 +219,18 @@ def product_lattice(a: FiniteLattice, b: FiniteLattice, name: str = "") -> Finit
 # ideals and filters
 
 
-@dataclass(frozen=True)
-class Ideal:
-    """Nonempty, down-closed, join-closed carrier subset."""
-
-    lattice: FiniteLattice
-    members: BitMask
-
-    def __post_init__(self) -> None:
-        lat, m = self.lattice, self.members
-        if m == 0:
-            raise ValueError("an ideal is nonempty")
-        if m & ~full_mask(lat.n):
-            raise ValueError("ideal members outside the carrier")
-        for x in bits(m):
-            if lat.down[x] & ~m:
-                raise ValueError("ideal is not down-closed")
-        for x, y in itertools.combinations(list(bits(m)), 2):
-            if not m >> lat.join_table[x][y] & 1:
-                raise ValueError("ideal is not join-closed")
-
-    def label(self) -> str:
-        return self.lattice.set_label(self.members)
-
-
-@dataclass(frozen=True)
-class Filter:
-    """Nonempty, up-closed, meet-closed carrier subset."""
-
-    lattice: FiniteLattice
-    members: BitMask
-
-    def __post_init__(self) -> None:
-        lat, m = self.lattice, self.members
-        if m == 0:
-            raise ValueError("a filter is nonempty")
-        if m & ~full_mask(lat.n):
-            raise ValueError("filter members outside the carrier")
-        for x in bits(m):
-            if lat.up[x] & ~m:
-                raise ValueError("filter is not up-closed")
-        for x, y in itertools.combinations(list(bits(m)), 2):
-            if not m >> lat.meet_table[x][y] & 1:
-                raise ValueError("filter is not meet-closed")
-
-    def label(self) -> str:
-        return self.lattice.set_label(self.members)
-
-
-@dataclass(frozen=True)
-class PrimeIdeal(Ideal):
-    """An ideal whose complement is a filter."""
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        rest = full_mask(self.lattice.n) & ~self.members
-        if rest == 0:
-            raise ValueError("a prime ideal is proper")
-        Filter(self.lattice, rest)
-
-
-def all_ideals(lat: FiniteLattice) -> list[Ideal]:
-    """Every ideal of the lattice, sorted by member mask.
+def all_ideals(lat: FiniteLattice) -> list[BitMask]:
+    """Every ideal of the lattice as a member mask, sorted.
 
     In a finite lattice each ideal contains the join of its members, so every
     ideal is principal and this list has exactly one entry per element.
     """
-    return [Ideal(lat, m) for m in sorted(set(lat.down))]
+    return sorted(lat.down)
 
 
-def all_filters(lat: FiniteLattice) -> list[Filter]:
-    return [Filter(lat, m) for m in sorted(set(lat.up))]
+def all_filters(lat: FiniteLattice) -> list[BitMask]:
+    """Every filter as a member mask, sorted: the principal up-sets."""
+    return sorted(lat.up)
 
 
 def is_prime_ideal(lat: FiniteLattice, members: BitMask) -> bool:
@@ -316,11 +245,11 @@ def is_prime_ideal(lat: FiniteLattice, members: BitMask) -> bool:
     return members == lat.down[lat.join_of(members)] and rest == lat.up[lat.meet_of(rest)]
 
 
-def prime_ideals(lat: FiniteLattice) -> list[PrimeIdeal]:
-    """All ideals whose complement is a filter, sorted by member mask; the
-    classical spectrum as a set.  Every ideal is some ``down[x]``, so only
-    those masks are tested."""
-    return [PrimeIdeal(lat, m) for m in sorted(set(lat.down)) if is_prime_ideal(lat, m)]
+def prime_ideals(lat: FiniteLattice) -> list[BitMask]:
+    """The member masks of all ideals whose complement is a filter, sorted;
+    the classical spectrum as a set.  Every ideal is some ``down[x]``, so
+    only those masks are tested."""
+    return [m for m in sorted(lat.down) if is_prime_ideal(lat, m)]
 
 
 # ---------------------------------------------------------------------------

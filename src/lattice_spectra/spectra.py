@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .bitsets import BitMask, bits, full_mask, image_mask, is_subset, mask_of
 from .errors import EmptyInput, NotDisjoint
-from .lattices import FiniteLattice, PrimeIdeal, prime_ideals
+from .lattices import FiniteLattice, prime_ideals
 from .topology import (
     BitopSpace,
     FiniteTopology,
@@ -38,16 +38,14 @@ class ComaximalPair:
     against the filter when every element strictly above ``a`` is above
     ``b`` (an ideal ``down[c]`` with ``c > a`` meets ``up[b]`` exactly when
     ``b <= c``), and dually every element strictly below ``b`` is below
-    ``a``; that is what the constructor verifies.
+    ``a``.  A plain record: :func:`comaximal_pairs` keeps exactly the element
+    pairs passing that test, and ``suites.check_covering_witnesses`` looks up
+    each pair :func:`extend_to_comaximal` returns among the spectrum points.
     """
 
     lattice: FiniteLattice
     a: int
     b: int
-
-    def __post_init__(self) -> None:
-        if not _is_comaximal(self.lattice, self.a, self.b):
-            raise ValueError(f"{self.label()} is not a comaximal pair")
 
     def label(self) -> str:
         lat = self.lattice
@@ -154,13 +152,15 @@ def build_bitop_spectrum(lat: FiniteLattice) -> BitopSpectrum:
 class ClassicalSpectrum(NamedTuple):
     """Prime ideals with the Zariski topology generated by the d-map image.
 
-    For points that are prime ideals the image is automatically closed under
-    intersections; the flag records the literal check so a failure would be
-    reported rather than silently repaired.
+    ``points`` holds the prime ideals' member masks in ascending order (as
+    :func:`lattices.prime_ideals` lists them); ``lattice.set_label`` names a
+    point.  For points that are prime ideals the image is automatically
+    closed under intersections; the flag records the literal check so a
+    failure would be reported rather than silently repaired.
     """
 
     lattice: FiniteLattice
-    points: tuple[PrimeIdeal, ...]
+    points: tuple[BitMask, ...]
     dmap: tuple[BitMask, ...]
     space: FiniteTopology
     image_intersection_closed: bool
@@ -173,7 +173,7 @@ def build_classical_spectrum(lat: FiniteLattice) -> ClassicalSpectrum:
     for x in range(lat.n):
         m = 0
         for k, p in enumerate(points):
-            if not p.members >> x & 1:
+            if not p >> x & 1:
                 m |= 1 << k
         dmap.append(m)
     image = set(dmap)
@@ -196,7 +196,7 @@ def b_map(lat: FiniteLattice) -> BMapReport:
     bitop = build_bitop_spectrum(lat)
     full = full_mask(lat.n)
     point_map = tuple(
-        bitop.point_index(lat.join_of(p.members), lat.meet_of(full & ~p.members))
+        bitop.point_index(lat.join_of(p), lat.meet_of(full & ~p))
         for p in classical.points
     )
     injective = len(set(point_map)) == len(point_map)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import lru_cache
 from typing import NamedTuple
 
 from .bitsets import bits, full_mask, is_subset
@@ -81,9 +82,15 @@ def _check(lattice_name, check_name, fn) -> CheckResult:
 
 
 def check_lattice_axioms(lat: FiniteLattice):
-    """The O(n^2) table laws.  Associativity is not re-checked: it follows
-    once the tables hold the glb and lub (``tests/oracles.py`` keeps it)."""
+    """The declared bounds and the O(n^2) table laws.  Associativity is not
+    re-checked: it follows once the tables hold the glb and lub
+    (``tests/oracles.py`` keeps it)."""
     n = lat.n
+    full = full_mask(n)
+    if lat.up[lat.bottom] != full:
+        return "declared bottom is not below every element"
+    if lat.down[lat.top] != full:
+        return "declared top is not above every element"
     for x in range(n):
         for y in range(n):
             if lat.meet(x, y) != lat.meet(y, x) or lat.join(x, y) != lat.join(y, x):
@@ -186,11 +193,12 @@ def check_transition_operators(lat: FiniteLattice):
     return None
 
 
+@lru_cache(maxsize=None)
 def covering_samples(n: int) -> tuple[tuple[int, int, int], ...]:
     """The distinct seeded samples (V, W, x) for a lattice of ``n`` elements,
     in order of first occurrence: 60 draws of V, then W, then x from one
-    ``Random(7)``.  The stream depends on ``n`` alone, so
-    :func:`run_lattice_suites` draws it once per lattice size."""
+    ``Random(7)``.  The stream depends on ``n`` alone, so it is drawn once
+    per lattice size and kept."""
     rng = random.Random(_COVERING_SEED)
     full = full_mask(n)
     samples = {}  # an ordered set of the drawn triples
@@ -201,7 +209,7 @@ def covering_samples(n: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(samples)
 
 
-def check_covering_witnesses(lat: FiniteLattice, samples=None):
+def check_covering_witnesses(lat: FiniteLattice):
     """Certify the covering reduction on seeded samples (V, W, x).
 
     ``gbd_witness`` and ``delta_compactness_check`` read their branch off the
@@ -215,12 +223,10 @@ def check_covering_witnesses(lat: FiniteLattice, samples=None):
     on the spectrum and the triple, so a repeat cannot change the verdict,
     and the first failing triple (hence the witness text) is the same as in
     draw order.  Small lattices repeat heavily: a one-element lattice draws
-    the one triple (1, 1, 0) sixty times.  ``samples`` is
-    ``covering_samples(lat.n)``, drawn here when not given."""
+    the one triple (1, 1, 0) sixty times.  A separating pair that is not a
+    spectrum point at all fails the same way as one on the wrong side."""
     s = build_bitop_spectrum(lat)
-    if samples is None:
-        samples = covering_samples(lat.n)
-    for v, w, x in samples:
+    for v, w, x in covering_samples(lat.n):
         inter = full_mask(len(s.points))
         union_v = union_w = 0
         for y in bits(v):
@@ -237,8 +243,8 @@ def check_covering_witnesses(lat: FiniteLattice, samples=None):
             if res.v1 & ~v or res.w1 & ~w:
                 return "witness subsets escape the inputs"
         else:
-            k = 1 << s.point_index(res.pair.a, res.pair.b)
-            if not (inter & k and not union_w & k):
+            k = s.index.get((res.pair.a, res.pair.b))
+            if k is None or not (inter >> k & 1 and not union_w >> k & 1):
                 return "separating pair is not a counterexample point"
         res2 = delta_compactness_check(s, x, v)
         if is_subset(s.delta[x], union_v) != (res2.kind == "witness"):
@@ -246,8 +252,8 @@ def check_covering_witnesses(lat: FiniteLattice, samples=None):
         if res2.kind == "witness" and not lat.leq(x, lat.join_of(res2.v1)):
             return "cover witness join does not dominate"
         if res2.kind == "separating":
-            k = 1 << s.point_index(res2.pair.a, res2.pair.b)
-            if not (s.delta[x] & k and not union_v & k):
+            k = s.index.get((res2.pair.a, res2.pair.b))
+            if k is None or not (s.delta[x] >> k & 1 and not union_v >> k & 1):
                 return "cover separating pair is not a counterexample point"
     return None
 
@@ -424,15 +430,10 @@ LATTICE_SUITES = (
 )
 
 
-def suite_for_lattice(lat: FiniteLattice, samples=None) -> list[CheckResult]:
-    """One result per suite, in ``LATTICE_SUITES`` order.  ``samples`` goes
-    to the covering suite (see :func:`check_covering_witnesses`)."""
+def suite_for_lattice(lat: FiniteLattice) -> list[CheckResult]:
+    """One result per suite, in ``LATTICE_SUITES`` order."""
     name = lat.name or ",".join(lat.names)
-    extra = {"covering_witnesses": (samples,)}
-    return [
-        _check(name, check_name, lambda fn=fn, more=extra.get(check_name, ()): fn(lat, *more))
-        for check_name, fn in LATTICE_SUITES
-    ]
+    return [_check(name, check_name, lambda fn=fn: fn(lat)) for check_name, fn in LATTICE_SUITES]
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +566,7 @@ def _check_classical_bridge(lats, homs):
         if not (bm.bijective and bm.homeomorphism):
             return f"prime-ideal embedding fails on {lat.name}"
         spec = build_classical_spectrum(lat)
-        prime_masks = {p.members: k for k, p in enumerate(spec.points)}
+        prime_masks = {p: k for k, p in enumerate(spec.points)}
         classical[i] = (spec, prime_masks, bm.point_map)
     for i in distributive:
         spec_a, prime_masks, ba = classical[i]
@@ -576,7 +577,7 @@ def _check_classical_bridge(lats, homs):
                     continue
                 point_map = []
                 for p in spec_b_.points:
-                    pre = f.preimage(p.members)
+                    pre = f.preimage(p)
                     if pre not in prime_masks:
                         return f"proper hom does not act on spectra: {f.label()}"
                     point_map.append(prime_masks[pre])
@@ -597,12 +598,5 @@ def _check_classical_bridge(lats, homs):
 
 
 def run_lattice_suites(lattices) -> list[CheckResult]:
-    """Evaluate the per-lattice suites, serially and in input order.  The
-    covering samples are drawn once per lattice size within the call."""
-    samples = {}
-    results = []
-    for lat in lattices:
-        if lat.n not in samples:
-            samples[lat.n] = covering_samples(lat.n)
-        results += suite_for_lattice(lat, samples[lat.n])
-    return results
+    """Evaluate the per-lattice suites, serially and in input order."""
+    return [r for lat in lattices for r in suite_for_lattice(lat)]

@@ -7,20 +7,8 @@ import random
 
 from lattice_spectra.bitsets import bits, full_mask, is_subset, preimage_mask
 from lattice_spectra.duality import pbd_morphism
-from lattice_spectra.errors import (
-    EmptyGeneratorSet,
-    NotACover,
-    NotALattice,
-    NotPairwiseBD,
-)
-from lattice_spectra.lattices import (
-    Filter,
-    Ideal,
-    PrimeIdeal,
-    all_ideals,
-    check_hom,
-    is_prime_ideal,
-)
+from lattice_spectra.errors import LatticeToolError, NotALattice, NotPairwiseBD
+from lattice_spectra.lattices import all_ideals, check_hom
 from lattice_spectra.spectra import build_bitop_spectrum, delta_compactness_check, gbd_witness
 from lattice_spectra.topology import (
     empty_set_is_fundamental,
@@ -30,33 +18,52 @@ from lattice_spectra.topology import (
 )
 
 
+class EmptyGeneratorSet(LatticeToolError):
+    """Ideal/filter generation needs at least one generator."""
+
+
+class NotACover(LatticeToolError):
+    """The supplied family does not cover the target set or is not open."""
+
+
+def _is_closed(m, order, table):
+    """Whether the mask ``m`` is nonempty, closed under ``order`` (each
+    member's up- or down-set lies inside it) and under the ``table``
+    operation on pairs of members."""
+    return bool(m) and not any(order[x] & ~m for x in bits(m)) and all(
+        m >> table[x][y] & 1 for x, y in itertools.combinations(list(bits(m)), 2)
+    )
+
+
+def is_ideal(lat, m):
+    """Nonempty, down-closed and join-closed."""
+    return _is_closed(m, lat.down, lat.join_table)
+
+
+def is_filter(lat, m):
+    """Nonempty, up-closed and meet-closed."""
+    return _is_closed(m, lat.up, lat.meet_table)
+
+
 def ideal_masks_brute(lat):
     """Every ideal found by scanning all carrier subsets."""
-    out = []
-    for m in range(1, 1 << lat.n):
-        if any(lat.down[x] & ~m for x in bits(m)):
-            continue
-        if any(
-            not m >> lat.join_table[x][y] & 1
-            for x, y in itertools.combinations(list(bits(m)), 2)
-        ):
-            continue
-        out.append(m)
-    return sorted(out)
+    return [m for m in range(1 << lat.n) if is_ideal(lat, m)]
 
 
 def filter_masks_brute(lat):
-    out = []
-    for m in range(1, 1 << lat.n):
-        if any(lat.up[x] & ~m for x in bits(m)):
-            continue
-        if any(
-            not m >> lat.meet_table[x][y] & 1
-            for x, y in itertools.combinations(list(bits(m)), 2)
-        ):
-            continue
-        out.append(m)
-    return sorted(out)
+    """Every filter found by scanning all carrier subsets."""
+    return [m for m in range(1 << lat.n) if is_filter(lat, m)]
+
+
+def is_preorder(up):
+    """Whether ``up`` holds the up-sets of a preorder on ``len(up)`` points:
+    each mask inside the carrier, each point in its own up-set, and each
+    up-set containing the up-sets of its members."""
+    full = full_mask(len(up))
+    return all(
+        not u & ~full and u >> x & 1 and not any(up[y] & ~u for y in bits(u))
+        for x, u in enumerate(up)
+    )
 
 
 def comaximal_pairs_brute(lat):
@@ -192,8 +199,12 @@ def associativity_failure_brute(lat):
 
 
 def prime_ideals_by_ideal_scan(lat):
-    """Every ideal from ``all_ideals`` that passes ``is_prime_ideal``."""
-    return [PrimeIdeal(lat, i.members) for i in all_ideals(lat) if is_prime_ideal(lat, i.members)]
+    """Every mask from ``all_ideals`` that is an ideal, proper, and whose
+    complement is a filter, by the closure definitions."""
+    full = full_mask(lat.n)
+    return [
+        m for m in all_ideals(lat) if is_ideal(lat, m) and m != full and is_filter(lat, full & ~m)
+    ]
 
 
 def perm_canonical(up, n):
@@ -478,8 +489,8 @@ def covering_witnesses_literal(lat, gbd=gbd_witness, delta=delta_compactness_che
             if res.v1 & ~v or res.w1 & ~w:
                 return "witness subsets escape the inputs"
         else:
-            k = 1 << s.point_index(res.pair.a, res.pair.b)
-            if not (inter & k and not union_w & k):
+            k = s.index.get((res.pair.a, res.pair.b))
+            if k is None or not (inter >> k & 1 and not union_w >> k & 1):
                 return "separating pair is not a counterexample point"
         x = rng.randrange(lat.n)
         res2 = delta(s, x, v)
@@ -488,8 +499,8 @@ def covering_witnesses_literal(lat, gbd=gbd_witness, delta=delta_compactness_che
         if res2.kind == "witness" and not lat.leq(x, lat.join_of(res2.v1)):
             return "cover witness join does not dominate"
         if res2.kind == "separating":
-            k = 1 << s.point_index(res2.pair.a, res2.pair.b)
-            if not (s.delta[x] & k and not union_v & k):
+            k = s.index.get((res2.pair.a, res2.pair.b))
+            if k is None or not (s.delta[x] >> k & 1 and not union_v >> k & 1):
                 return "cover separating pair is not a counterexample point"
     return None
 
@@ -526,39 +537,40 @@ def compose_morphisms(f, g):
 
 
 def principal_ideal(lat, x):
-    """The principal ideal of x: every element below x."""
-    return Ideal(lat, lat.down[x])
+    """The principal ideal of x, as a mask: every element below x."""
+    return lat.down[x]
 
 
 def principal_filter(lat, x):
-    """The principal filter of x: every element above x."""
-    return Filter(lat, lat.up[x])
+    """The principal filter of x, as a mask: every element above x."""
+    return lat.up[x]
 
 
 def generated_ideal(lat, generators):
-    """The least ideal containing a nonempty generator set: the down-set of
-    their join, since every ideal of a finite lattice is principal."""
+    """The least ideal containing a nonempty generator set, as a mask: the
+    down-set of their join, since every ideal of a finite lattice is
+    principal."""
     if generators == 0:
         raise EmptyGeneratorSet("ideal generation needs a nonempty set")
-    return Ideal(lat, lat.down[lat.join_of(generators)])
+    return lat.down[lat.join_of(generators)]
 
 
 def generated_filter(lat, generators):
-    """The least filter containing a nonempty generator set: the up-set of
-    their meet."""
+    """The least filter containing a nonempty generator set, as a mask: the
+    up-set of their meet."""
     if generators == 0:
         raise EmptyGeneratorSet("filter generation needs a nonempty set")
-    return Filter(lat, lat.up[lat.meet_of(generators)])
+    return lat.up[lat.meet_of(generators)]
 
 
 def pair_ideal(pair):
-    """The ideal ``down[a]`` of a comaximal pair, as a validated ``Ideal``."""
-    return Ideal(pair.lattice, pair.lattice.down[pair.a])
+    """The ideal ``down[a]`` of a comaximal pair, as a mask."""
+    return pair.lattice.down[pair.a]
 
 
 def pair_filter(pair):
-    """The filter ``up[b]`` of a comaximal pair, as a validated ``Filter``."""
-    return Filter(pair.lattice, pair.lattice.up[pair.b])
+    """The filter ``up[b]`` of a comaximal pair, as a mask."""
+    return pair.lattice.up[pair.b]
 
 
 def is_compact_subset(top, a, cover):

@@ -113,6 +113,12 @@ def test_parse_hom_wrong_lattice_name(chain2, m5):
         parse_hom("hom inc from other to m5\nmap 0 0\nmap 1 a\n", chain2, m5)
 
 
+def test_parse_hom_requires_header(chain2, m5):
+    with pytest.raises(ParseError) as exc:
+        parse_hom("map 0 0\nmap 1 a\n", chain2, m5)
+    assert (exc.value.line, str(exc.value)) == (1, "line 1: missing 'hom' line")
+
+
 # --- catalog -------------------------------------------------------------------
 
 
@@ -240,7 +246,7 @@ def test_random_reproducible():
 
 def test_random_yields_valid_lattices():
     for lat in enumerate_lattices(GeneratorConfig("random", 7, seed=11, count=10)):
-        assert 1 <= lat.n <= 7  # construction re-validates the axioms
+        assert 1 <= lat.n <= 7  # lattice_from_order validates the order
 
 
 # --- DOT export -----------------------------------------------------------------

@@ -139,6 +139,14 @@ def test_hom_command(lattice_dir, tmp_path):
     assert "quasi-proper: no witness=" in out
 
 
+def test_hom_without_header_is_input_error(lattice_dir, tmp_path, capsys):
+    hom = tmp_path / "bare.hom"
+    hom.write_text("map 0 0\nmap 1 a\n", encoding="utf-8")
+    code, out = run_cli(["hom", str(hom), str(lattice_dir / "chain2.lat"), str(lattice_dir / "m5.lat")])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: line 1: missing 'hom' line\n"
+
+
 def test_hom_identity(lattice_dir, tmp_path):
     hom = tmp_path / "id.hom"
     hom.write_text("hom id from m5 to m5\n" + "".join(f"map {x} {x}\n" for x in "0abc1"), encoding="utf-8")
@@ -266,7 +274,7 @@ def test_public_names_resolve_lazily():
     import lattice_spectra
 
     exported = set(lattice_spectra.__all__)
-    assert len(exported) == len(lattice_spectra.__all__) == 91
+    assert len(exported) == len(lattice_spectra.__all__) == 86
     for name in exported:
         module = importlib.import_module(f"lattice_spectra.{lattice_spectra._MODULE_OF[name]}")
         assert getattr(lattice_spectra, name) is getattr(module, name), name

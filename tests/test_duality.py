@@ -154,8 +154,8 @@ def test_spec_b_collapse_surjection(diamond, chain2):
     assert m.source.n == 1 and m.target.n == 2
     src_spec = build_bitop_spectrum(diamond)
     pair = src_spec.points[m.mapping[0]]
-    assert pair_ideal(pair).label() == "{0,q}"
-    assert pair_filter(pair).label() == "{p,1}"
+    assert diamond.set_label(pair_ideal(pair)) == "{0,q}"
+    assert diamond.set_label(pair_filter(pair)) == "{p,1}"
 
 
 def test_spec_b_contravariant_composition(lattices_upto_4):
@@ -259,13 +259,13 @@ def test_classical_point_maps_continuity_is_strong_continuity(lattices_upto_5):
     maps = 0
     for a in distributive:
         spec_a = build_classical_spectrum(a)
-        index = {p.members: k for k, p in enumerate(spec_a.points)}
+        index = {p: k for k, p in enumerate(spec_a.points)}
         for b in distributive:
             spec_b = build_classical_spectrum(b)
             for f in all_homs(a, b):
                 if not classify_hom(f).proper:
                     continue
-                point_map = [index[f.preimage(p.members)] for p in spec_b.points]
+                point_map = [index[f.preimage(p)] for p in spec_b.points]
                 continuous = is_continuous(point_map, spec_b.space, spec_a.space)
                 assert continuous == strongly_continuous_brute(point_map, spec_b.space, spec_a.space)
                 assert continuous, f.label()

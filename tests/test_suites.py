@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import itertools
 import random
 from pathlib import Path
@@ -6,10 +7,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from lattice_spectra import duality, suites
+from lattice_spectra import duality, spectra, suites
 from lattice_spectra.bitsets import bits
-from lattice_spectra.lattices import FiniteLattice, LatticeHom, check_hom
+from lattice_spectra.lattices import LatticeHom, check_hom
 from lattice_spectra.spectra import (
+    ComaximalPair,
     build_bitop_spectrum,
     build_classical_spectrum,
     delta_compactness_check,
@@ -107,23 +109,18 @@ def test_covering_witnesses_equal_literal_loop(lattices_upto_6, cat):
         assert suites.check_covering_witnesses(lat) is None
 
 
-def test_covering_samples_drawn_once_per_size(monkeypatch, lattices_upto_5, cat):
+def test_covering_samples_drawn_once_per_size(lattices_upto_5, cat):
     # one run draws each lattice size's stream once and gives every lattice
     # of that size the triples it would draw alone
     lats = [*lattices_upto_5, *cat.values()]
     alone = [r for lat in lats for r in suites.suite_for_lattice(lat)]
-    sizes = []
-    draw = suites.covering_samples
-
-    def counting(n):
-        sizes.append(n)
-        return draw(n)
-
-    monkeypatch.setattr(suites, "covering_samples", counting)
+    suites.covering_samples.cache_clear()
     assert suites.run_lattice_suites(lats) == alone
-    assert sorted(sizes) == sorted({lat.n for lat in lats})
+    sizes = {lat.n for lat in lats}
+    info = suites.covering_samples.cache_info()
+    assert (info.misses, info.hits) == (len(sizes), len(lats) - len(sizes))
     for lat in lats:
-        assert draw(lat.n) == tuple(dict.fromkeys(_covering_draws(lat)))
+        assert suites.covering_samples(lat.n) == tuple(dict.fromkeys(_covering_draws(lat)))
 
 
 def _counting(monkeypatch, module, name):
@@ -239,16 +236,57 @@ def test_covering_witnesses_first_failure_equals_literal_loop(monkeypatch, latti
     assert planted == {"branch": 54, "pair": 4}[fault]
 
 
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("chain2", "separating pair is not a counterexample point"),
+        ("m5", "cover separating pair is not a counterexample point"),
+    ],
+)
+def test_non_point_pair_reaches_covering_witnesses(monkeypatch, cat, name, message):
+    # a separating pair is an unchecked record; one that is no spectrum point
+    # ((top, bottom) overlaps) fails the suite with the counterexample text
+    # of the side whose separating sample comes first
+    monkeypatch.setattr(
+        spectra, "extend_to_comaximal", lambda lat, a, b: ComaximalPair(lat, lat.top, lat.bottom)
+    )
+    result = _suite_result(cat[name], "covering_witnesses")
+    assert (result.passed, result.witness) == (False, message)
+
+
 def _corrupt(lat, table_name, i, j, value):
-    """A copy of ``lat`` with one table entry changed, made without the
-    constructor's checks."""
-    clone = object.__new__(FiniteLattice)
-    for name in ("names", "up", "meet_table", "join_table", "bottom", "top", "name"):
-        object.__setattr__(clone, name, getattr(lat, name))
+    """A copy of the lattice record ``lat`` with one table entry changed."""
     table = [list(row) for row in getattr(lat, table_name)]
     table[i][j] = value
-    object.__setattr__(clone, table_name, tuple(map(tuple, table)))
-    return clone
+    return dataclasses.replace(lat, **{table_name: tuple(map(tuple, table))})
+
+
+@pytest.mark.parametrize(
+    "table, pair, value, message",
+    [
+        ("meet_table", ("xy", "xz"), "0", "meet table is not the glb at (xy,xz)"),
+        ("join_table", ("x", "y"), "1", "join table is not the lub at (x,y)"),
+    ],
+)
+def test_table_faults_reach_lattice_axioms(cat, table, pair, value, message):
+    # a symmetric wrong entry that keeps commutativity, the order/meet
+    # agreement and absorption: only the glb/lub check catches it
+    b3 = cat["b3"]
+    i, j = map(b3.index, pair)
+    mutant = _corrupt(_corrupt(b3, table, i, j, b3.index(value)), table, j, i, b3.index(value))
+    assert suites.check_lattice_axioms(mutant) == message
+
+
+@pytest.mark.parametrize(
+    "bound, message",
+    [("bottom", "declared bottom is not below every element"), ("top", "declared top is not above every element")],
+)
+def test_declared_bound_faults_reach_lattice_axioms(cat, bound, message):
+    for lat in (cat["chain3"], cat["m5"], cat["b3"]):
+        for x in range(lat.n):
+            if x != getattr(lat, bound):
+                mutant = dataclasses.replace(lat, **{bound: x})
+                assert suites.check_lattice_axioms(mutant) == message, (lat.name, x)
 
 
 def test_lattice_axioms_catch_every_associativity_failure(lattices_upto_5, cat):
@@ -361,7 +399,7 @@ _BAD_SPACES = {
 
 
 def _space(tau, sigma):
-    return bitop_space(FiniteTopology(len(tau), tau), FiniteTopology(len(sigma), sigma))
+    return bitop_space(FiniteTopology(tau), FiniteTopology(sigma))
 
 
 @pytest.mark.parametrize("message", sorted(_BAD_SPACES))
@@ -468,3 +506,21 @@ def test_library_raises_no_runtime_error():
                 owner = min(around, key=lambda f: f.end_lineno - f.lineno).name if around else "<module>"
                 found.append(f"{path.stem}.{owner}")
     assert found == ["catalog._random"]
+
+
+def test_only_cli_input_records_validate_themselves():
+    # records the library computes are plain; each value is validated where
+    # it enters, by its builder or parser.  The one ``__post_init__`` left
+    # checks the generator sizes given on the command line
+    package = Path(duality.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                found += [
+                    f"{path.stem}.{cls.name}"
+                    for node in cls.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"
+                ]
+    assert found == ["catalog.GeneratorConfig"]

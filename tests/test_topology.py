@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lattice_spectra.bitsets import bits, full_mask, is_subset, mask_of
-from lattice_spectra.errors import CarrierTooLarge, NotACover, NotIncreasing, NotPairwiseBD
+from lattice_spectra.errors import CarrierTooLarge, NotIncreasing, NotPairwiseBD
 from lattice_spectra.lattices import build_lattice
 from lattice_spectra.spectra import build_bitop_spectrum
 from lattice_spectra.topology import (
@@ -29,6 +29,7 @@ from lattice_spectra.topology import (
 )
 
 from oracles import (
+    NotACover,
     bd_space_brute,
     essential_subsets_brute,
     essential_subsets_by_sigma_opens,
@@ -38,6 +39,7 @@ from oracles import (
     is_doubly_bd,
     is_homeomorphism_brute,
     is_pairwise_t0_brute,
+    is_preorder,
     op_d_loop,
     op_i_loop,
     pairwise_bd_axioms_iv_v_brute,
@@ -59,15 +61,8 @@ def indiscrete(n):
 
 
 def all_topologies(n):
-    """Every topology on n points: each up-mask tuple the constructor
-    accepts as a preorder."""
-    out = []
-    for up in itertools.product(range(1 << n), repeat=n):
-        try:
-            out.append(FiniteTopology(n, up))
-        except ValueError:
-            pass
-    return out
+    """Every topology on n points: each up-mask tuple that is a preorder."""
+    return [FiniteTopology(up) for up in itertools.product(range(1 << n), repeat=n) if is_preorder(up)]
 
 
 def small_bitop_spaces():
@@ -164,10 +159,28 @@ def test_specialization_matches_subbasis_test(m5, n5):
 def test_preorder_validation():
     assert [len(all_topologies(n)) for n in range(5)] == [1, 1, 4, 29, 355]  # OEIS A000798
     for up in ((0b11,), (0b10, 0b10), (0b011, 0b110, 0b100)):
-        with pytest.raises(ValueError):
-            FiniteTopology(len(up), up)  # outside the carrier, not reflexive, not transitive
-    with pytest.raises(ValueError):
-        FiniteTopology(2, (0b11,))
+        assert not is_preorder(up)  # outside the carrier, not reflexive, not transitive
+
+
+def test_subbasis_topologies_are_preorders(lattices_upto_6):
+    # topologies are plain records; the subbasis construction is what makes
+    # each one a preorder, on spectra and on every small subbasis family
+    from lattice_spectra.duality import essential_lattice
+    from lattice_spectra.spectra import build_classical_spectrum
+
+    tops = []
+    for lat in lattices_upto_6:
+        space = build_bitop_spectrum(lat).space
+        essential = essential_lattice(space).lattice
+        for base in (lat, essential):
+            bitop = build_bitop_spectrum(base).space
+            tops += [bitop.tau, bitop.sigma, build_classical_spectrum(base).space]
+    for n in range(4):
+        for pick in range(1 << (1 << n)):
+            tops.append(topology_from_subbasis(n, bits(pick)))
+    assert len(tops) == 6 * len(lattices_upto_6) + 2 + 4 + 16 + 256
+    for top in tops:
+        assert is_preorder(top.up), top
 
 
 def test_continuity_and_homeomorphism_match_open_families():
@@ -635,7 +648,7 @@ def test_bd_space_matches_literal_clauses(cat, lattices_upto_6):
     for lat in cat.values():
         space = build_bitop_spectrum(lat).space
         tops += [build_classical_spectrum(lat).space, space.tau, space.sigma]
-    tops += [indiscrete(2), indiscrete(3), FiniteTopology(3, (0b111, 0b110, 0b110))]
+    tops += [indiscrete(2), indiscrete(3), FiniteTopology((0b111, 0b110, 0b110))]
     verdicts = [is_bd_space(top) for top in tops]
     for top, verdict in zip(tops, verdicts):
         assert (verdict.passed, verdict.reason) == bd_space_brute(top)
