@@ -254,12 +254,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--dot", metavar="OUT", help="write a DOT rendering to OUT")
 
     p_verify = sub.add_parser("verify", help="run the theorem suites")
-    p_verify.add_argument("file", nargs="?", help="lattice file to verify")
-    p_verify.add_argument("--catalog", action="store_true", help="verify the named catalog")
-    p_verify.add_argument(
+    # one input mode per run; with none, cmd_verify reports the input error
+    mode = p_verify.add_mutually_exclusive_group()
+    mode.add_argument("file", nargs="?", help="lattice file to verify")
+    mode.add_argument("--catalog", action="store_true", help="verify the named catalog")
+    mode.add_argument(
         "--exhaustive", type=int, metavar="N", help="verify all lattices with at most N elements"
     )
-    p_verify.add_argument(
+    mode.add_argument(
         "--random", nargs=2, type=int, metavar=("SEED", "COUNT"), help="verify seeded random lattices"
     )
     p_verify.add_argument(

@@ -387,6 +387,7 @@ class FundamentalLattice(NamedTuple):
         return self.subsets.index(subset)
 
 
+@lru_cache(maxsize=None)
 def fundamental_lattice(top: FiniteTopology) -> FundamentalLattice:
     """The fundamental subsets ordered by inclusion.  The family is closed
     under intersection and union, so those are meet and join;

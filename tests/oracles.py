@@ -5,6 +5,7 @@ import functools
 import itertools
 import random
 
+from lattice_spectra import topology
 from lattice_spectra.bitsets import bits, full_mask, is_subset, preimage_mask
 from lattice_spectra.duality import pbd_morphism
 from lattice_spectra.errors import LatticeToolError, NotALattice, NotPairwiseBD
@@ -264,6 +265,49 @@ def op_d_loop(space, a):
         if not u & outside:
             out |= 1 << x
     return out
+
+
+def increasing_pairs(space):
+    """Every pair (A, B) of a sigma-increasing A and a tau-increasing B,
+    ascending: the increasing sets of a preorder are the opens of its
+    topology."""
+    return itertools.product(sorted(space.sigma.opens), sorted(space.tau.opens))
+
+
+def sampled_increasing_pairs(space):
+    """2000 seeded pairs (d(X), i(Y)) of a sigma-increasing and a
+    tau-increasing set, X and Y drawn from the carrier's subsets by one
+    ``Random(1729)``."""
+    rng = random.Random(1729)
+    full = full_mask(space.n)
+    return [
+        (topology.op_d(space, rng.randint(0, full)), topology.op_i(space, rng.randint(0, full)))
+        for _ in range(2000)
+    ]
+
+
+def adjunction_witness(space, pairs):
+    """The adjunction i(A) <= B iff A <= d(B), evaluated with the library's
+    ``op_i``/``op_d`` on ``pairs`` of a sigma-increasing A and a
+    tau-increasing B: the first failing pair as witness text, or None.  It
+    holds on every finite space (``suites.check_transition_operators``
+    gives the proof)."""
+    for a, b in pairs:
+        if is_subset(topology.op_i(space, a), b) != is_subset(a, topology.op_d(space, b)):
+            return f"adjunction fails at A={a:#x} B={b:#x}"
+    return None
+
+
+def d_family_closure_witness(space, essentials):
+    """The intersection-closure half of pairwise-BD axiom (iii): the first
+    two d-images of ``essentials``, ascending, whose intersection is not a
+    d-image, as witness text, or None.  It holds on every finite space
+    (``topology.is_pairwise_bd`` gives the proof)."""
+    d_family = {topology.op_d(space, a) for a in essentials}
+    for a, b in itertools.combinations(sorted(d_family), 2):
+        if a & b not in d_family:
+            return f"d-image family not closed under intersection: {a:#x} & {b:#x}"
+    return None
 
 
 def essential_subsets_brute(space):

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -116,9 +117,29 @@ def test_verify_random(lattice_dir):
     assert "lattices: 4" in out
 
 
-def test_verify_nothing_is_input_error():
+def test_verify_nothing_is_input_error(capsys):
     code, _ = run_cli(["verify"])
     assert code == 2
+    assert capsys.readouterr().err == "error: nothing to verify: pass a file, --catalog, --exhaustive or --random\n"
+
+
+_VERIFY_MODES = {
+    "file": ["{dir}/m5.lat"],
+    "catalog": ["--catalog"],
+    "exhaustive": ["--exhaustive", "2"],
+    "random": ["--random", "1", "3"],
+}
+
+
+@pytest.mark.parametrize("first, second", list(itertools.combinations(_VERIFY_MODES, 2)))
+def test_verify_takes_one_input_mode(lattice_dir, capsys, first, second):
+    # a second mode is refused, never silently dropped
+    args = [a.format(dir=lattice_dir) for a in ["verify", *_VERIFY_MODES[second], *_VERIFY_MODES[first]]]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "not allowed with argument" in err
 
 
 def test_input_error_exit_code(tmp_path):

@@ -20,6 +20,7 @@ from lattice_spectra.spectra import (
 from lattice_spectra.topology import FiniteTopology, bitop_space
 
 from oracles import associativity_failure_brute, covering_witnesses_literal
+from test_golden import _boolean, _diamond
 
 CORPUS_CHECKS = ["hom_classification", "functor_laws", "naturality_squares", "classical_bridge"]
 
@@ -487,6 +488,27 @@ def test_non_prime_closure_point_reaches_prime_point_closures(monkeypatch, m5):
     )
 
 
+def test_verify_enumerates_open_families_only_on_zariski_spaces(monkeypatch, cat):
+    # fundamental_subsets on a classical spectrum, where the count |L| is
+    # the theorem, is the one reader of FiniteTopology.opens in the suites;
+    # every read is recorded, cached family or not
+    lats = [*cat.values(), _diamond(6), _boolean(5)]
+    enumerate_opens = FiniteTopology.opens.func
+    read = []
+
+    def recording(top):
+        read.append(top)
+        return enumerate_opens(top)
+
+    monkeypatch.setattr(FiniteTopology, "opens", property(recording))
+    duality.fundamental_lattice.cache_clear()  # so the Zariski reads happen here
+    assert all(r.passed for r in suites.run_lattice_suites(lats))
+    zariski = [build_classical_spectrum(lat).space for lat in lats]
+    assert read
+    for top in read:
+        assert any(top is space for space in zariski), top.up
+
+
 def test_library_raises_no_runtime_error():
     # theorem checks report through the suites; the one RuntimeError left in
     # the package is the random sampler's convergence guard, which keeps
@@ -524,3 +546,34 @@ def test_only_cli_input_records_validate_themselves():
                     if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"
                 ]
     assert found == ["catalog.GeneratorConfig"]
+
+
+def _unused_imports(tree):
+    """The names a module imports but never reads and does not list in a
+    literal ``__all__``; ``from __future__`` imports are skipped, and a name
+    read only in an annotation counts as read."""
+    imported = set()
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ) and isinstance(node.value, (ast.List, ast.Tuple)):
+            exported.update(e.value for e in node.value.elts if isinstance(e, ast.Constant))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read - exported)
+
+
+def test_library_imports_only_what_it_uses():
+    package = Path(duality.__file__).parent
+    unused = {
+        path.stem: names
+        for path in sorted(package.glob("*.py"))
+        if (names := _unused_imports(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert unused == {}
+    # the check sees a leftover import
+    assert _unused_imports(ast.parse("import itertools\nfrom x import y as z\nz()\n")) == ["itertools"]

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lattice_spectra import topology
 from lattice_spectra.bitsets import bits, full_mask, is_subset, mask_of
+from lattice_spectra.duality import essential_lattice
 from lattice_spectra.errors import CarrierTooLarge, NotIncreasing, NotPairwiseBD
 from lattice_spectra.lattices import build_lattice
 from lattice_spectra.spectra import build_bitop_spectrum
@@ -30,9 +32,12 @@ from lattice_spectra.topology import (
 
 from oracles import (
     NotACover,
+    adjunction_witness,
     bd_space_brute,
+    d_family_closure_witness,
     essential_subsets_brute,
     essential_subsets_by_sigma_opens,
+    increasing_pairs,
     is_bounded_pbd,
     is_compact_subset,
     is_continuous_brute,
@@ -44,7 +49,9 @@ from oracles import (
     op_i_loop,
     pairwise_bd_axioms_iv_v_brute,
     pairwise_bd_first_axioms_brute,
+    sampled_increasing_pairs,
 )
+from test_golden import _boolean, _diamond
 
 
 def sierpinski():
@@ -370,15 +377,58 @@ def test_monotone_and_deflation(lattices_upto_4):
                     break
 
 
-def test_adjunction_all_pairs(lattices_upto_5):
-    for lat in lattices_upto_5:
+def _finite_fact_spaces(lattices):
+    """Every bitopological space on one to three points, pairwise-BD or
+    not, then the spectrum of each lattice and of its essential lattice."""
+    spaces = small_bitop_spaces()
+    for lat in lattices:
         space = build_bitop_spectrum(lat).space
-        if space.n > 10:
-            continue
-        for a in space.sigma.opens:
-            da = op_i(space, a)
-            for b in space.tau.opens:
-                assert is_subset(da, b) == is_subset(a, op_d(space, b))
+        spaces += [space, build_bitop_spectrum(essential_lattice(space).lattice).space]
+    assert len(spaces) == 858 + 2 * len(lattices)
+    return spaces
+
+
+def test_adjunction_all_pairs(lattices_upto_6):
+    # the adjunction holds on every finite space, so verify does not
+    # re-check it; the oracle runs it on every pair of increasing sets
+    for space in _finite_fact_spaces(lattices_upto_6):
+        assert adjunction_witness(space, increasing_pairs(space)) is None, (space.up_tau, space.up_sigma)
+
+
+def test_d_family_closed_under_intersection(lattices_upto_6):
+    # axiom (iii)'s closure half holds on every finite space, also where
+    # another axiom fails, so is_pairwise_bd evaluates only the basis half
+    spaces = _finite_fact_spaces(lattices_upto_6)
+    assert any(not is_pairwise_bd(space).passed for space in spaces)
+    for space in spaces:
+        assert d_family_closure_witness(space, essential_subsets(space)) is None, (space.up_tau, space.up_sigma)
+
+
+@pytest.mark.parametrize("kind, k", [("m", 6), ("m", 18), ("m", 30), ("b", 8)])
+def test_finite_facts_on_large_spectra(kind, k):
+    # the seeded form verify used past 12 points: 2000 pairs from Random(1729)
+    lat = _diamond(k) if kind == "m" else _boolean(k)
+    space = build_bitop_spectrum(lat).space
+    assert adjunction_witness(space, sampled_increasing_pairs(space)) is None
+    assert d_family_closure_witness(space, essential_subsets(space)) is None
+
+
+def test_adjunction_oracle_reports_planted_fault(monkeypatch):
+    # a d that always keeps point 0: A = {0} lies in d(empty), i(A) is not empty
+    space = doubled_space(discrete(2))
+    real = topology.op_d
+    monkeypatch.setattr(topology, "op_d", lambda space, a: real(space, a) | 1)
+    assert adjunction_witness(space, increasing_pairs(space)) == "adjunction fails at A=0x1 B=0x0"
+
+
+def test_d_family_oracle_reports_planted_fault(monkeypatch):
+    # a d that sends the empty set to the carrier drops the empty d-image,
+    # the intersection of {0} and {1}
+    space = doubled_space(discrete(2))
+    ess = essential_subsets(space)
+    real = topology.op_d
+    monkeypatch.setattr(topology, "op_d", lambda space, a: real(space, a) or full_mask(space.n))
+    assert d_family_closure_witness(space, ess) == "d-image family not closed under intersection: 0x1 & 0x2"
 
 
 def test_d_preserves_intersections_i_unions(lattices_upto_4):
