@@ -2,7 +2,8 @@
 
 Subsets of a fixed finite carrier {0..n-1} are stored as plain ints, one bit
 per element.  Everything downstream (ideals, topologies, spectra) works on
-these masks, which keeps the exhaustive verification suites cheap.
+these masks, which keeps the exhaustive verification suites cheap.  A
+relation is a list of masks, one row per element; :func:`transpose` flips it.
 """
 
 from __future__ import annotations
@@ -44,3 +45,14 @@ def preimage_mask(mapping, target_mask: BitMask) -> BitMask:
 def is_subset(a: BitMask, b: BitMask) -> bool:
     return a & ~b == 0
 
+
+def transpose(rows, width: int) -> list[BitMask]:
+    """Bit i of ``out[j]`` is bit j of ``rows[i]``, for each ``j < width``.
+
+    Each row becomes the string of its low ``width`` bits, lowest first, and
+    ``zip`` reads the columns off in C, the last row as the highest bit.
+    """
+    if not rows or not width:  # format(0, "00b") is "0", not ""
+        return [0] * width
+    strings = [format(r, f"0{width}b")[: -width - 1 : -1] for r in reversed(rows)]
+    return [int("".join(col), 2) for col in zip(*strings)]

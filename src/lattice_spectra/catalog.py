@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .bitsets import bits, full_mask
+from .bitsets import bits, full_mask, transpose
 from .errors import MissingMapping, ParseError, SizeBoundExceeded, UnknownElement
 from .lattices import (
     FiniteLattice,
@@ -432,9 +432,11 @@ def to_dot(obj) -> str:
     elif isinstance(obj, BitopSpectrum):
         lat = obj.lattice
         lines = [f"digraph {_quote((lat.name or 'lattice') + '_spec_b')} {{", "  rankdir=BT;"]
+        m = len(obj.points)  # d_of[k] / e_of[k]: the x whose delta / epsilon holds k
+        d_of, e_of = transpose(obj.delta, m), transpose(obj.epsilon, m)
         for k, p in enumerate(obj.points):
-            in_delta = ",".join(lat.names[x] for x in range(lat.n) if obj.delta[x] >> k & 1)
-            in_eps = ",".join(lat.names[x] for x in range(lat.n) if obj.epsilon[x] >> k & 1)
+            in_delta = ",".join(lat.names[x] for x in bits(d_of[k]))
+            in_eps = ",".join(lat.names[x] for x in bits(e_of[k]))
             label = f"{p.label()}\\nd:{in_delta} e:{in_eps}"
             lines.append(f"  {_quote(p.label())} [label={_quote(label)}];")
         space = obj.space

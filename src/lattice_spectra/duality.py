@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .bitsets import BitMask, bits, full_mask, is_subset, mask_of, preimage_mask
+from .bitsets import BitMask, bits, full_mask, is_subset, mask_of, preimage_mask, transpose
 from .errors import NotBDSpace, NotDoublyBD, NotPairwiseBD, NotQuasiProper
 from .lattices import (
     FiniteLattice,
@@ -290,34 +290,26 @@ def _comaximal_characterization(space: BitopSpace) -> CharComaximalReport:
     lat = ess.lattice
     spectrum = build_bitop_spectrum(lat)
     d_images = [op_d(space, a) for a in ess.subsets]
-    inter_d = full_mask(space.n)
-    inter_a = full_mask(space.n)
+    full = inter_d = inter_a = full_mask(space.n)
     for a, da in zip(ess.subsets, d_images):
         inter_d &= da
         inter_a &= a
+    # I(x): the essential sets missing x; F(x): those whose d-image holds x
+    i_masks = transpose([full & ~a for a in ess.subsets], space.n)
+    f_masks = transpose(d_images, space.n)
     point_to_pair = []
-    ok = True
-    for x in range(space.n):
-        i_mask = mask_of(k for k, a in enumerate(ess.subsets) if not a >> x & 1)
-        f_mask = mask_of(k for k, da in enumerate(d_images) if da >> x & 1)
+    for i_mask, f_mask in zip(i_masks, f_masks):
         # a point (a, b) has the masks down[a] and up[b], so only the join of
         # I(x) with the meet of F(x) can match
         a, b = lat.join_of(i_mask), lat.meet_of(f_mask)
         found = -1
         if lat.down[a] == i_mask and lat.up[b] == f_mask:
             found = spectrum.index.get((a, b), -1)
-        ok = ok and found >= 0
         point_to_pair.append(found)
     matched = set(point_to_pair)
     injective = len(matched) == len(point_to_pair)
     unmatched = tuple(idx for idx in range(len(spectrum.points)) if idx not in matched)
-    passed = (
-        ok
-        and injective
-        and not unmatched
-        and inter_d == 0
-        and inter_a == 0
-    )
+    passed = -1 not in matched and injective and not unmatched and inter_d == 0 and inter_a == 0
     return CharComaximalReport(
         passed, tuple(point_to_pair), injective, unmatched, inter_d == 0, inter_a == 0
     )
@@ -414,17 +406,10 @@ def h_map_classical(top: FiniteTopology) -> ClassicalRepReport:
     fund = fundamental_lattice(top)
     spectrum = build_classical_spectrum(fund.lattice)
     prime_masks = {p: k for k, p in enumerate(spectrum.points)}
-    mapping = []
-    ok = True
-    for x in range(top.n):
-        ix = mask_of(k for k, a in enumerate(fund.subsets) if not a >> x & 1)
-        if ix not in prime_masks:
-            ok = False
-            mapping.append(-1)
-        else:
-            mapping.append(prime_masks[ix])
-    mapping = tuple(mapping)
-    bijective = ok and len(set(mapping)) == top.n == len(spectrum.points)
+    # I_x, the fundamental sets missing x, numbered as a prime ideal (-1: none)
+    i_masks = transpose([full_mask(top.n) & ~a for a in fund.subsets], top.n)
+    mapping = tuple(prime_masks.get(ix, -1) for ix in i_masks)
+    bijective = -1 not in mapping and len(set(mapping)) == top.n == len(spectrum.points)
     homeo = bijective and is_homeomorphism(mapping, top, spectrum.space)
     return ClassicalRepReport(bijective and homeo, fund, spectrum, mapping, bijective, homeo)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
-from .bitsets import BitMask, bits, full_mask, mask_of, preimage_mask
+from .bitsets import BitMask, bits, full_mask, mask_of, preimage_mask, transpose
 from .errors import (
     CyclicCovers,
     MissingMapping,
@@ -51,12 +51,7 @@ class FiniteLattice:
     @cached_property
     def down(self) -> tuple[BitMask, ...]:
         """``down[i]`` is the mask of elements below ``i`` (inclusive)."""
-        n = self.n
-        out = [0] * n
-        for i in range(n):
-            for j in bits(self.up[i]):
-                out[j] |= 1 << i
-        return tuple(out)
+        return tuple(transpose(self.up, self.n))
 
     def leq(self, x: int, y: int) -> bool:
         return bool(self.up[x] >> y & 1)
@@ -145,14 +140,13 @@ def lattice_from_order(names, up, name: str = "") -> FiniteLattice:
             raise ValueError("order relation mentions elements outside the carrier")
         if not u >> i & 1:
             raise ValueError("order relation is not reflexive")
-    down = [0] * n
     for i, u in enumerate(up):
         for j in bits(u):
             if i != j and up[j] >> i & 1:
                 raise ValueError("order relation is not antisymmetric")
             if up[j] & ~u:
                 raise ValueError("order relation is not transitive")
-            down[j] |= 1 << i
+    down = transpose(up, n)
     tables = []
     for masks, which in ((down, "glb"), (up, "lub")):
         principal = {m: i for i, m in enumerate(masks)}

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-from .bitsets import BitMask, bits, full_mask, image_mask, is_subset, mask_of
+from .bitsets import BitMask, bits, full_mask, image_mask, is_subset, transpose
 from .errors import EmptyInput, NotDisjoint
 from .lattices import FiniteLattice, prime_ideals
 from .topology import (
@@ -136,13 +136,10 @@ class BitopSpectrum:
 @lru_cache(maxsize=None)
 def build_bitop_spectrum(lat: FiniteLattice) -> BitopSpectrum:
     points = comaximal_pairs(lat)
-    up = lat.up
-    delta = tuple(
-        mask_of(k for k, p in enumerate(points) if not up[x] >> p.a & 1) for x in range(lat.n)
-    )
-    epsilon = tuple(
-        mask_of(k for k, p in enumerate(points) if up[p.b] >> x & 1) for x in range(lat.n)
-    )
+    full, up, down = full_mask(lat.n), lat.up, lat.down
+    # delta[x]: the points (a, b) with x not below a; epsilon[x]: those with b below x
+    delta = tuple(transpose([full & ~down[p.a] for p in points], lat.n))
+    epsilon = tuple(transpose([up[p.b] for p in points], lat.n))
     m = len(points)
     tau = topology_from_subbasis(m, delta)
     sigma = topology_from_subbasis(m, epsilon)
@@ -169,13 +166,8 @@ class ClassicalSpectrum(NamedTuple):
 @lru_cache(maxsize=None)
 def build_classical_spectrum(lat: FiniteLattice) -> ClassicalSpectrum:
     points = tuple(prime_ideals(lat))
-    dmap = []
-    for x in range(lat.n):
-        m = 0
-        for k, p in enumerate(points):
-            if not p >> x & 1:
-                m |= 1 << k
-        dmap.append(m)
+    # dmap[x]: the prime ideals not containing x
+    dmap = transpose([full_mask(lat.n) & ~p for p in points], lat.n)
     image = set(dmap)
     closed = all(a & b in image for a, b in itertools.combinations(image, 2))
     space = topology_from_subbasis(len(points), dmap)

@@ -13,7 +13,7 @@ import random
 from functools import lru_cache
 from typing import NamedTuple
 
-from .bitsets import bits, full_mask, is_subset
+from .bitsets import bits, full_mask, is_subset, transpose
 from .lattices import FiniteLattice, all_homs, check_hom
 from .spectra import (
     b_map,
@@ -145,12 +145,8 @@ def check_specialization_orders(lat: FiniteLattice):
     pts = s.points
     space = s.space
     # below_a[e] / below_b[e]: the points q with a_q / b_q below element e
-    below_a, below_b = [0] * lat.n, [0] * lat.n
-    for q, pt in enumerate(pts):
-        for e in bits(lat.up[pt.a]):
-            below_a[e] |= 1 << q
-        for e in bits(lat.up[pt.b]):
-            below_b[e] |= 1 << q
+    below_a = transpose([lat.up[pt.a] for pt in pts], lat.n)
+    below_b = transpose([lat.up[pt.b] for pt in pts], lat.n)
     for p, pt in enumerate(pts):
         tau = space.up_tau[p] ^ below_a[pt.a]
         sig = space.up_sigma[p] ^ below_b[pt.b]

@@ -234,6 +234,17 @@ def count_lattices_brute(n):
     return len(seen)
 
 
+def transpose_loop(rows, width):
+    """``bitsets.transpose`` bit by bit: ``out[j]`` collects each i with bit
+    j of ``rows[i]`` set, for ``j < width``."""
+    out = [0] * width
+    for i, row in enumerate(rows):
+        for j in bits(row):
+            if j < width:
+                out[j] |= 1 << i
+    return out
+
+
 def _up_closure(up, a):
     """i written out: the points above some member of ``a``."""
     out = 0
@@ -625,7 +636,7 @@ def is_compact_subset(top, a, cover):
     cover = list(cover)
     union = 0
     for u in cover:
-        if not is_increasing(top.up, u):
+        if not is_increasing(top, u):
             raise NotACover(f"cover member {u:#x} is not open")
         union |= u
     if a & ~union:

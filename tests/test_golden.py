@@ -1,7 +1,8 @@
 """Byte-exact CLI output gate.
 
 Every refactor of the library must leave the command line output unchanged.
-The expected stdout of each command lives in ``tests/golden/<case>.txt``.
+The expected stdout of each command lives in ``tests/golden/<case>.txt``; for
+a ``spec --dot`` case (``dot-*``) the file holds the DOT text it writes.
 After a deliberate output change, re-record with::
 
     PYTHONPATH=src python tests/test_golden.py
@@ -70,6 +71,8 @@ def _cases():
         cases[f"show-{name}"] = ["show", "{%s}" % name]
         cases[f"spec-bitop-{name}"] = ["spec", "{%s}" % name, "--bitop"]
         cases[f"spec-classical-{name}"] = ["spec", "{%s}" % name, "--classical"]
+        cases[f"dot-bitop-{name}"] = ["spec", "{%s}" % name, "--bitop", "--dot", "{dot}"]
+        cases[f"dot-classical-{name}"] = ["spec", "{%s}" % name, "--classical", "--dot", "{dot}"]
     for name in ("m3xm3", "m4xc2"):
         cases[f"show-{name}"] = ["show", "{%s}" % name]
     for name in ("m6", "chain22"):
@@ -98,13 +101,19 @@ def _write_inputs(directory: Path) -> dict[str, str]:
         path = directory / f"{name}.hom"
         path.write_text(text, encoding="utf-8")
         paths[f"hom_{name}"] = str(path)
+    paths["dot"] = str(directory / "out.dot")
     return paths
 
 
 def _run(argv, paths) -> str:
+    """The command's stdout, or the text of the file it writes with ``--dot``."""
     args = [a.format(**paths) if a.startswith("{") else a for a in argv]
+    dot = Path(paths["dot"])
+    dot.unlink(missing_ok=True)
     buf = io.StringIO()
     cli.main(args, out=buf)
+    if "--dot" in argv:
+        return dot.read_text(encoding="utf-8")
     return buf.getvalue()
 
 

@@ -22,6 +22,7 @@ from lattice_spectra.topology import (
     is_continuous,
     is_costable,
     is_homeomorphism,
+    is_increasing,
     is_pairwise_bd,
     is_pairwise_t0,
     is_stable,
@@ -32,6 +33,7 @@ from lattice_spectra.topology import (
 
 from oracles import (
     NotACover,
+    _up_closure,
     adjunction_witness,
     bd_space_brute,
     d_family_closure_witness,
@@ -377,6 +379,16 @@ def test_monotone_and_deflation(lattices_upto_4):
                     break
 
 
+def test_is_increasing_is_up_closed():
+    # open means closed upwards: the up-closure adds no point
+    spaces = small_bitop_spaces()
+    assert len(spaces) == 858
+    for space in spaces:
+        for top in (space.tau, space.sigma):
+            for a in range(1 << top.n):
+                assert is_increasing(top, a) == (_up_closure(top.up, a) == a), (top.up, a)
+
+
 def _finite_fact_spaces(lattices):
     """Every bitopological space on one to three points, pairwise-BD or
     not, then the spectrum of each lattice and of its essential lattice."""
@@ -611,6 +623,8 @@ def test_carrier_bound_guard():
     # family is bounded (2^17 members)
     chain = topology_from_subbasis(21, [(1 << 21) - (1 << k) for k in range(21)])
     assert len(chain.opens) == 22
+    # the bound itself is allowed: 2^17 opens on 17 discrete points
+    assert len(discrete(17).opens) == 1 << 17
     with pytest.raises(CarrierTooLarge):
         discrete(18).opens
 
