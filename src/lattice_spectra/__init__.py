@@ -51,6 +51,7 @@ _PUBLIC = {
         "BitopSpace",
         "FiniteTopology",
         "bitop_space",
+        "count_opens",
         "doubled_space",
         "empty_set_is_fundamental",
         "essential_subsets",

@@ -104,12 +104,13 @@ def cmd_show(args, out) -> int:
 
 def cmd_spec(args, out) -> int:
     from .spectra import build_bitop_spectrum, build_classical_spectrum
+    from .topology import count_opens
 
     lat = parse_lattice(_read(args.file))
     # the opens are counted before the first line, so a size limit prints nothing
     if args.classical:
         spec = build_classical_spectrum(lat)
-        zariski = len(spec.space.opens)
+        zariski = count_opens(spec.space)
         out.write(f"classical spectrum of {lat.name}\n")
         out.write(f"points: {len(spec.points)}\n")
         labels = [lat.set_label(p) for p in spec.points]
@@ -128,7 +129,7 @@ def cmd_spec(args, out) -> int:
                 fh.write(to_dot(spec))
     else:
         spec = build_bitop_spectrum(lat)
-        tau_opens, sigma_opens = len(spec.space.tau.opens), len(spec.space.sigma.opens)
+        tau_opens, sigma_opens = count_opens(spec.space.tau), count_opens(spec.space.sigma)
         out.write(f"bitopological spectrum of {lat.name}\n")
         out.write(f"points: {len(spec.points)}\n")
         for p in spec.points:

@@ -222,9 +222,9 @@ class EssentialLattice(NamedTuple):
         return self.subsets.index(subset)
 
 
-def _inclusion_lattice(family, name: str) -> tuple[FiniteLattice, tuple[BitMask, ...]]:
-    """A family of point sets ordered by inclusion, as a lattice whose
-    element k is ``members[k]`` (the family in sorted order)."""
+def _inclusion_lattice(space: BitopSpace, family, name: str) -> EssentialLattice:
+    """A family of point sets of ``space`` ordered by inclusion, as a lattice
+    whose element k is ``subsets[k]`` (the family in sorted order)."""
     members = tuple(sorted(family))
     k = len(members)
     names = tuple("{" + ",".join(f"p{i}" for i in bits(m)) + "}" for m in members)
@@ -232,13 +232,12 @@ def _inclusion_lattice(family, name: str) -> tuple[FiniteLattice, tuple[BitMask,
         mask_of(j for j in range(k) if is_subset(members[i], members[j]))
         for i in range(k)
     )
-    return lattice_from_order(names, up, name=name), members
+    return EssentialLattice(space, lattice_from_order(names, up, name=name), members)
 
 
 @lru_cache(maxsize=None)
 def essential_lattice(space: BitopSpace) -> EssentialLattice:
-    lat, members = _inclusion_lattice(essential_subsets(space), "essential")
-    return EssentialLattice(space, lat, members)
+    return _inclusion_lattice(space, essential_subsets(space), "essential")
 
 
 def essential_functor_on_morphism(m: PBDMorphism) -> LatticeHom:
@@ -371,28 +370,19 @@ def _reconstruction_report(space: BitopSpace) -> HIsoReport:
 # classical side: h_X and the fundamental-set lattice
 
 
-class FundamentalLattice(NamedTuple):
-    lattice: FiniteLattice
-    subsets: tuple[BitMask, ...]
-
-    def element_of(self, subset: BitMask) -> int:
-        return self.subsets.index(subset)
-
-
 @lru_cache(maxsize=None)
-def fundamental_lattice(top: FiniteTopology) -> FundamentalLattice:
-    """The fundamental subsets ordered by inclusion.  The family is closed
-    under intersection and union, so those are meet and join;
-    ``suites.check_classical_stone`` checks both against the tables."""
-    lat, members = _inclusion_lattice(fundamental_subsets(top), "fundamental")
-    return FundamentalLattice(lat, members)
+def fundamental_lattice(top: FiniteTopology) -> EssentialLattice:
+    """The fundamental subsets ordered by inclusion, named ``fundamental``:
+    meet is intersection and join is union, which
+    ``suites.check_classical_stone`` checks against the tables."""
+    return _inclusion_lattice(doubled_space(top), fundamental_subsets(top), "fundamental")
 
 
 class ClassicalRepReport(NamedTuple):
     """The map x |-> {fundamental A : x not in A} into spec(F(X))."""
 
     passed: bool
-    fundamentals: FundamentalLattice
+    fundamentals: EssentialLattice
     spectrum: ClassicalSpectrum
     mapping: tuple[int, ...]
     bijective: bool
@@ -521,7 +511,6 @@ __all__ = [
     "ClassicalRepReport",
     "DisCharReport",
     "EssentialLattice",
-    "FundamentalLattice",
     "HIsoReport",
     "HomClassification",
     "NaturalityReport",

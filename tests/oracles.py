@@ -282,7 +282,7 @@ def increasing_pairs(space):
     """Every pair (A, B) of a sigma-increasing A and a tau-increasing B,
     ascending: the increasing sets of a preorder are the opens of its
     topology."""
-    return itertools.product(sorted(space.sigma.opens), sorted(space.tau.opens))
+    return itertools.product(sorted(opens(space.sigma)), sorted(opens(space.tau)))
 
 
 def sampled_increasing_pairs(space):
@@ -330,7 +330,7 @@ def essential_subsets_brute(space):
         if any(space.up_tau[x] & ~m for x in bits(m)):
             continue
         dm = _interior(space.up_sigma, m)
-        if dm in space.sigma.opens and _up_closure(space.up_tau, dm) == m:
+        if dm in opens(space.sigma) and _up_closure(space.up_tau, dm) == m:
             out.add(m)
     return frozenset(out)
 
@@ -340,10 +340,10 @@ def essential_subsets_by_sigma_opens(space):
     i(U) kept when its d-image is sigma-open and i of that d-image is the
     candidate again, plus the empty set."""
     out = {0}
-    for u in space.sigma.opens:
+    for u in opens(space.sigma):
         a = _up_closure(space.up_tau, u)
         da = _interior(space.up_sigma, a)
-        if da in space.sigma.opens and _up_closure(space.up_tau, da) == a:
+        if da in opens(space.sigma) and _up_closure(space.up_tau, da) == a:
             out.add(a)
     return frozenset(out)
 
@@ -385,12 +385,12 @@ def pairwise_bd_axioms_iv_v_brute(space, essentials):
 
 def is_continuous_brute(mapping, source, target):
     """Continuity by definition: every target open pulls back to an open."""
-    for u in target.opens:
+    for u in opens(target):
         pre = 0
         for x, v in enumerate(mapping):
             if u >> v & 1:
                 pre |= 1 << x
-        if pre not in source.opens:
+        if pre not in opens(source):
             return False
     return True
 
@@ -412,12 +412,23 @@ def is_homeomorphism_brute(mapping, source, target):
     if len(set(mapping)) != source.n or source.n != target.n:
         return False
     image = set()
-    for u in source.opens:
+    for u in opens(source):
         m = 0
         for x in bits(u):
             m |= 1 << mapping[x]
         image.add(m)
-    return image == target.opens
+    return image == opens(target)
+
+
+@functools.lru_cache(maxsize=None)
+def opens(top):
+    """Every open set of a finite topology: the unions of its least
+    neighbourhoods, the empty union included, grown one neighbourhood at a
+    time."""
+    found = {0}
+    for u in set(top.up):
+        found |= {u | o for o in found}
+    return frozenset(found)
 
 
 def union_closure_brute(members):
@@ -443,8 +454,8 @@ def pairwise_bd_first_axioms_brute(space, essentials):
     for x in range(n):
         for y in range(n):
             if x != y and not any(
-                u >> x & 1 and not u >> y & 1 for u in space.tau.opens
-            ) and not any(v >> y & 1 and not v >> x & 1 for v in space.sigma.opens):
+                u >> x & 1 and not u >> y & 1 for u in opens(space.tau)
+            ) and not any(v >> y & 1 and not v >> x & 1 for v in opens(space.sigma)):
                 return "i"
     inters = set()
     members = sorted(essentials)
@@ -453,18 +464,18 @@ def pairwise_bd_first_axioms_brute(space, essentials):
         for i in bits(pick):
             m &= members[i]
         inters.add(m)
-    if union_closure_brute(inters) != space.tau.opens:
+    if union_closure_brute(inters) != opens(space.tau):
         return "ii"
     d_family = set()
     for a in essentials:
         d = 0  # the sigma-interior: the union of the sigma-opens inside a
-        for v in space.sigma.opens:
+        for v in opens(space.sigma):
             if v & ~a == 0:
                 d |= v
         d_family.add(d)
     if any(a & b not in d_family for a in d_family for b in d_family):
         return "iii"
-    if union_closure_brute(d_family) != space.sigma.opens:
+    if union_closure_brute(d_family) != opens(space.sigma):
         return "iii"
     return None
 
@@ -475,16 +486,16 @@ def bd_space_brute(top):
     compact on a finite carrier, plus the empty set) closed under
     intersection, a basis whose unions are the opens, and the
     birreducibility witness for subfamilies of two."""
-    opens = top.opens
+    family = opens(top)
     for x in range(top.n):
         for y in range(x + 1, top.n):
-            if not any((u >> x & 1) != (u >> y & 1) for u in opens):
+            if not any((u >> x & 1) != (u >> y & 1) for u in family):
                 return False, f"not T0: points {x} and {y}"
-    fund = opens | {0}
+    fund = family | {0}
     for a, b in itertools.combinations(sorted(fund), 2):
         if a & b not in fund:
             return False, "fundamental family not closed under intersection"
-    if union_closure_brute(fund) != opens:
+    if union_closure_brute(fund) != family:
         return False, "fundamental subsets are not a basis"
     nonempty = sorted(m for m in fund if m)
     for v_fam in itertools.combinations(nonempty, 2):

@@ -54,6 +54,7 @@ from oracles import (
     essential_subsets_brute,
     identity_hom,
     increasing_pairs,
+    opens,
     pair_filter,
     pair_ideal,
 )
@@ -211,7 +212,7 @@ def test_criterion_09_distributive_unification(lattices_upto_6, lattices_upto_4)
         assert len(set(mapping)) == lat.n, lat.name
         assert h_map_classical(classical.space).passed, lat.name
         bridge = to_topological(space)
-        assert to_bitopological(bridge).tau.opens == bridge.opens, lat.name
+        assert opens(to_bitopological(bridge).tau) == opens(bridge), lat.name
     # forget/double are mutually inverse across the small corpus too
     for lat in lattices_upto_4:
         if not is_distributive(lat).distributive:
@@ -219,8 +220,8 @@ def test_criterion_09_distributive_unification(lattices_upto_6, lattices_upto_4)
         space = build_bitop_spectrum(lat).space
         top = to_topological(space)
         doubled = to_bitopological(top)
-        assert doubled.tau.opens == top.opens and doubled.sigma.opens == top.opens
-        assert to_topological(doubled).opens == top.opens
+        assert opens(doubled.tau) == opens(top) and opens(doubled.sigma) == opens(top)
+        assert opens(to_topological(doubled)) == opens(top)
     report(9, "distributive-unification")
 
 

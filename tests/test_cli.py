@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 from lattice_spectra.catalog import render_lattice
-from lattice_spectra.lattices import build_lattice
 from lattice_spectra import cli
 
 from oracles import validate_dot
+from test_golden import _diamond
 
 
 @pytest.fixture()
@@ -55,16 +55,28 @@ def test_spec_bitop_m5(lattice_dir):
     assert "tau == sigma: no" in out
 
 
-def test_spec_limit_prints_nothing_before_the_error(tmp_path, capsys):
-    # M18 has 2^18 tau-opens, past the open-family bound
-    atoms = [f"a{i}" for i in range(18)]
-    covers = [("0", a) for a in atoms] + [(a, "1") for a in atoms]
-    m18 = tmp_path / "m18.lat"
-    m18.write_text(render_lattice(build_lattice(["0", *atoms, "1"], covers, name="m18")), encoding="utf-8")
-    code, out = run_cli(["spec", str(m18), "--bitop"])
-    assert code == 2
-    assert out == ""
-    assert capsys.readouterr().err.startswith("error: ")
+def test_spec_limit_prints_nothing_before_the_error(lattice_dir, monkeypatch, capsys):
+    # with the memo bound of count_opens below what these spectra need, the
+    # opens are counted, and refused, before the first line
+    from lattice_spectra import topology
+
+    monkeypatch.setattr(topology, "_COUNT_MEMO_BOUND", 2)
+    for name, mode in (("m5", "--bitop"), ("b3", "--classical")):
+        code, out = run_cli(["spec", str(lattice_dir / f"{name}.lat"), mode])
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("k", [30, 40])
+def test_spec_counts_opens_past_enumeration(tmp_path, k):
+    # 2^k tau- and sigma-opens on k(k-1) points, too many to list
+    path = tmp_path / f"m{k}.lat"
+    path.write_text(render_lattice(_diamond(k)), encoding="utf-8")
+    code, out = run_cli(["spec", str(path), "--bitop"])
+    assert code == 0
+    assert f"points: {k * (k - 1)}\n" in out
+    assert f"tau opens: {1 << k}\nsigma opens: {1 << k}\n" in out
 
 
 def test_spec_classical_m5(lattice_dir):
@@ -295,7 +307,7 @@ def test_public_names_resolve_lazily():
     import lattice_spectra
 
     exported = set(lattice_spectra.__all__)
-    assert len(exported) == len(lattice_spectra.__all__) == 86
+    assert len(exported) == len(lattice_spectra.__all__) == 87
     for name in exported:
         module = importlib.import_module(f"lattice_spectra.{lattice_spectra._MODULE_OF[name]}")
         assert getattr(lattice_spectra, name) is getattr(module, name), name

@@ -34,6 +34,7 @@ from oracles import (
     compose_morphisms,
     identity_hom,
     identity_morphism,
+    opens,
     pair_filter,
     pair_ideal,
     spectrum_map_brute,
@@ -323,9 +324,9 @@ def test_naturality_catalog_small(cat):
 def test_bridge_roundtrip(diamond):
     top = build_classical_spectrum(diamond).space
     space = to_bitopological(top)
-    assert space.tau.opens == top.opens
+    assert opens(space.tau) == opens(top)
     back = to_topological(space)
-    assert back.opens == top.opens
+    assert opens(back) == opens(top)
 
 
 def test_bridge_rejections(m5):

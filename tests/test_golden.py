@@ -79,6 +79,7 @@ def _cases():
         cases[f"spec-bitop-{name}"] = ["spec", "{%s}" % name, "--bitop"]
         cases[f"spec-classical-{name}"] = ["spec", "{%s}" % name, "--classical"]
         cases[f"verify-{name}"] = ["verify", "{%s}" % name]
+    cases["spec-bitop-m18"] = ["spec", "{m18}", "--bitop"]
     cases["verify-m18"] = ["verify", "{m18}"]
     cases["show-b5"] = ["show", "{b5}"]
     cases["spec-classical-b5"] = ["spec", "{b5}", "--classical"]

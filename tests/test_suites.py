@@ -17,7 +17,7 @@ from lattice_spectra.spectra import (
     delta_compactness_check,
     gbd_witness,
 )
-from lattice_spectra.topology import FiniteTopology, bitop_space
+from lattice_spectra.topology import FiniteTopology, bitop_space, fundamental_subsets
 
 from oracles import associativity_failure_brute, covering_witnesses_literal
 from test_golden import _boolean, _diamond
@@ -490,22 +490,21 @@ def test_non_prime_closure_point_reaches_prime_point_closures(monkeypatch, m5):
 
 def test_verify_enumerates_open_families_only_on_zariski_spaces(monkeypatch, cat):
     # fundamental_subsets on a classical spectrum, where the count |L| is
-    # the theorem, is the one reader of FiniteTopology.opens in the suites;
-    # every read is recorded, cached family or not
+    # the theorem, is the one open family the suites list; every call is
+    # recorded, cached lattice or not
     lats = [*cat.values(), _diamond(6), _boolean(5)]
-    enumerate_opens = FiniteTopology.opens.func
-    read = []
+    listed = []
 
     def recording(top):
-        read.append(top)
-        return enumerate_opens(top)
+        listed.append(top)
+        return fundamental_subsets(top)
 
-    monkeypatch.setattr(FiniteTopology, "opens", property(recording))
-    duality.fundamental_lattice.cache_clear()  # so the Zariski reads happen here
+    monkeypatch.setattr(duality, "fundamental_subsets", recording)
+    duality.fundamental_lattice.cache_clear()  # so the Zariski calls happen here
     assert all(r.passed for r in suites.run_lattice_suites(lats))
     zariski = [build_classical_spectrum(lat).space for lat in lats]
-    assert read
-    for top in read:
+    assert listed
+    for top in listed:
         assert any(top is space for space in zariski), top.up
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from lattice_spectra.spectra import build_bitop_spectrum
 from lattice_spectra.topology import (
     FiniteTopology,
     bitop_space,
+    count_opens,
     doubled_space,
     empty_set_is_fundamental,
     essential_subsets,
@@ -31,6 +33,7 @@ from lattice_spectra.topology import (
     topology_from_subbasis,
 )
 
+import oracles
 from oracles import (
     NotACover,
     _up_closure,
@@ -49,11 +52,12 @@ from oracles import (
     is_preorder,
     op_d_loop,
     op_i_loop,
+    opens,
     pairwise_bd_axioms_iv_v_brute,
     pairwise_bd_first_axioms_brute,
     sampled_increasing_pairs,
 )
-from test_golden import _boolean, _diamond
+from test_golden import _boolean, _chain, _diamond
 
 
 def sierpinski():
@@ -107,33 +111,33 @@ def opens_brute(n, subbasis):
 
 
 def test_subbasis_empty_family():
-    assert indiscrete(2).opens == frozenset({0, 0b11})
+    assert opens(indiscrete(2)) == frozenset({0, 0b11})
 
 
 def test_subbasis_closure_matches_oracle(m5):
     spec = build_bitop_spectrum(m5)
     t = topology_from_subbasis(len(spec.points), spec.delta)
-    assert t.opens == opens_brute(len(spec.points), spec.delta)
-    assert len(t.opens) == 8
+    assert opens(t) == opens_brute(len(spec.points), spec.delta)
+    assert len(opens(t)) == 8
     # nontrivial pairwise intersections have exactly two points
     inter = spec.delta[1] & spec.delta[2]
     assert bin(inter).count("1") == 2
-    assert inter in t.opens
+    assert inter in opens(t)
 
 
 def test_subbasis_idempotent():
     t = sierpinski()
-    again = topology_from_subbasis(2, sorted(t.opens))
-    assert again.opens == t.opens
+    again = topology_from_subbasis(2, sorted(opens(t)))
+    assert opens(again) == opens(t)
 
 
 @given(st.integers(0, 2**4 - 1), st.integers(0, 2**4 - 1), st.integers(0, 2**4 - 1))
 @settings(max_examples=80, deadline=None)
 def test_subbasis_oracle_and_monotone(a, b, c):
     t = topology_from_subbasis(4, [a, b])
-    assert t.opens == opens_brute(4, [a, b])
+    assert opens(t) == opens_brute(4, [a, b])
     bigger = topology_from_subbasis(4, [a, b, c])
-    assert t.opens <= bigger.opens
+    assert opens(t) <= opens(bigger)
 
 
 # --- specialization ----------------------------------------------------------
@@ -215,7 +219,7 @@ def test_open_sets_are_increasing(lattices_upto_5):
             increasing = {
                 m for m in range(1 << top.n) if all(is_subset(top.up[x], m) for x in bits(m))
             }
-            assert top.opens == increasing
+            assert opens(top) == increasing
 
 
 # --- pairwise T0 -------------------------------------------------------------
@@ -314,9 +318,9 @@ def test_fundamental_zariski_two_chain(chain2):
 def fip_scan_oracle(top):
     """Literal evaluation: every subfamily of compact-opens with the finite
     intersection property has nonempty total intersection."""
-    opens = sorted(top.opens)
-    for pick in range(1, 1 << len(opens)):
-        family = [opens[i] for i in bits(pick)]
+    members = sorted(opens(top))
+    for pick in range(1, 1 << len(members)):
+        family = [members[i] for i in bits(pick)]
         total = full_mask(top.n)
         for u in family:
             total &= u
@@ -341,7 +345,7 @@ def test_empty_fundamental_matches_fip_scan(lattices_upto_6):
         space = build_bitop_spectrum(lat).space
         tops += [space.tau, space.sigma, build_classical_spectrum(lat).space]
     # the literal scan is exponential in the number of opens
-    tops = [top for top in tops if len(top.opens) <= 12]
+    tops = [top for top in tops if len(opens(top)) <= 12]
     assert len(tops) == 76
     for top in tops:
         assert empty_set_is_fundamental(top) == fip_scan_oracle(top)
@@ -582,7 +586,7 @@ def test_essential_subsets_match_sigma_open_loop(cat):
     ]
     spaces = [build_bitop_spectrum(lat).space for lat in lats]
     spaces += [doubled_space(build_classical_spectrum(lat).space) for lat in cat.values()]
-    assert max(len(space.sigma.opens) for space in spaces) == 1 << 12
+    assert max(len(opens(space.sigma)) for space in spaces) == 1 << 12
     assert [space.n for space in spaces[:6]] == [30, 132, 21, 5, 12, 13]
     for space in spaces:
         assert essential_subsets(space) == essential_subsets_by_sigma_opens(space)
@@ -613,20 +617,69 @@ def test_doubled_space_operators_are_identity(diamond):
 
     top = build_classical_spectrum(diamond).space
     space = doubled_space(top)
-    for a in space.tau.opens:
+    for a in opens(space.tau):
         assert op_i(space, a) == a
         assert op_d(space, a) == a
 
 
-def test_carrier_bound_guard():
-    # a topology of any size is its preorder; only enumerating its open
-    # family is bounded (2^17 members)
+# --- counting opens ------------------------------------------------------------
+
+
+def test_count_opens_matches_enumeration_on_small_spaces():
+    for space in small_bitop_spaces():
+        for top in (space.tau, space.sigma):
+            assert count_opens(top) == len(opens(top)), top.up
+
+
+def test_count_opens_matches_enumeration_on_spectra(lattices_upto_6, cat):
+    from lattice_spectra.spectra import build_classical_spectrum
+
+    for lat in [*lattices_upto_6, *cat.values()]:
+        space = build_bitop_spectrum(lat).space
+        for top in (space.tau, space.sigma, build_classical_spectrum(lat).space):
+            assert count_opens(top) == len(opens(top)), lat.name
+
+
+def test_count_opens_closed_forms():
+    from lattice_spectra.spectra import build_classical_spectrum
+
+    for k in (16, 18, 30, 40):
+        space = build_bitop_spectrum(_diamond(k)).space
+        assert (count_opens(space.tau), count_opens(space.sigma)) == (1 << k, 1 << k)
+    for n in (1, 2, 5, 22, 150):
+        space = build_bitop_spectrum(_chain(n)).space
+        assert (count_opens(space.tau), count_opens(space.sigma)) == (n, n)
+    for k in (1, 3, 5, 8):
+        assert count_opens(build_classical_spectrum(_boolean(k)).space) == 1 << k
+    assert count_opens(FiniteTopology(())) == 1
+    # a chain splits once per point, past the recursion limit
+    n = sys.getrecursionlimit() + 500
+    chain = FiniteTopology(tuple((1 << n) - (1 << k) for k in range(n)))
+    assert count_opens(chain) == n + 1
+
+
+def two_level_preorder(rng, lows=25, highs=25, p=0.15):
+    """``lows`` minimal points below ``highs`` maximal points, each minimal
+    point below each maximal one with probability ``p``, drawn in row order."""
+    up = [1 << x | mask_of(lows + j for j in range(highs) if rng.random() < p) for x in range(lows)]
+    return FiniteTopology(tuple(up + [1 << (lows + j) for j in range(highs)]))
+
+
+def test_carrier_bound_guard(monkeypatch):
+    # a topology of any size is its preorder; only the memo of count_opens
+    # is bounded (2^17 entries), not the count
     chain = topology_from_subbasis(21, [(1 << 21) - (1 << k) for k in range(21)])
-    assert len(chain.opens) == 22
-    # the bound itself is allowed: 2^17 opens on 17 discrete points
-    assert len(discrete(17).opens) == 1 << 17
+    assert count_opens(chain) == 22
+    assert count_opens(discrete(18)) == 1 << 18
     with pytest.raises(CarrierTooLarge):
-        discrete(18).opens
+        count_opens(two_level_preorder(random.Random(1)))
+    # discrete(3) memoises 0b111, 0b110, 0b100 and the empty carrier: the
+    # bound itself is allowed, one entry fewer is not
+    monkeypatch.setattr(topology, "_COUNT_MEMO_BOUND", 4)
+    assert count_opens(discrete(3)) == 8
+    monkeypatch.setattr(topology, "_COUNT_MEMO_BOUND", 3)
+    with pytest.raises(CarrierTooLarge):
+        count_opens(discrete(3))
 
 
 # --- axiom checkers ----------------------------------------------------------
@@ -734,10 +787,10 @@ def test_doubly_bd_cases(cat, chain2, m5):
         is_doubly_bd(doubled_space(indiscrete(2)))
 
 
-def test_bounded_pbd(cat):
+def test_bounded_pbd(cat, monkeypatch):
+    # no open family is enumerated: the principal opens are the cover
+    listed = []
+    monkeypatch.setattr(oracles, "opens", lambda top: listed.append(top))
     for name in ("chain2", "m5", "n5", "hexagon"):
-        # a fresh spectrum, not the cached one, so no earlier call has
-        # enumerated its tau-opens; the principal opens are the cover
-        space = build_bitop_spectrum.__wrapped__(cat[name]).space
-        assert is_bounded_pbd(space)
-        assert "opens" not in space.tau.__dict__
+        assert is_bounded_pbd(build_bitop_spectrum(cat[name]).space)
+    assert listed == []
