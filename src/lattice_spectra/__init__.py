@@ -74,7 +74,6 @@ _PUBLIC = {
         "build_classical_spectrum",
         "comaximal_pairs",
         "delta_compactness_check",
-        "essential_equals_delta",
         "extend_to_comaximal",
         "gbd_witness",
         "has_bottom_via_fundamental",
@@ -86,11 +85,9 @@ _PUBLIC = {
         "HomClassification",
         "PBDMorphism",
         "big_h_map",
-        "char_comaximal_of_essential",
         "classify_hom",
         "delta_embedding",
         "delta_natural_iso_check",
-        "dischar_equivalences",
         "essential_functor_on_morphism",
         "essential_lattice",
         "h_map_classical",

@@ -226,12 +226,11 @@ def cmd_hom(args, out) -> int:
             out.write(f"pbd-morphism conditions: FAIL witness={witness}\n")
             return 1
         out.write("pbd-morphism conditions: PASS\n")
-        nat = delta_natural_iso_check(hom, essential_functor_on_morphism(morphism))
-        if nat.passed:
-            out.write("naturality square: PASS\n")
-        else:
-            out.write(f"naturality square: FAIL witness={nat.failing_element}\n")
+        failing = delta_natural_iso_check(hom, essential_functor_on_morphism(morphism))
+        if failing is not None:
+            out.write(f"naturality square: FAIL witness={failing}\n")
             return 1
+        out.write("naturality square: PASS\n")
     else:
         out.write(f"quasi-proper: no witness={cls.quasi_witness}\n")
     return 0

@@ -2,12 +2,14 @@
 essential-set functors on morphisms, the reconstruction isomorphisms, and the
 bridge between the bitopological and the classical pictures.
 
-The functions here compute; a theorem about what they compute is checked
-once, by the suite or corpus check in :mod:`lattice_spectra.suites` that
-reports it (and by the ``hom`` command for one homomorphism).  The
-categories at desk scale are concrete and finite, so functor laws and
-naturality squares are checked by direct evaluation rather than
-symbolically.
+The functions here compute and return what they compute: point maps,
+lattices, spectra.  A theorem about it is checked once, by the suite or
+corpus check in :mod:`lattice_spectra.suites` that reports it (and by the
+``hom`` command for one homomorphism); a check with two printers is one
+function returning its witness text or None (:func:`spec_b_witness`,
+:func:`delta_natural_iso_check`).  The categories at desk scale are
+concrete and finite, so functor laws and naturality squares are checked by
+direct evaluation rather than symbolically.
 """
 
 from __future__ import annotations
@@ -24,23 +26,15 @@ from .lattices import (
     is_prime_ideal,
     lattice_from_order,
 )
-from .spectra import (
-    BitopSpectrum,
-    ClassicalSpectrum,
-    ComaximalPair,
-    build_bitop_spectrum,
-    build_classical_spectrum,
-)
+from .spectra import ComaximalPair, build_bitop_spectrum, build_classical_spectrum
 from .topology import (
     BitopSpace,
     FiniteTopology,
     doubled_space,
-    equal_closure_points,
     essential_subsets,
     fundamental_subsets,
     is_bd_space,
     is_continuous,
-    is_homeomorphism,
     is_pairwise_bd,
     op_d,
     op_i,
@@ -253,117 +247,44 @@ def essential_functor_on_morphism(m: PBDMorphism) -> LatticeHom:
 
 
 # ---------------------------------------------------------------------------
-# characterization of comaximal pairs of the essential lattice
+# the reconstruction map into the spectrum of the essential lattice
 
 
-class CharComaximalReport(NamedTuple):
-    """Per-point pairs (I(x), F(x)) of the essential lattice.
-
-    I(x) collects the essential sets missing x, F(x) those whose d-image
-    contains x.  For a pairwise Balbes-Dwinger space the assignment is an
-    injection onto all comaximal pairs of the essential lattice.
-    ``point_to_pair[x]`` numbers the pair as a point of the essential
-    lattice's spectrum, or is -1 when (I(x), F(x)) is not a comaximal pair.
-    """
-
-    passed: bool
-    point_to_pair: tuple[int, ...]
-    injective: bool
-    unmatched_pairs: tuple[int, ...]
-    d_intersection_empty: bool
-    a_intersection_empty: bool
-
-
-def char_comaximal_of_essential(space: BitopSpace) -> CharComaximalReport:
-    """The pairs (I(x), F(x)) matched against the essential lattice's
-    spectrum.  The report is part of the reconstruction report that
-    :func:`big_h_map` keeps on the space, so it is computed once per space."""
-    return big_h_map(space).comaximal
-
-
-def _comaximal_characterization(space: BitopSpace) -> CharComaximalReport:
+def _require_pairwise_bd(space: BitopSpace) -> None:
     report = is_pairwise_bd(space)
     if not report.passed:
         raise NotPairwiseBD(f"axiom ({report.failing_axiom}) fails: {report.witness}")
+
+
+@lru_cache(maxsize=None)
+def big_h_map(space: BitopSpace) -> tuple[int, ...]:
+    """The reconstruction map x |-> (I(x), F(x)) into spec_B(E(X)).
+
+    I(x) collects the essential sets missing x, F(x) those whose d-image
+    contains x.  Entry x numbers the pair as a point of
+    ``build_bitop_spectrum(essential_lattice(space).lattice)``, or is -1
+    when (I(x), F(x)) is not a comaximal pair.  Computed once per space;
+    the ``essential_comaximal_points`` and ``space_roundtrip`` suites check
+    that it is a bijection onto the comaximal pairs and a bihomeomorphism
+    carrying delta and epsilon back to the essential sets and their
+    d-images.  Raises :class:`NotPairwiseBD` off pairwise Balbes-Dwinger
+    spaces."""
+    _require_pairwise_bd(space)
     ess = essential_lattice(space)
     lat = ess.lattice
-    spectrum = build_bitop_spectrum(lat)
-    d_images = [op_d(space, a) for a in ess.subsets]
-    full = inter_d = inter_a = full_mask(space.n)
-    for a, da in zip(ess.subsets, d_images):
-        inter_d &= da
-        inter_a &= a
-    # I(x): the essential sets missing x; F(x): those whose d-image holds x
-    i_masks = transpose([full & ~a for a in ess.subsets], space.n)
-    f_masks = transpose(d_images, space.n)
-    point_to_pair = []
+    index = build_bitop_spectrum(lat).index
+    i_masks = transpose([full_mask(space.n) & ~a for a in ess.subsets], space.n)
+    f_masks = transpose([op_d(space, a) for a in ess.subsets], space.n)
+    mapping = []
     for i_mask, f_mask in zip(i_masks, f_masks):
         # a point (a, b) has the masks down[a] and up[b], so only the join of
         # I(x) with the meet of F(x) can match
         a, b = lat.join_of(i_mask), lat.meet_of(f_mask)
         found = -1
         if lat.down[a] == i_mask and lat.up[b] == f_mask:
-            found = spectrum.index.get((a, b), -1)
-        point_to_pair.append(found)
-    matched = set(point_to_pair)
-    injective = len(matched) == len(point_to_pair)
-    unmatched = tuple(idx for idx in range(len(spectrum.points)) if idx not in matched)
-    passed = -1 not in matched and injective and not unmatched and inter_d == 0 and inter_a == 0
-    return CharComaximalReport(
-        passed, tuple(point_to_pair), injective, unmatched, inter_d == 0, inter_a == 0
-    )
-
-
-class HIsoReport(NamedTuple):
-    """The reconstruction map x |-> (I(x), F(x)) into spec_B(E(X)).
-
-    Bijectivity comes from the comaximal characterization (``comaximal``),
-    and when that fails nothing else is evaluated and every flag reads
-    False.  Otherwise the bihomeo check compares both specialization
-    preorders along the map, and the preimage identities
-    H^{-1}(delta(A)) = A and H^{-1}(epsilon(A)) = d(A) are verified
-    alongside."""
-
-    passed: bool
-    essential: EssentialLattice
-    spectrum: BitopSpectrum
-    mapping: tuple[int, ...]
-    bijective: bool
-    delta_identity: bool
-    epsilon_identity: bool
-    bihomeomorphism: bool
-    comaximal: CharComaximalReport
-
-
-def big_h_map(space: BitopSpace) -> HIsoReport:
-    """The reconstruction report, computed once per space and kept on it
-    (``BitopSpace.reconstruction_report``), so the suites and corpus checks
-    that each need it, or its comaximal characterization, share one
-    evaluation.  Raises :class:`NotPairwiseBD` off pairwise Balbes-Dwinger
-    spaces."""
-    return space.reconstruction_report
-
-
-def _reconstruction_report(space: BitopSpace) -> HIsoReport:
-    char = _comaximal_characterization(space)
-    ess = essential_lattice(space)
-    spectrum = build_bitop_spectrum(ess.lattice)
-    mapping = char.point_to_pair
-    if not char.passed:
-        return HIsoReport(False, ess, spectrum, mapping, False, False, False, False, char)
-    delta_ok = all(
-        preimage_mask(mapping, spectrum.delta[k]) == ess.subsets[k]
-        for k in range(ess.lattice.n)
-    )
-    epsilon_ok = all(
-        preimage_mask(mapping, spectrum.epsilon[k]) == op_d(space, ess.subsets[k])
-        for k in range(ess.lattice.n)
-    )
-    bihomeo = is_homeomorphism(mapping, space.tau, spectrum.space.tau) and is_homeomorphism(
-        mapping, space.sigma, spectrum.space.sigma
-    )
-    passed = delta_ok and epsilon_ok and bihomeo
-    return HIsoReport(passed, ess, spectrum, mapping, True, delta_ok, epsilon_ok, bihomeo, char)
+            found = index.get((a, b), -1)
+        mapping.append(found)
+    return tuple(mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -378,41 +299,24 @@ def fundamental_lattice(top: FiniteTopology) -> EssentialLattice:
     return _inclusion_lattice(doubled_space(top), fundamental_subsets(top), "fundamental")
 
 
-class ClassicalRepReport(NamedTuple):
-    """The map x |-> {fundamental A : x not in A} into spec(F(X))."""
-
-    passed: bool
-    fundamentals: EssentialLattice
-    spectrum: ClassicalSpectrum
-    mapping: tuple[int, ...]
-    bijective: bool
-    homeomorphism: bool
-
-
-def h_map_classical(top: FiniteTopology) -> ClassicalRepReport:
+def h_map_classical(top: FiniteTopology) -> tuple[int, ...]:
+    """The map x |-> {fundamental A : x not in A} into spec(F(X)), F(X) the
+    fundamental lattice: entry x numbers I_x among
+    ``build_classical_spectrum(fundamental_lattice(top).lattice).points``, or
+    is -1 when I_x is not a prime ideal.  The ``classical_stone`` suite
+    checks that it is a homeomorphism.  Raises :class:`NotBDSpace` off
+    Balbes-Dwinger spaces."""
     verdict = is_bd_space(top)
     if not verdict.passed:
         raise NotBDSpace(verdict.reason or "not a Balbes-Dwinger space")
     fund = fundamental_lattice(top)
-    spectrum = build_classical_spectrum(fund.lattice)
-    prime_masks = {p: k for k, p in enumerate(spectrum.points)}
-    # I_x, the fundamental sets missing x, numbered as a prime ideal (-1: none)
+    prime_masks = {p: k for k, p in enumerate(build_classical_spectrum(fund.lattice).points)}
     i_masks = transpose([full_mask(top.n) & ~a for a in fund.subsets], top.n)
-    mapping = tuple(prime_masks.get(ix, -1) for ix in i_masks)
-    bijective = -1 not in mapping and len(set(mapping)) == top.n == len(spectrum.points)
-    homeo = bijective and is_homeomorphism(mapping, top, spectrum.space)
-    return ClassicalRepReport(bijective and homeo, fund, spectrum, mapping, bijective, homeo)
+    return tuple(prime_masks.get(ix, -1) for ix in i_masks)
 
 
 # ---------------------------------------------------------------------------
 # naturality of the element embedding
-
-
-class NaturalityReport(NamedTuple):
-    passed: bool
-    iso_ok: bool
-    square_ok: bool
-    failing_element: str | None = None
 
 
 def delta_embedding(lat: FiniteLattice) -> LatticeHom:
@@ -427,28 +331,22 @@ def delta_embedding(lat: FiniteLattice) -> LatticeHom:
     return check_hom(lat, ess.lattice, mapping)
 
 
-def delta_natural_iso_check(hom: LatticeHom, transported: LatticeHom) -> NaturalityReport:
+def delta_natural_iso_check(hom: LatticeHom, transported: LatticeHom) -> str | None:
     """For a quasi-proper f: L -> N with ``transported`` = E(spec_B(f)),
-    check that the element embeddings are lattice isomorphisms and that
-    ``transported`` after the embedding of L equals the embedding of N
-    after f."""
+    check that ``transported`` after the element embedding of L equals the
+    embedding of N after f, and that both embeddings are lattice
+    isomorphisms.  Returns None, or the name of the first element of L where
+    the square fails; a failing isomorphism alone gives ``"None"``.  The
+    ``naturality_squares`` corpus check and the ``hom`` command print it."""
     src, tgt = hom.source, hom.target
     emb_src = delta_embedding(src)
     emb_tgt = delta_embedding(tgt)
-    iso_ok = (
-        len(set(emb_src.mapping)) == emb_src.target.n == src.n
-        and len(set(emb_tgt.mapping)) == emb_tgt.target.n == tgt.n
-    )
-    square_ok = True
-    failing = None
     for x in range(src.n):
-        left = transported.mapping[emb_src.mapping[x]]
-        right = emb_tgt.mapping[hom(x)]
-        if left != right:
-            square_ok = False
-            failing = src.names[x]
-            break
-    return NaturalityReport(iso_ok and square_ok, iso_ok, square_ok, failing)
+        if transported.mapping[emb_src.mapping[x]] != emb_tgt.mapping[hom(x)]:
+            return src.names[x]
+    if all(len(set(e.mapping)) == e.target.n == e.source.n for e in (emb_src, emb_tgt)):
+        return None
+    return "None"
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +355,7 @@ def delta_natural_iso_check(hom: LatticeHom, transported: LatticeHom) -> Natural
 
 def to_topological(space: BitopSpace) -> FiniteTopology:
     """Forget the second topology of a doubly Balbes-Dwinger space."""
-    report = is_pairwise_bd(space)
-    if not report.passed:
-        raise NotPairwiseBD(f"axiom ({report.failing_axiom}) fails: {report.witness}")
+    _require_pairwise_bd(space)
     if space.tau != space.sigma:
         raise NotDoublyBD("the two topologies differ")
     return space.tau
@@ -473,54 +369,14 @@ def to_bitopological(top: FiniteTopology) -> BitopSpace:
     return doubled_space(top)
 
 
-class DisCharReport(NamedTuple):
-    """The four equivalent faces of distributivity for a pairwise
-    Balbes-Dwinger space: coinciding topologies, distributive essential
-    lattice, being a spectrum of a distributive lattice (decided with the
-    essential lattice itself), and all points prime."""
-
-    doubly: bool
-    essential_distributive: bool
-    spectrum_of_distributive: bool
-    all_points_prime: bool
-
-    @property
-    def agree(self) -> bool:
-        return (
-            self.doubly
-            == self.essential_distributive
-            == self.spectrum_of_distributive
-            == self.all_points_prime
-        )
-
-
-def dischar_equivalences(space: BitopSpace) -> DisCharReport:
-    report = is_pairwise_bd(space)
-    if not report.passed:
-        raise NotPairwiseBD(f"axiom ({report.failing_axiom}) fails: {report.witness}")
-    doubly = space.tau == space.sigma
-    distributive = essential_lattice(space).lattice.distributive
-    h_iso = big_h_map(space)
-    spectrum_of_distributive = distributive and h_iso.passed
-    all_prime = equal_closure_points(space) == full_mask(space.n)
-    return DisCharReport(doubly, distributive, spectrum_of_distributive, all_prime)
-
-
 __all__ = [
-    "CharComaximalReport",
-    "ClassicalRepReport",
-    "DisCharReport",
     "EssentialLattice",
-    "HIsoReport",
     "HomClassification",
-    "NaturalityReport",
     "PBDMorphism",
     "big_h_map",
-    "char_comaximal_of_essential",
     "classify_hom",
     "delta_embedding",
     "delta_natural_iso_check",
-    "dischar_equivalences",
     "essential_functor_on_morphism",
     "essential_lattice",
     "fundamental_lattice",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-from .bitsets import BitMask, bits, full_mask, image_mask, is_subset, transpose
+from .bitsets import BitMask, bits, full_mask, is_subset, transpose
 from .errors import EmptyInput, NotDisjoint
 from .lattices import FiniteLattice, prime_ideals
 from .topology import (
@@ -24,8 +24,6 @@ from .topology import (
     FiniteTopology,
     bitop_space,
     equal_closure_points,
-    essential_subsets,
-    is_homeomorphism,
     topology_from_subbasis,
 )
 
@@ -174,32 +172,18 @@ def build_classical_spectrum(lat: FiniteLattice) -> ClassicalSpectrum:
     return ClassicalSpectrum(lat, points, tuple(dmap), space, closed)
 
 
-class BMapReport(NamedTuple):
-    """The prime-ideal embedding P -> (P, complement) into the comaximal pairs."""
-
-    point_map: tuple[int, ...]
-    injective: bool
-    bijective: bool
-    homeomorphism: bool | None  # onto (points, tau); only evaluated when bijective
-
-
-def b_map(lat: FiniteLattice) -> BMapReport:
+def b_map(lat: FiniteLattice) -> tuple[int, ...]:
+    """The prime-ideal embedding P -> (P, complement) into the comaximal
+    pairs: entry k numbers the image of ``build_classical_spectrum(lat)``'s
+    point k among the bitopological points.  The ``classical_stone`` suite
+    and the ``classical_bridge`` corpus check hold it to be a homeomorphism
+    onto (points, tau) on distributive lattices."""
     classical = build_classical_spectrum(lat)
     bitop = build_bitop_spectrum(lat)
     full = full_mask(lat.n)
-    point_map = tuple(
-        bitop.point_index(lat.join_of(p), lat.meet_of(full & ~p))
-        for p in classical.points
+    return tuple(
+        bitop.point_index(lat.join_of(p), lat.meet_of(full & ~p)) for p in classical.points
     )
-    injective = len(set(point_map)) == len(point_map)
-    bijective = injective and len(point_map) == len(bitop.points)
-    homeo = None
-    if bijective:
-        homeo = is_homeomorphism(point_map, classical.space, bitop.space.tau) and all(
-            image_mask(point_map, classical.dmap[x]) == bitop.delta[x]
-            for x in range(lat.n)
-        )
-    return BMapReport(point_map, injective, bijective, homeo)
 
 
 # ---------------------------------------------------------------------------
@@ -352,40 +336,17 @@ def has_bottom_via_fundamental(lat: FiniteLattice) -> tuple[bool, int]:
     return witness == lat.bottom, witness
 
 
-class EssentialDeltaReport(NamedTuple):
-    passed: bool
-    size: int
-    essential_only: frozenset[BitMask]
-    delta_only: frozenset[BitMask]
-
-
-def essential_equals_delta(lat: FiniteLattice) -> EssentialDeltaReport:
-    """Compare the essential subsets of the spectrum with the delta image."""
-    spectrum = build_bitop_spectrum(lat)
-    ess = essential_subsets(spectrum.space)
-    image = frozenset(spectrum.delta)
-    return EssentialDeltaReport(
-        ess == image and len(image) == lat.n,
-        len(ess),
-        ess - image,
-        image - ess,
-    )
-
-
 __all__ = [
-    "BMapReport",
     "BitopSpectrum",
     "ClassicalSpectrum",
     "ComaximalPair",
     "DeltaCompactnessResult",
-    "EssentialDeltaReport",
     "GBDResult",
     "b_map",
     "build_bitop_spectrum",
     "build_classical_spectrum",
     "comaximal_pairs",
     "delta_compactness_check",
-    "essential_equals_delta",
     "extend_to_comaximal",
     "gbd_witness",
     "has_bottom_via_fundamental",

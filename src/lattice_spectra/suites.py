@@ -13,14 +13,13 @@ import random
 from functools import lru_cache
 from typing import NamedTuple
 
-from .bitsets import bits, full_mask, is_subset, transpose
+from .bitsets import bits, full_mask, image_mask, is_subset, preimage_mask, transpose
 from .lattices import FiniteLattice, all_homs, check_hom
 from .spectra import (
     b_map,
     build_bitop_spectrum,
     build_classical_spectrum,
     delta_compactness_check,
-    essential_equals_delta,
     gbd_witness,
     has_bottom_via_fundamental,
     has_top_via_compactness,
@@ -28,11 +27,9 @@ from .spectra import (
 )
 from .duality import (
     big_h_map,
-    char_comaximal_of_essential,
     classify_hom,
     delta_embedding,
     delta_natural_iso_check,
-    dischar_equivalences,
     essential_functor_on_morphism,
     essential_lattice,
     fundamental_lattice,
@@ -43,8 +40,12 @@ from .duality import (
     to_topological,
 )
 from .topology import (
+    BitopSpace,
+    equal_closure_points,
+    essential_subsets,
     is_continuous,
     is_costable,
+    is_homeomorphism,
     is_pairwise_bd,
     is_stable,
     op_d,
@@ -273,15 +274,17 @@ def _inclusion_table_witness(lat: FiniteLattice, subsets, meet, meet_label: str)
 
 
 def check_essential_family(lat: FiniteLattice):
-    """The essential sets of the spectrum are the delta image, and they form
-    a lattice with union as join and i(d(intersection)) as meet."""
-    rep = essential_equals_delta(lat)
-    if not rep.passed:
+    """The essential sets of the spectrum are the delta image, one per
+    element, and they form a lattice with union as join and
+    i(d(intersection)) as meet."""
+    s = build_bitop_spectrum(lat)
+    space = s.space
+    found, image = essential_subsets(space), frozenset(s.delta)
+    if found != image or len(image) != lat.n:
         return (
             f"essential family differs from the delta image "
-            f"(extra {sorted(rep.essential_only)}, missing {sorted(rep.delta_only)})"
+            f"(extra {sorted(found - image)}, missing {sorted(image - found)})"
         )
-    space = build_bitop_spectrum(lat).space
     ess = essential_lattice(space)
     # d preserves intersections, so d(u & v) is d(u) & d(v)
     d = [op_d(space, u) for u in ess.subsets]
@@ -308,28 +311,66 @@ def check_pairwise_axioms(lat: FiniteLattice):
     return None
 
 
-def check_essential_comaximal_points(lat: FiniteLattice):
-    s = build_bitop_spectrum(lat)
-    rep = char_comaximal_of_essential(s.space)
-    if not rep.passed:
+@lru_cache(maxsize=None)
+def comaximal_witness(space: BitopSpace) -> str | None:
+    """The comaximal characterization of the essential lattice E(X), as
+    witness text or None: :func:`big_h_map` is a bijection onto the
+    comaximal pairs of E(X), and both the essential sets and their d-images
+    have empty intersection.  Evaluated once per space."""
+    mapping = big_h_map(space)
+    ess = essential_lattice(space)
+    inter_d = inter_a = full_mask(space.n)
+    for a in ess.subsets:
+        inter_d &= op_d(space, a)
+        inter_a &= a
+    matched = set(mapping)
+    injective = len(matched) == len(mapping)
+    unmatched = [k for k in range(len(build_bitop_spectrum(ess.lattice).points)) if k not in matched]
+    if -1 in matched or not injective or unmatched or inter_d or inter_a:
         return (
-            f"comaximal characterization fails (injective={rep.injective}, "
-            f"unmatched={list(rep.unmatched_pairs)}, "
-            f"empty-d={rep.d_intersection_empty}, empty-A={rep.a_intersection_empty})"
+            f"comaximal characterization fails (injective={injective}, "
+            f"unmatched={unmatched}, empty-d={inter_d == 0}, empty-A={inter_a == 0})"
         )
     return None
+
+
+@lru_cache(maxsize=None)
+def reconstruction_witness(space: BitopSpace) -> str | None:
+    """The reconstruction verdict for X, as witness text or None:
+    :func:`big_h_map` is a bijection onto spec_B(E(X)) (the comaximal
+    characterization), the preimage of delta(A) is A and that of epsilon(A)
+    is d(A) for each essential A, and it is a bihomeomorphism.  Evaluated
+    once per space; the ``space_roundtrip`` suite prints it, and the
+    ``distributive_equivalences`` suite reads it as a face."""
+    bijective = delta_ok = epsilon_ok = bihomeo = comaximal_witness(space) is None
+    if bijective:
+        mapping = big_h_map(space)
+        ess = essential_lattice(space)
+        spectrum = build_bitop_spectrum(ess.lattice)
+        delta_ok = all(
+            preimage_mask(mapping, spectrum.delta[k]) == a for k, a in enumerate(ess.subsets)
+        )
+        epsilon_ok = all(
+            preimage_mask(mapping, spectrum.epsilon[k]) == op_d(space, a)
+            for k, a in enumerate(ess.subsets)
+        )
+        bihomeo = is_homeomorphism(mapping, space.tau, spectrum.space.tau) and is_homeomorphism(
+            mapping, space.sigma, spectrum.space.sigma
+        )
+        if delta_ok and epsilon_ok and bihomeo:
+            return None
+    return (
+        f"reconstruction map not an isomorphism (bijective={bijective}, "
+        f"delta={delta_ok}, epsilon={epsilon_ok}, bihomeo={bihomeo})"
+    )
+
+
+def check_essential_comaximal_points(lat: FiniteLattice):
+    return comaximal_witness(build_bitop_spectrum(lat).space)
 
 
 def check_space_roundtrip(lat: FiniteLattice):
-    s = build_bitop_spectrum(lat)
-    rep = big_h_map(s.space)
-    if not rep.passed:
-        return (
-            f"reconstruction map not an isomorphism (bijective={rep.bijective}, "
-            f"delta={rep.delta_identity}, epsilon={rep.epsilon_identity}, "
-            f"bihomeo={rep.bihomeomorphism})"
-        )
-    return None
+    return reconstruction_witness(build_bitop_spectrum(lat).space)
 
 
 def check_lattice_roundtrip(lat: FiniteLattice):
@@ -345,18 +386,44 @@ def check_lattice_roundtrip(lat: FiniteLattice):
 
 
 def check_distributive_equivalences(lat: FiniteLattice):
-    s = build_bitop_spectrum(lat)
-    rep = dischar_equivalences(s.space)
-    if not rep.agree:
+    """The four faces of distributivity of the spectrum X agree: coinciding
+    topologies, a distributive essential lattice, being the spectrum of a
+    distributive lattice (decided with E(X) itself, by the reconstruction
+    verdict), and all points prime."""
+    space = build_bitop_spectrum(lat).space
+    # raises NotPairwiseBD off pairwise Balbes-Dwinger spaces, as every face
+    # presumes one
+    reconstructs = reconstruction_witness(space) is None
+    doubly = space.tau == space.sigma
+    distributive = essential_lattice(space).lattice.distributive
+    spectrum_of_distributive = distributive and reconstructs
+    all_prime = equal_closure_points(space) == full_mask(space.n)
+    if not doubly == distributive == spectrum_of_distributive == all_prime:
         return (
-            f"equivalence faces disagree: doubly={rep.doubly}, "
-            f"E-distributive={rep.essential_distributive}, "
-            f"spectrum-of-distributive={rep.spectrum_of_distributive}, "
-            f"all-prime={rep.all_points_prime}"
+            f"equivalence faces disagree: doubly={doubly}, "
+            f"E-distributive={distributive}, "
+            f"spectrum-of-distributive={spectrum_of_distributive}, "
+            f"all-prime={all_prime}"
         )
-    if rep.doubly != lat.distributive:
+    if doubly != lat.distributive:
         return "equivalence faces disagree with the lattice's distributivity"
     return None
+
+
+def b_map_witness(lat: FiniteLattice, point_map) -> str | None:
+    """The prime-ideal embedding ``point_map = b_map(lat)`` is a bijection
+    onto the comaximal pairs and a homeomorphism onto (points, tau) carrying
+    each d-image onto delta, as witness text or None.  The
+    ``classical_stone`` suite prints it, and the ``classical_bridge`` corpus
+    check reads it."""
+    classical = build_classical_spectrum(lat)
+    bitop = build_bitop_spectrum(lat)
+    bijective = len(set(point_map)) == len(point_map) == len(bitop.points)
+    if bijective and is_homeomorphism(point_map, classical.space, bitop.space.tau) and all(
+        image_mask(point_map, classical.dmap[x]) == bitop.delta[x] for x in range(lat.n)
+    ):
+        return None
+    return f"prime-ideal embedding not a homeomorphism (bijective={bijective})"
 
 
 def check_classical_stone(lat: FiniteLattice):
@@ -366,9 +433,9 @@ def check_classical_stone(lat: FiniteLattice):
     classical = build_classical_spectrum(lat)
     if lat.n >= 2 and len(classical.points) == 0:
         return "a distributive lattice with two elements has a prime ideal"
-    bm = b_map(lat)
-    if not (bm.bijective and bm.homeomorphism):
-        return f"prime-ideal embedding not a homeomorphism (bijective={bm.bijective})"
+    witness = b_map_witness(lat, b_map(lat))
+    if witness is not None:
+        return witness
     fund = fundamental_lattice(classical.space)
     subsets = fund.subsets
     witness = _inclusion_table_witness(
@@ -385,8 +452,9 @@ def check_classical_stone(lat: FiniteLattice):
         return f"d-map is not a homomorphism onto the fundamentals: {exc}"
     if len(set(mapping)) != lat.n:
         return "d-map is not injective"
-    rep = h_map_classical(classical.space)
-    if not rep.passed:
+    h_x = h_map_classical(classical.space)
+    target = build_classical_spectrum(fund.lattice).space
+    if -1 in h_x or not is_homeomorphism(h_x, classical.space, target):
         return "point map into spec(F(X)) is not a homeomorphism"
     bridge = to_topological(build_bitop_spectrum(lat).space)
     if to_bitopological(bridge).tau != bridge:
@@ -524,14 +592,14 @@ def _check_naturality(lats, homs):
         for f, _, m, em in rows:
             if m is None:
                 continue
-            rep = delta_natural_iso_check(f, em)
-            if not rep.passed:
-                return f"element-embedding square fails on {f.label()} at {rep.failing_element}"
+            failing = delta_natural_iso_check(f, em)
+            if failing is not None:
+                return f"element-embedding square fails on {f.label()} at {failing}"
             hx = big_h_map(m.source)
             hy = big_h_map(m.target)
             lifted = spec_b_on_hom(em)
             for k in range(m.source.n):
-                if lifted.mapping[hx.mapping[k]] != hy.mapping[m.mapping[k]]:
+                if lifted.mapping[hx[k]] != hy[m.mapping[k]]:
                     return f"reconstruction square fails on {f.label()}"
     return None
 
@@ -545,12 +613,12 @@ def _check_classical_bridge(lats, homs):
         back = to_bitopological(bridge)
         if back.tau != bridge or back.sigma != bridge:
             return f"double/forget round trip fails on {lat.name}"
-        bm = b_map(lat)
-        if not (bm.bijective and bm.homeomorphism):
+        point_map = b_map(lat)
+        if b_map_witness(lat, point_map) is not None:
             return f"prime-ideal embedding fails on {lat.name}"
         spec = build_classical_spectrum(lat)
         prime_masks = {p: k for k, p in enumerate(spec.points)}
-        classical[i] = (spec, prime_masks, bm.point_map)
+        classical[i] = (spec, prime_masks, point_map)
     for i in distributive:
         spec_a, prime_masks, ba = classical[i]
         for j in distributive:

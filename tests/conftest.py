@@ -1,6 +1,21 @@
 import pytest
 
+from lattice_spectra import duality, suites
 from lattice_spectra.catalog import GeneratorConfig, enumerate_lattices, named_lattices
+
+
+@pytest.fixture(autouse=True)
+def _fresh_reconstruction_verdicts(request):
+    """The reconstruction map and its verdicts are cached per space value,
+    so a test that plants a fault starts and ends with those caches empty:
+    a planted verdict neither hides behind an earlier one nor outlives it."""
+    caches = (duality.big_h_map, suites.comaximal_witness, suites.reconstruction_witness)
+    planting = "monkeypatch" in request.fixturenames
+    for fn in caches if planting else ():
+        fn.cache_clear()
+    yield
+    for fn in caches if planting else ():
+        fn.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ import random
 
 from lattice_spectra import topology
 from lattice_spectra.bitsets import bits, full_mask, is_subset, preimage_mask
-from lattice_spectra.duality import pbd_morphism
+from lattice_spectra.duality import big_h_map, essential_lattice, pbd_morphism
 from lattice_spectra.errors import LatticeToolError, NotALattice, NotPairwiseBD
 from lattice_spectra.lattices import all_ideals, check_hom
 from lattice_spectra.spectra import build_bitop_spectrum, delta_compactness_check, gbd_witness
@@ -321,6 +321,18 @@ def d_family_closure_witness(space, essentials):
     return None
 
 
+def d_family_cover_witness(space, essentials):
+    """The cover half of pairwise-BD axiom (iii): the points outside every
+    d-image of ``essentials``, as witness text, or None.  It holds on every
+    finite space: the carrier is i of the sigma-open carrier, hence
+    essential, and d fixes it (``topology.is_pairwise_bd``)."""
+    covered = 0
+    for a in essentials:
+        covered |= topology.op_d(space, a)
+    missed = full_mask(space.n) & ~covered
+    return f"d-images of essential sets miss points {list(bits(missed))}" if missed else None
+
+
 def essential_subsets_brute(space):
     """Essential subsets by scanning every carrier subset: each tau-increasing
     m whose sigma-interior d(m) is sigma-open and whose tau up-closure
@@ -405,6 +417,32 @@ def strongly_continuous_brute(mapping, source, target):
         if preimage_mask(mapping, a) not in src_fund:
             return False
     return True
+
+
+def distributivity_faces(space):
+    """The four faces of distributivity of a pairwise Balbes-Dwinger space,
+    each by its definition: the two open families coincide; the essential
+    lattice satisfies the distributive law on every triple; that lattice is
+    distributive and the reconstruction map is a homeomorphism for both
+    topologies onto its spectrum; every point has equal tau and sigma
+    closures."""
+    lat = essential_lattice(space).lattice
+    meet, join = lat.meet, lat.join
+    distributive = all(
+        meet(x, join(y, z)) == join(meet(x, y), meet(x, z))
+        for x, y, z in itertools.product(range(lat.n), repeat=3)
+    )
+    target = build_bitop_spectrum(lat).space
+    mapping = big_h_map(space)
+    iso = -1 not in mapping and all(
+        is_homeomorphism_brute(mapping, src, tgt)
+        for src, tgt in ((space.tau, target.tau), (space.sigma, target.sigma))
+    )
+    closures_equal = all(
+        all(space.up_tau[q] >> x & 1 == space.up_sigma[q] >> x & 1 for q in range(space.n))
+        for x in range(space.n)
+    )
+    return opens(space.tau) == opens(space.sigma), distributive, distributive and iso, closures_equal
 
 
 def is_homeomorphism_brute(mapping, source, target):

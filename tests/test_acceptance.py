@@ -19,7 +19,6 @@ from lattice_spectra.spectra import (
     build_bitop_spectrum,
     build_classical_spectrum,
     comaximal_pairs,
-    essential_equals_delta,
     gbd_witness,
     prime_points,
 )
@@ -28,7 +27,6 @@ from lattice_spectra.duality import (
     classify_hom,
     delta_embedding,
     delta_natural_iso_check,
-    dischar_equivalences,
     essential_functor_on_morphism,
     fundamental_lattice,
     h_map_classical,
@@ -44,16 +42,18 @@ from lattice_spectra.topology import (
     op_d,
     op_i,
 )
-from lattice_spectra import cli
+from lattice_spectra import cli, suites
 
 from oracles import (
     adjunction_witness,
     compose,
     compose_morphisms,
     count_lattices_brute,
+    distributivity_faces,
     essential_subsets_brute,
     identity_hom,
     increasing_pairs,
+    is_homeomorphism_brute,
     opens,
     pair_filter,
     pair_ideal,
@@ -147,9 +147,8 @@ def test_criterion_06_essential_family_reconstruction(lattices_upto_6):
         assert len(spec.points) <= 12
         brute = essential_subsets_brute(spec.space)
         assert essential_subsets(spec.space) == brute, lat.name
-        rep = essential_equals_delta(lat)
-        assert rep.passed, lat.name
-        assert rep.size == lat.n, lat.name
+        assert brute == frozenset(spec.delta), lat.name
+        assert len(brute) == lat.n, lat.name
     report(6, "essential-sets-are-the-delta-image")
 
 
@@ -169,7 +168,7 @@ def test_criterion_08_duality_round_trips(lattices_upto_6, lattices_upto_4):
     for lat in lattices_upto_6:
         emb = delta_embedding(lat)  # construction validates meet/join
         assert len(set(emb.mapping)) == lat.n == emb.target.n, lat.name
-        assert big_h_map(build_bitop_spectrum(lat).space).passed, lat.name
+        assert suites.reconstruction_witness(build_bitop_spectrum(lat).space) is None, lat.name
     # functor laws and naturality over the full corpus of homs between
     # lattices with at most four elements
     for a in lattices_upto_4:
@@ -180,11 +179,11 @@ def test_criterion_08_duality_round_trips(lattices_upto_6, lattices_upto_4):
                 if not classify_hom(f).quasi_proper:
                     continue
                 mf = spec_b_on_hom(f)
-                assert delta_natural_iso_check(f, essential_functor_on_morphism(mf)).passed, f.label()
+                assert delta_natural_iso_check(f, essential_functor_on_morphism(mf)) is None, f.label()
                 hx, hy = big_h_map(mf.source), big_h_map(mf.target)
                 lifted = spec_b_on_hom(essential_functor_on_morphism(mf))
                 for k in range(mf.source.n):
-                    assert lifted.mapping[hx.mapping[k]] == hy.mapping[mf.mapping[k]], f.label()
+                    assert lifted.mapping[hx[k]] == hy[mf.mapping[k]], f.label()
                 for c in lattices_upto_4:
                     for g in all_homs(b, c):
                         if not classify_hom(g).quasi_proper:
@@ -200,17 +199,18 @@ def test_criterion_09_distributive_unification(lattices_upto_6, lattices_upto_4)
         if not is_distributive(lat).distributive:
             continue
         space = build_bitop_spectrum(lat).space
-        rep = dischar_equivalences(space)
-        assert rep.agree and rep.doubly, lat.name
-        bm = b_map(lat)
-        assert bm.bijective and bm.homeomorphism, lat.name
+        assert distributivity_faces(space) == (True, True, True, True), lat.name
         classical = build_classical_spectrum(lat)
+        point_map = b_map(lat)
+        assert sorted(point_map) == list(range(space.n)), lat.name
+        assert is_homeomorphism_brute(point_map, classical.space, space.tau), lat.name
         fund = fundamental_lattice(classical.space)
         assert fund.lattice.n == lat.n, lat.name
         mapping = tuple(fund.element_of(classical.dmap[x]) for x in range(lat.n))
         check_hom(lat, fund.lattice, mapping)
         assert len(set(mapping)) == lat.n, lat.name
-        assert h_map_classical(classical.space).passed, lat.name
+        target = build_classical_spectrum(fund.lattice).space
+        assert is_homeomorphism_brute(h_map_classical(classical.space), classical.space, target), lat.name
         bridge = to_topological(space)
         assert opens(to_bitopological(bridge).tau) == opens(bridge), lat.name
     # forget/double are mutually inverse across the small corpus too

@@ -8,7 +8,7 @@ import pytest
 from lattice_spectra import suites
 from lattice_spectra.bitsets import full_mask, mask_of, transpose
 from lattice_spectra.catalog import to_dot
-from lattice_spectra.duality import char_comaximal_of_essential, essential_lattice, h_map_classical
+from lattice_spectra.duality import big_h_map, essential_lattice, fundamental_lattice, h_map_classical
 from lattice_spectra.spectra import build_bitop_spectrum, build_classical_spectrum
 from lattice_spectra.topology import op_d
 
@@ -120,21 +120,20 @@ def test_reconstruction_pairs_match_literal_definition(corpus):
             )
             for x in range(space.n)
         )
-        assert char_comaximal_of_essential(space).point_to_pair == expected, lat
+        assert big_h_map(space) == expected, lat
 
 
 def test_classical_map_matches_literal_definition(corpus):
     # I_x = the fundamental sets missing x, looked up among the prime ideals
     for lat in corpus:
         top = build_classical_spectrum(lat).space
-        report = h_map_classical(top)
-        primes = {p: k for k, p in enumerate(report.spectrum.points)}
-        subsets = report.fundamentals.subsets
+        fund = fundamental_lattice(top)
+        primes = {p: k for k, p in enumerate(build_classical_spectrum(fund.lattice).points)}
         expected = tuple(
-            primes.get(mask_of(k for k, a in enumerate(subsets) if not a >> x & 1), -1)
+            primes.get(mask_of(k for k, a in enumerate(fund.subsets) if not a >> x & 1), -1)
             for x in range(top.n)
         )
-        assert report.mapping == expected, lat
+        assert h_map_classical(top) == expected, lat
 
 
 def test_dot_labels_match_literal_definition(corpus):

@@ -222,6 +222,40 @@ def test_hom_morphism_failure_exits_1(lattice_dir, tmp_path, monkeypatch):
     ]
 
 
+@pytest.mark.parametrize(
+    "planted, witness",
+    [
+        # E(spec_B(id)) read backwards: the square fails at the bottom
+        ("functor", "0"),
+        # embeddings into a larger lattice: every square holds, no isomorphism
+        ("embedding", "None"),
+    ],
+)
+def test_hom_naturality_failure_exits_1(lattice_dir, tmp_path, monkeypatch, planted, witness):
+    import dataclasses
+
+    from lattice_spectra import duality
+    from lattice_spectra.catalog import named_lattices
+
+    if planted == "functor":
+        real = duality.essential_functor_on_morphism
+        monkeypatch.setattr(
+            duality, "essential_functor_on_morphism", lambda m: dataclasses.replace(real(m), mapping=real(m).mapping[::-1])
+        )
+    else:
+        real = duality.delta_embedding
+        b3 = named_lattices()["b3"]
+        monkeypatch.setattr(duality, "delta_embedding", lambda lat: dataclasses.replace(real(lat), target=b3))
+    hom = tmp_path / "id.hom"
+    hom.write_text("hom id from m5 to m5\n" + "".join(f"map {x} {x}\n" for x in "0abc1"), encoding="utf-8")
+    code, out = run_cli(["hom", str(hom), str(lattice_dir / "m5.lat"), str(lattice_dir / "m5.lat")])
+    assert code == 1
+    assert out.splitlines()[-2:] == [
+        "pbd-morphism conditions: PASS",
+        f"naturality square: FAIL witness={witness}",
+    ]
+
+
 def test_console_entrypoint_runs(lattice_dir):
     proc = subprocess.run(
         [sys.executable, "-m", "lattice_spectra.cli", "show", str(lattice_dir / "m5.lat")],
@@ -307,7 +341,7 @@ def test_public_names_resolve_lazily():
     import lattice_spectra
 
     exported = set(lattice_spectra.__all__)
-    assert len(exported) == len(lattice_spectra.__all__) == 87
+    assert len(exported) == len(lattice_spectra.__all__) == 84
     for name in exported:
         module = importlib.import_module(f"lattice_spectra.{lattice_spectra._MODULE_OF[name]}")
         assert getattr(lattice_spectra, name) is getattr(module, name), name

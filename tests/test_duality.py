@@ -1,5 +1,6 @@
 import pytest
 
+from lattice_spectra import suites
 from lattice_spectra.errors import NotBDSpace, NotDoublyBD, NotQuasiProper
 from lattice_spectra.lattices import (
     all_homs,
@@ -14,11 +15,9 @@ from lattice_spectra.spectra import (
 )
 from lattice_spectra.duality import (
     big_h_map,
-    char_comaximal_of_essential,
     classify_hom,
     delta_embedding,
     delta_natural_iso_check,
-    dischar_equivalences,
     essential_functor_on_morphism,
     essential_lattice,
     fundamental_lattice,
@@ -32,8 +31,10 @@ from lattice_spectra.topology import doubled_space, is_continuous, op_d, op_i, t
 from oracles import (
     compose,
     compose_morphisms,
+    distributivity_faces,
     identity_hom,
     identity_morphism,
+    is_homeomorphism_brute,
     opens,
     pair_filter,
     pair_ideal,
@@ -194,26 +195,23 @@ def test_char_one_point_space():
     from lattice_spectra.topology import topology_from_subbasis
 
     space = doubled_space(topology_from_subbasis(1, []))
-    rep = char_comaximal_of_essential(space)
-    assert rep.passed
-    assert rep.point_to_pair == (0,)
+    assert suites.comaximal_witness(space) is None
+    assert big_h_map(space) == (0,)
 
 
 def test_char_m5(m5):
     space = build_bitop_spectrum(m5).space
-    rep = char_comaximal_of_essential(space)
-    assert rep.passed
-    assert rep.injective and not rep.unmatched_pairs
-    assert rep.d_intersection_empty and rep.a_intersection_empty
+    assert suites.comaximal_witness(space) is None
     ess = essential_lattice(space)
     assert len(comaximal_pairs(ess.lattice)) == 6
+    # a bijection onto the comaximal pairs of the essential lattice
+    assert sorted(big_h_map(space)) == list(range(6))
 
 
 def test_big_h_roundtrip(lattices_upto_5, cat):
     sample = list(lattices_upto_5) + [cat["hexagon"], cat["b3"], cat["m5xchain2"]]
     for lat in sample:
-        rep = big_h_map(build_bitop_spectrum(lat).space)
-        assert rep.passed, lat.name
+        assert suites.reconstruction_witness(build_bitop_spectrum(lat).space) is None, lat.name
 
 
 def test_big_h_requires_pairwise_bd():
@@ -234,24 +232,32 @@ def test_delta_embedding_is_iso(lattices_upto_5):
 # --- classical representation ---------------------------------------------------
 
 
+def _h_classical_target(top):
+    return build_classical_spectrum(fundamental_lattice(top).lattice)
+
+
 def test_h_classical_two_chain(chain2):
-    rep = h_map_classical(build_classical_spectrum(chain2).space)
-    assert rep.passed
-    assert rep.fundamentals.lattice.n == 2
+    top = build_classical_spectrum(chain2).space
+    assert is_homeomorphism_brute(h_map_classical(top), top, _h_classical_target(top).space)
+    assert fundamental_lattice(top).lattice.n == 2
 
 
 def test_h_classical_diamond(diamond):
-    rep = h_map_classical(build_classical_spectrum(diamond).space)
-    assert rep.passed and rep.bijective and rep.homeomorphism
-    assert len(rep.spectrum.points) == 2
+    top = build_classical_spectrum(diamond).space
+    assert sorted(h_map_classical(top)) == [0, 1]
+    assert is_homeomorphism_brute(h_map_classical(top), top, _h_classical_target(top).space)
+    assert len(_h_classical_target(top).points) == 2
 
 
 def test_h_classical_all_distributive(lattices_upto_5):
     for lat in lattices_upto_5:
         if not is_distributive(lat).distributive:
             continue
-        rep = h_map_classical(build_classical_spectrum(lat).space)
-        assert rep.passed, lat.name
+        top = build_classical_spectrum(lat).space
+        mapping = h_map_classical(top)
+        assert -1 not in mapping, lat.name
+        assert is_homeomorphism_brute(mapping, top, _h_classical_target(top).space), lat.name
+        assert suites.check_classical_stone(lat) is None, lat.name
 
 
 def test_classical_point_maps_continuity_is_strong_continuity(lattices_upto_5):
@@ -299,14 +305,12 @@ def _natural_square(hom):
 
 
 def test_naturality_identity(m5):
-    rep = _natural_square(identity_hom(m5))
-    assert rep.passed
+    assert _natural_square(identity_hom(m5)) is None
 
 
 def test_naturality_collapse(diamond, chain2):
     f = check_hom(diamond, chain2, (0, 1, 0, 1))
-    rep = _natural_square(f)
-    assert rep.passed
+    assert _natural_square(f) is None
 
 
 def test_naturality_catalog_small(cat):
@@ -315,7 +319,7 @@ def test_naturality_catalog_small(cat):
         for tgt in small:
             for hom in all_homs(src, tgt):
                 if classify_hom(hom).quasi_proper:
-                    assert _natural_square(hom).passed, hom.label()
+                    assert _natural_square(hom) is None, hom.label()
 
 
 # --- bridge ----------------------------------------------------------------------
@@ -347,35 +351,26 @@ def test_b_map_into_forgotten_spectrum(lattices_upto_5):
     for lat in lattices_upto_5:
         if not is_distributive(lat).distributive:
             continue
-        rep = b_map(lat)
-        assert rep.bijective and rep.homeomorphism, lat.name
+        point_map = b_map(lat)
+        spec = build_bitop_spectrum(lat)
+        assert sorted(point_map) == list(range(len(spec.points))), lat.name
+        assert is_homeomorphism_brute(point_map, build_classical_spectrum(lat).space, spec.space.tau), lat.name
+        assert suites.b_map_witness(lat, point_map) is None, lat.name
 
 
 # --- the four equivalent faces of distributivity ----------------------------------
 
 
 def test_dischar_reports(diamond, m5, n5):
-    d = dischar_equivalences(build_bitop_spectrum(diamond).space)
-    assert (d.doubly, d.essential_distributive, d.spectrum_of_distributive, d.all_points_prime) == (
-        True,
-        True,
-        True,
-        True,
-    )
-    assert d.agree
+    assert distributivity_faces(build_bitop_spectrum(diamond).space) == (True, True, True, True)
     for lat in (m5, n5):
-        r = dischar_equivalences(build_bitop_spectrum(lat).space)
-        assert (r.doubly, r.essential_distributive, r.spectrum_of_distributive, r.all_points_prime) == (
-            False,
-            False,
-            False,
-            False,
-        )
-        assert r.agree
+        assert distributivity_faces(build_bitop_spectrum(lat).space) == (False, False, False, False)
+    for lat in (diamond, m5, n5):
+        assert suites.check_distributive_equivalences(lat) is None
 
 
 def test_dischar_upto_5(lattices_upto_5):
     for lat in lattices_upto_5:
-        rep = dischar_equivalences(build_bitop_spectrum(lat).space)
-        assert rep.agree
-        assert rep.doubly == is_distributive(lat).distributive
+        faces = distributivity_faces(build_bitop_spectrum(lat).space)
+        assert faces == (is_distributive(lat).distributive,) * 4, lat.name
+        assert suites.check_distributive_equivalences(lat) is None, lat.name

@@ -3,10 +3,12 @@ import random
 
 import pytest
 
+from lattice_spectra import suites
 from lattice_spectra.bitsets import bits, full_mask, is_subset, mask_of
 from lattice_spectra.catalog import GeneratorConfig, enumerate_lattices
 from lattice_spectra.errors import EmptyInput, NotDisjoint
 from lattice_spectra.lattices import is_distributive
+from lattice_spectra.topology import essential_subsets
 from lattice_spectra.spectra import (
     ComaximalPair,
     b_map,
@@ -14,7 +16,6 @@ from lattice_spectra.spectra import (
     build_classical_spectrum,
     comaximal_pairs,
     delta_compactness_check,
-    essential_equals_delta,
     extend_to_comaximal,
     gbd_witness,
     has_bottom_via_fundamental,
@@ -174,18 +175,20 @@ def test_classical_spectra(m5, chain2, n5):
 
 
 def test_b_map(diamond, m5, n5):
-    bd = b_map(diamond)
-    assert bd.bijective and bd.homeomorphism
-    bm = b_map(m5)
-    assert bm.injective and not bm.bijective
-    bn = b_map(n5)
-    assert bn.injective and not bn.bijective
-    assert len(bn.point_map) == 2
+    assert suites.b_map_witness(diamond, b_map(diamond)) is None
+    for lat in (m5, n5):
+        # injective, but short of the comaximal pairs
+        point_map = b_map(lat)
+        assert len(set(point_map)) == len(point_map) < len(build_bitop_spectrum(lat).points)
+        assert suites.b_map_witness(lat, point_map) == "prime-ideal embedding not a homeomorphism (bijective=False)"
+    assert len(b_map(n5)) == 2
 
 
 def test_b_map_bijective_iff_distributive(lattices_upto_6):
     for lat in lattices_upto_6:
-        assert b_map(lat).bijective == is_distributive(lat).distributive
+        points = len(build_bitop_spectrum(lat).points)
+        bijective = sorted(b_map(lat)) == list(range(points))
+        assert bijective == is_distributive(lat).distributive, lat.name
 
 
 # --- covering witnesses ------------------------------------------------------
@@ -422,15 +425,18 @@ def test_two_chain_epsilon_bottom_is_empty(chain2):
 
 
 def test_essential_equals_delta_examples(chain2, m5):
-    rep2 = essential_equals_delta(chain2)
-    assert rep2.passed and rep2.size == 2
-    rep5 = essential_equals_delta(m5)
-    assert rep5.passed and rep5.size == 5
+    for lat, size in ((chain2, 2), (m5, 5)):
+        spec = build_bitop_spectrum(lat)
+        assert essential_subsets(spec.space) == frozenset(spec.delta)
+        assert len(essential_subsets(spec.space)) == size
 
 
 def test_essential_equals_delta_upto_6(lattices_upto_6):
     for lat in lattices_upto_6:
-        assert essential_equals_delta(lat).passed, lat.name
+        spec = build_bitop_spectrum(lat)
+        assert essential_subsets(spec.space) == frozenset(spec.delta), lat.name
+        assert len(set(spec.delta)) == lat.n, lat.name
+        assert suites.check_essential_family(lat) is None, lat.name
 
 
 # --- specialization orders (the order characterizations) ----------------------

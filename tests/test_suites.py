@@ -9,6 +9,7 @@ import pytest
 
 from lattice_spectra import duality, spectra, suites
 from lattice_spectra.bitsets import bits
+from lattice_spectra.catalog import named_lattices
 from lattice_spectra.lattices import LatticeHom, check_hom
 from lattice_spectra.spectra import (
     ComaximalPair,
@@ -124,50 +125,59 @@ def test_covering_samples_drawn_once_per_size(lattices_upto_5, cat):
         assert suites.covering_samples(lat.n) == tuple(dict.fromkeys(_covering_draws(lat)))
 
 
-def _counting(monkeypatch, module, name):
-    """Replace ``module.name`` by a wrapper that records its first argument."""
-    seen = []
-    real = getattr(module, name)
-
-    def counting(space):
-        seen.append(space)
-        return real(space)
-
-    monkeypatch.setattr(module, name, counting)
-    return seen
+def _reconstruction_caches():
+    return {
+        "big_h_map": duality.big_h_map,
+        "comaximal_witness": suites.comaximal_witness,
+        "reconstruction_witness": suites.reconstruction_witness,
+    }
 
 
-def test_one_reconstruction_report_per_space(monkeypatch, cat):
-    # the comaximal characterization and the reconstruction report run once
-    # per spectrum in verify, though three suites read them, and once per
-    # corpus lattice in the corpus checks, not per quasi-proper hom
-    build_bitop_spectrum.cache_clear()  # fresh spaces carry no report yet
-    chars = _counting(monkeypatch, duality, "_comaximal_characterization")
-    reports = _counting(monkeypatch, duality, "_reconstruction_report")
+def _evaluations():
+    """How often the reconstruction map and its two verdicts were evaluated
+    since their caches were cleared, and how many spaces each keeps."""
+    return {name: (fn.cache_info().misses, fn.cache_info().currsize) for name, fn in _reconstruction_caches().items()}
+
+
+def _clear_reconstruction_caches():
+    for fn in _reconstruction_caches().values():
+        fn.cache_clear()
+
+
+def test_one_reconstruction_report_per_space(cat):
+    # the reconstruction map and both its verdicts are evaluated once per
+    # spectrum in verify, though three suites read them, and the map once
+    # per corpus lattice in the corpus checks, not per quasi-proper hom
+    _clear_reconstruction_caches()
     lats = list(cat.values())
     assert all(r.passed for r in suites.run_lattice_suites(lats))
-    spaces = {id(build_bitop_spectrum(lat).space) for lat in lats}
-    for seen in (chars, reports):
-        assert sorted(map(id, seen)) == sorted(spaces)
+    spaces = {build_bitop_spectrum(lat).space for lat in lats}
+    assert _evaluations() == {name: (len(spaces), len(spaces)) for name in _reconstruction_caches()}
 
-    build_bitop_spectrum.cache_clear()
-    chars.clear()
-    reports.clear()
+    _clear_reconstruction_caches()
     corpus = suites.corpus_lattices()
     assert all(r.passed for r in suites.corpus_checks(corpus))
-    assert len(chars) == len(reports) == len(corpus) == 5
+    assert _evaluations() == {"big_h_map": (5, 5), "comaximal_witness": (0, 0), "reconstruction_witness": (0, 0)}
+    assert len(corpus) == 5
+
+
+def _plant(monkeypatch, name, make):
+    """Replace ``name`` by ``make(real)`` in each of duality, spectra and
+    suites that binds it, so a fault reaches every caller."""
+    for module in (duality, spectra, suites):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, make(getattr(module, name)))
 
 
 def test_failing_reconstruction_keeps_each_witness(monkeypatch, cat):
-    # one planted comaximal-characterization failure surfaces in the three
-    # suites that read the report, each with its own witness text
-    build_bitop_spectrum.cache_clear()
-    bad = duality.CharComaximalReport(False, (-1,), True, (0,), True, False)
-    monkeypatch.setattr(duality, "_comaximal_characterization", lambda space: bad)
+    # one planted fault in d, which leaves no point a comaximal pair of the
+    # essential lattice, surfaces in the three suites that read the
+    # reconstruction map, each with its own witness text
+    _plant(monkeypatch, "op_d", lambda real: lambda space, a: 0)
     results = {r.check: r for r in suites.suite_for_lattice(cat["chain2"])}
     assert results["essential_comaximal_points"].witness == (
         "comaximal characterization fails (injective=True, unmatched=[0], "
-        "empty-d=True, empty-A=False)"
+        "empty-d=True, empty-A=True)"
     )
     assert results["space_roundtrip"].witness == (
         "reconstruction map not an isomorphism (bijective=False, delta=False, "
@@ -177,7 +187,159 @@ def test_failing_reconstruction_keeps_each_witness(monkeypatch, cat):
         "equivalence faces disagree: doubly=True, E-distributive=True, "
         "spectrum-of-distributive=False, all-prime=True"
     )
-    build_bitop_spectrum.cache_clear()  # drop the planted reports
+
+
+def _essential_sets_holding_point_0(real):
+    return lambda space: real(space)._replace(subsets=tuple(a | 1 for a in real(space).subsets))
+
+
+@pytest.mark.parametrize(
+    "name, planted, make, witness",
+    [
+        # two points share the pair that d collapses to: not injective
+        ("diamond", "op_d", lambda real: lambda space, a: 0, "injective=False, unmatched=[0, 1], empty-d=True, empty-A=True"),
+        # a d that keeps point 0 leaves it in every d-image
+        ("chain2", "op_d", lambda real: lambda space, a: real(space, a) | 1, "injective=True, unmatched=[0], empty-d=False, empty-A=True"),
+        # the suite's essential sets all hold point 0, the map is untouched
+        ("chain2", "essential_lattice", _essential_sets_holding_point_0, "injective=True, unmatched=[], empty-d=False, empty-A=False"),
+    ],
+)
+def test_comaximal_faults_reach_essential_comaximal_points(monkeypatch, cat, name, planted, make, witness):
+    if planted == "op_d":
+        _plant(monkeypatch, planted, make)
+    else:
+        monkeypatch.setattr(suites, planted, make(getattr(suites, planted)))
+    result = _suite_result(cat[name], "essential_comaximal_points")
+    assert (result.passed, result.witness) == (False, f"comaximal characterization fails ({witness})")
+
+
+def _essential_spectrum_with_zero(field):
+    """A ``build_bitop_spectrum`` whose spectra of essential lattices carry
+    the empty set in every entry of ``field`` ("delta" or "epsilon")."""
+
+    def make(real):
+        def planted(lat):
+            s = real(lat)
+            if lat.name != "essential":
+                return s
+            return dataclasses.replace(s, **{field: (0,) * len(getattr(s, field))})
+
+        return planted
+
+    return make
+
+
+_RECONSTRUCTION_FAULTS = {
+    "delta": ("build_bitop_spectrum", _essential_spectrum_with_zero("delta")),
+    "epsilon": ("build_bitop_spectrum", _essential_spectrum_with_zero("epsilon")),
+    "bihomeo": ("is_homeomorphism", lambda real: lambda *args: False),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_RECONSTRUCTION_FAULTS))
+def test_reconstruction_faults_reach_space_roundtrip(monkeypatch, m5, fault):
+    _plant(monkeypatch, *_RECONSTRUCTION_FAULTS[fault])
+    flags = ", ".join(f"{flag}={flag != fault}" for flag in ("delta", "epsilon", "bihomeo"))
+    result = _suite_result(m5, "space_roundtrip")
+    assert (result.passed, result.witness) == (
+        False,
+        f"reconstruction map not an isomorphism (bijective=True, {flags})",
+    )
+
+
+@pytest.mark.parametrize(
+    "fault, faces",
+    [
+        ("delta", "spectrum-of-distributive=False, all-prime=True"),
+        ("closures", "spectrum-of-distributive=True, all-prime=False"),
+    ],
+)
+def test_face_faults_reach_distributive_equivalences(monkeypatch, chain2, fault, faces):
+    if fault == "closures":
+        _plant(monkeypatch, "equal_closure_points", lambda real: lambda space: 0)
+    else:
+        _plant(monkeypatch, *_RECONSTRUCTION_FAULTS[fault])
+    result = _suite_result(chain2, "distributive_equivalences")
+    assert (result.passed, result.witness) == (
+        False,
+        f"equivalence faces disagree: doubly=True, E-distributive=True, {faces}",
+    )
+
+
+def test_classical_point_map_fault_reaches_classical_stone(monkeypatch, chain3):
+    # numbering the primes of the fundamental lattice backwards maps the two
+    # comparable points of chain3's Zariski space the wrong way round
+    def make(real):
+        def planted(lat):
+            s = real(lat)
+            return s._replace(points=s.points[::-1]) if lat.name == "fundamental" else s
+
+        return planted
+
+    _plant(monkeypatch, "build_classical_spectrum", make)
+    result = _suite_result(chain3, "classical_stone")
+    assert (result.passed, result.witness) == (False, "point map into spec(F(X)) is not a homeomorphism")
+
+
+@pytest.mark.parametrize(
+    "fault, lattice, bijective, corpus_lattice",
+    [
+        # every prime ideal sent to point 0
+        ("collapse", "diamond", False, "gen3_0"),
+        # a bijection that is no homeomorphism
+        ("homeomorphism", "chain2", True, "gen1_0"),
+    ],
+)
+def test_b_map_faults_reach_both_printers(monkeypatch, cat, fault, lattice, bijective, corpus_lattice):
+    if fault == "collapse":
+        monkeypatch.setattr(spectra.BitopSpectrum, "point_index", lambda self, a, b: 0)
+    else:
+        _plant(monkeypatch, "is_homeomorphism", lambda real: lambda *args: False)
+    result = _suite_result(cat[lattice], "classical_stone")
+    assert (result.passed, result.witness) == (
+        False,
+        f"prime-ideal embedding not a homeomorphism (bijective={bijective})",
+    )
+    bridge = {r.check: r for r in suites.corpus_checks()}["classical_bridge"]
+    assert (bridge.passed, bridge.witness) == (False, f"prime-ideal embedding fails on {corpus_lattice}")
+
+
+def test_essential_family_fault_reaches_essential_family(monkeypatch, chain2):
+    # dropping the carrier, delta(1), from the essential family
+    _plant(
+        monkeypatch,
+        "essential_subsets",
+        lambda real: lambda space: frozenset(a for a in real(space) if a != (1 << space.n) - 1),
+    )
+    result = _suite_result(chain2, "essential_family")
+    assert (result.passed, result.witness) == (
+        False,
+        "essential family differs from the delta image (extra [], missing [1])",
+    )
+
+
+def _reversed_functor(real):
+    return lambda m: dataclasses.replace(real(m), mapping=real(m).mapping[::-1])
+
+
+def _embedding_into_b3(real):
+    """Element embeddings whose target is the eight-element Boolean lattice:
+    the mappings, and so every square, are unchanged, but no embedding is an
+    isomorphism."""
+    return lambda lat: dataclasses.replace(real(lat), target=named_lattices()["b3"])
+
+
+@pytest.mark.parametrize(
+    "name, make, witness",
+    [
+        ("essential_functor_on_morphism", _reversed_functor, "x0->x0 x1->x1 at x0"),
+        ("delta_embedding", _embedding_into_b3, "x0->x0 at None"),
+    ],
+)
+def test_naturality_faults_reach_naturality_squares(monkeypatch, name, make, witness):
+    _plant(monkeypatch, name, make)
+    result = {r.check: r for r in suites.corpus_checks()}["naturality_squares"]
+    assert (result.passed, result.witness) == (False, f"element-embedding square fails on {witness}")
 
 
 def _planted_faults(lat, side, fault):
@@ -545,6 +707,35 @@ def test_only_cli_input_records_validate_themselves():
                     if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"
                 ]
     assert found == ["catalog.GeneratorConfig"]
+
+
+def test_verdict_records_stay_out_of_the_library():
+    # the library returns what it computes; each theorem verdict and its
+    # witness text live in the suite or corpus check that prints it.  Only
+    # the suites' result line and the two input verdicts that the library
+    # raises on carry a ``passed`` field
+    package = Path(duality.__file__).parent
+    gone = {
+        "CharComaximalReport",
+        "HIsoReport",
+        "ClassicalRepReport",
+        "NaturalityReport",
+        "DisCharReport",
+        "BMapReport",
+        "EssentialDeltaReport",
+    }
+    with_passed = []
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert not {name for name in gone if name in text}, path.name
+        for cls in ast.walk(ast.parse(text)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            bases = {b.id for b in cls.bases if isinstance(b, ast.Name)}
+            fields = {n.target.id for n in cls.body if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)}
+            if "NamedTuple" in bases and "passed" in fields:
+                with_passed.append(cls.name)
+    assert sorted(with_passed) == ["BDSpaceReport", "CheckResult", "PairwiseBDReport"]
 
 
 def _unused_imports(tree):

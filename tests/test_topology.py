@@ -40,6 +40,7 @@ from oracles import (
     adjunction_witness,
     bd_space_brute,
     d_family_closure_witness,
+    d_family_cover_witness,
     essential_subsets_brute,
     essential_subsets_by_sigma_opens,
     increasing_pairs,
@@ -420,6 +421,15 @@ def test_d_family_closed_under_intersection(lattices_upto_6):
         assert d_family_closure_witness(space, essential_subsets(space)) is None, (space.up_tau, space.up_sigma)
 
 
+def test_d_family_covers_the_carrier(lattices_upto_6):
+    # axiom (iii)'s cover half holds on every finite space, also where
+    # another axiom fails, so is_pairwise_bd does not test it
+    spaces = _finite_fact_spaces(lattices_upto_6)
+    assert any(not is_pairwise_bd(space).passed for space in spaces)
+    for space in spaces:
+        assert d_family_cover_witness(space, essential_subsets(space)) is None, (space.up_tau, space.up_sigma)
+
+
 @pytest.mark.parametrize("kind, k", [("m", 6), ("m", 18), ("m", 30), ("b", 8)])
 def test_finite_facts_on_large_spectra(kind, k):
     # the seeded form verify used past 12 points: 2000 pairs from Random(1729)
@@ -445,6 +455,15 @@ def test_d_family_oracle_reports_planted_fault(monkeypatch):
     real = topology.op_d
     monkeypatch.setattr(topology, "op_d", lambda space, a: real(space, a) or full_mask(space.n))
     assert d_family_closure_witness(space, ess) == "d-image family not closed under intersection: 0x1 & 0x2"
+
+
+def test_d_family_cover_oracle_reports_planted_fault(monkeypatch):
+    # a d that drops point 0 leaves it outside every d-image
+    space = doubled_space(discrete(2))
+    ess = essential_subsets(space)
+    real = topology.op_d
+    monkeypatch.setattr(topology, "op_d", lambda space, a: real(space, a) & ~1)
+    assert d_family_cover_witness(space, ess) == "d-images of essential sets miss points [0]"
 
 
 def test_d_preserves_intersections_i_unions(lattices_upto_4):
@@ -701,8 +720,9 @@ def test_broken_sigma_basis_fails_axiom_iii():
     space = bitop_space(sierpinski(), discrete(2))
     report = is_pairwise_bd(space)
     assert not report.passed
-    assert report.failing_axiom == "iii"
-    assert report.witness
+    assert (report.failing_axiom, report.witness) == ("iii", "d-images of essential sets are not a basis for sigma")
+    # the d-images cover the carrier, so generating sigma is what fails
+    assert d_family_cover_witness(space, essential_subsets(space)) is None
 
 
 def test_axioms_ii_iii_match_open_family_forms():
