@@ -27,7 +27,6 @@ _PUBLIC = {
         "NotBDSpace",
         "NotDisjoint",
         "NotDoublyBD",
-        "NotIncreasing",
         "NotPairwiseBD",
         "NotQuasiProper",
         "ParseError",
@@ -53,14 +52,11 @@ _PUBLIC = {
         "bitop_space",
         "count_opens",
         "doubled_space",
-        "empty_set_is_fundamental",
         "essential_subsets",
         "fundamental_subsets",
         "is_bd_space",
-        "is_costable",
         "is_pairwise_bd",
         "is_pairwise_t0",
-        "is_stable",
         "op_d",
         "op_i",
         "topology_from_subbasis",

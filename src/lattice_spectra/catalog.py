@@ -434,25 +434,21 @@ def to_dot(obj) -> str:
         lines = [f"digraph {_quote((lat.name or 'lattice') + '_spec_b')} {{", "  rankdir=BT;"]
         m = len(obj.points)  # d_of[k] / e_of[k]: the x whose delta / epsilon holds k
         d_of, e_of = transpose(obj.delta, m), transpose(obj.epsilon, m)
-        for k, p in enumerate(obj.points):
+        labels = [p.label() for p in obj.points]
+        nodes = [_quote(label) for label in labels]
+        for k, label in enumerate(labels):
             in_delta = ",".join(lat.names[x] for x in bits(d_of[k]))
             in_eps = ",".join(lat.names[x] for x in bits(e_of[k]))
-            label = f"{p.label()}\\nd:{in_delta} e:{in_eps}"
-            lines.append(f"  {_quote(p.label())} [label={_quote(label)}];")
+            text = f"{label}\\nd:{in_delta} e:{in_eps}"
+            lines.append(f"  {nodes[k]} [label={_quote(text)}];")
         space = obj.space
         for x in range(space.n):
             for y in bits(space.up_tau[x]):
                 if x != y:
-                    lines.append(
-                        f"  {_quote(obj.points[x].label())} -> {_quote(obj.points[y].label())}"
-                        ' [color=blue];'
-                    )
+                    lines.append(f"  {nodes[x]} -> {nodes[y]} [color=blue];")
             for y in bits(space.up_sigma[x]):
                 if x != y:
-                    lines.append(
-                        f"  {_quote(obj.points[x].label())} -> {_quote(obj.points[y].label())}"
-                        ' [color=red, style=dashed];'
-                    )
+                    lines.append(f"  {nodes[x]} -> {nodes[y]} [color=red, style=dashed];")
         lines.append("}")
     else:
         raise TypeError(f"no DOT rendering for {type(obj).__name__}")

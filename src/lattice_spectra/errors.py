@@ -31,10 +31,6 @@ class NotAHom(LatticeToolError):
         super().__init__(f"map does not preserve {op} of {x!r} and {y!r}")
 
 
-class NotIncreasing(LatticeToolError):
-    """A stability test was handed a set that is not increasing."""
-
-
 class CarrierTooLarge(LatticeToolError):
     """Exhaustive machinery refused to run beyond its size bound."""
 

@@ -177,16 +177,11 @@ def build_lattice(names, cover_pairs, name: str = "") -> FiniteLattice:
             if s not in index:
                 raise ValueError(f"cover mentions unknown element {s!r}")
         up[index[lo]] |= 1 << index[hi]
-    changed = True
-    while changed:
-        changed = False
+    # Warshall: after step k, up[i] holds every j reached through 0..k
+    for k in range(n):
         for i in range(n):
-            grown = up[i]
-            for j in bits(up[i]):
-                grown |= up[j]
-            if grown != up[i]:
-                up[i] = grown
-                changed = True
+            if up[i] >> k & 1:
+                up[i] |= up[k]
     for i in range(n):
         for j in bits(up[i]):
             if i != j and up[j] >> i & 1:

@@ -11,7 +11,6 @@ generate the two topologies.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -149,16 +148,16 @@ class ClassicalSpectrum(NamedTuple):
 
     ``points`` holds the prime ideals' member masks in ascending order (as
     :func:`lattices.prime_ideals` lists them); ``lattice.set_label`` names a
-    point.  For points that are prime ideals the image is automatically
-    closed under intersections; the flag records the literal check so a
-    failure would be reported rather than silently repaired.
+    point.  The image of ``dmap`` is closed under intersections: a prime
+    ideal misses meet(x, y) exactly when it misses both x and y, so
+    ``dmap[x] & dmap[y]`` is ``dmap[meet(x, y)]``
+    (``tests/oracles.py::image_intersection_closed``).
     """
 
     lattice: FiniteLattice
     points: tuple[BitMask, ...]
     dmap: tuple[BitMask, ...]
     space: FiniteTopology
-    image_intersection_closed: bool
 
 
 @lru_cache(maxsize=None)
@@ -166,10 +165,8 @@ def build_classical_spectrum(lat: FiniteLattice) -> ClassicalSpectrum:
     points = tuple(prime_ideals(lat))
     # dmap[x]: the prime ideals not containing x
     dmap = transpose([full_mask(lat.n) & ~p for p in points], lat.n)
-    image = set(dmap)
-    closed = all(a & b in image for a, b in itertools.combinations(image, 2))
     space = topology_from_subbasis(len(points), dmap)
-    return ClassicalSpectrum(lat, points, tuple(dmap), space, closed)
+    return ClassicalSpectrum(lat, points, tuple(dmap), space)
 
 
 def b_map(lat: FiniteLattice) -> tuple[int, ...]:

@@ -21,10 +21,13 @@ tau-increasing subsets.  Both are unions of neighbourhoods: i(A) is the
 union of up_tau over A, and d(A) is the complement of the union of the
 sigma down-sets over the complement of A.  Each topology keeps chunk tables
 for those unions (``FiniteTopology.up_chunks``/``down_chunks``), so either
-operator, and the openness test ``is_increasing``, costs one lookup per
-8-point block; ``tests/oracles.py`` keeps the per-point loops they replace.
-A subbasis generates its topology with such a table too, once
-``bitsets.transpose`` lists the sets around each point.
+operator costs one lookup per 8-point block; ``tests/oracles.py`` keeps the
+per-point loops they replace.  A subbasis generates its topology with such a
+table too, once ``bitsets.transpose`` lists the sets around each point.
+The operators read only ``tau.up_chunks`` and ``sigma.down_chunks``.  The
+stability, co-stability and openness tests are definitions in
+``tests/oracles.py``: on a spectrum the transition identities that the
+``transition_operators`` suite checks settle them.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .bitsets import BitMask, bits, full_mask, image_mask, is_subset, transpose
-from .errors import CarrierTooLarge, NotIncreasing
+from .errors import CarrierTooLarge
 
 # most memo entries count_opens keeps before refusing
 _COUNT_MEMO_BOUND = 1 << 17
@@ -226,25 +229,6 @@ def op_d(space: BitopSpace, a: BitMask) -> BitMask:
     return full & ~_union_of(space.sigma.down_chunks, full & ~a)
 
 
-def is_increasing(top: FiniteTopology, a: BitMask) -> bool:
-    """Whether ``a`` is open in ``top``: its up-closure adds no point."""
-    return _union_of(top.up_chunks, a) == a
-
-
-def is_stable(space: BitopSpace, a: BitMask) -> bool:
-    """Whether a tau-increasing set is fixed by i after d."""
-    if not is_increasing(space.tau, a):
-        raise NotIncreasing("stability is only defined for tau-increasing sets")
-    return op_i(space, op_d(space, a)) == a
-
-
-def is_costable(space: BitopSpace, b: BitMask) -> bool:
-    """Whether a sigma-increasing set is fixed by d after i."""
-    if not is_increasing(space.sigma, b):
-        raise NotIncreasing("co-stability is only defined for sigma-increasing sets")
-    return op_d(space, op_i(space, b)) == b
-
-
 # ---------------------------------------------------------------------------
 # separation, compactness, fundamental and essential subsets
 
@@ -279,26 +263,18 @@ def equal_closure_points(space: BitopSpace) -> BitMask:
     return full_mask(space.n) & ~differ
 
 
-def empty_set_is_fundamental(top: FiniteTopology) -> bool:
-    """Whether the empty set counts as fundamental: every collection of
-    compact-open subsets with the finite intersection property must have a
-    nonempty total intersection.
-
-    Always true on a finite carrier: a family with the finite intersection
-    property is one of its own finite subfamilies, so its total intersection
-    is nonempty.  ``tests/test_topology.py`` evaluates the definition
-    literally against this constant.
-    """
-    return True
-
-
 def fundamental_subsets(top: FiniteTopology) -> frozenset[BitMask]:
-    """Nonempty compact-open subsets, plus the empty set when it qualifies.
+    """Nonempty compact-open subsets, plus the empty set when it qualifies:
+    when every family of compact-opens with the finite intersection property
+    has a nonempty total intersection.
 
-    On a finite carrier the nonempty compact-opens are all nonempty opens and
-    the empty set always qualifies (:func:`empty_set_is_fundamental`), so the
-    fundamental family is the whole open family: the essential family of the
-    doubled space, where i fixes every open.  :func:`count_opens` sizes it.
+    On a finite carrier the nonempty compact-opens are all nonempty opens,
+    and the empty set always qualifies: a family with the finite intersection
+    property is one of its own finite subfamilies, so its total intersection
+    is nonempty (``tests/oracles.py::fip_scan_oracle`` evaluates the clause
+    literally).  So the fundamental family is the whole open family: the
+    essential family of the doubled space, where i fixes every open.
+    :func:`count_opens` sizes it.
     """
     return essential_subsets(doubled_space(top))
 
@@ -337,7 +313,6 @@ class PairwiseBDReport(NamedTuple):
     passed: bool
     failing_axiom: str | None = None
     witness: str | None = None
-    essentials: frozenset[BitMask] | None = None
 
 
 def is_pairwise_bd(space: BitopSpace) -> PairwiseBDReport:
@@ -376,23 +351,22 @@ def is_pairwise_bd(space: BitopSpace) -> PairwiseBDReport:
 
 
 def _pairwise_bd_report(space: BitopSpace) -> PairwiseBDReport:
-    ess = essential_subsets(space)
-
     ok, pair = is_pairwise_t0(space)
     if not ok:
-        return PairwiseBDReport(False, "i", f"points {pair[0]} and {pair[1]} are not separated", ess)
+        return PairwiseBDReport(False, "i", f"points {pair[0]} and {pair[1]} are not separated")
 
+    ess = essential_subsets(space)
     generated = topology_from_subbasis(space.n, ess)
     if generated != space.tau:
         diff = [x for x in range(space.n) if generated.up[x] != space.up_tau[x]]
-        return PairwiseBDReport(False, "ii", f"essential sets do not generate tau (neighbourhoods differ at points {diff})", ess)
+        return PairwiseBDReport(False, "ii", f"essential sets do not generate tau (neighbourhoods differ at points {diff})")
 
     d_family = {op_d(space, a) for a in ess}
     # the family is intersection-closed and covers the carrier (see
     # is_pairwise_bd), so it is a basis of sigma exactly when it generates sigma
     if topology_from_subbasis(space.n, d_family) != space.sigma:
-        return PairwiseBDReport(False, "iii", "d-images of essential sets are not a basis for sigma", ess)
-    return PairwiseBDReport(True, essentials=ess)
+        return PairwiseBDReport(False, "iii", "d-images of essential sets are not a basis for sigma")
+    return PairwiseBDReport(True)
 
 
 class BDSpaceReport(NamedTuple):

@@ -8,15 +8,10 @@ import random
 from lattice_spectra import topology
 from lattice_spectra.bitsets import bits, full_mask, is_subset, preimage_mask
 from lattice_spectra.duality import big_h_map, essential_lattice, pbd_morphism
-from lattice_spectra.errors import LatticeToolError, NotALattice, NotPairwiseBD
-from lattice_spectra.lattices import all_ideals, check_hom
+from lattice_spectra.errors import CyclicCovers, LatticeToolError, NotALattice, NotPairwiseBD
+from lattice_spectra.lattices import all_ideals, check_hom, lattice_from_order
 from lattice_spectra.spectra import build_bitop_spectrum, delta_compactness_check, gbd_witness
-from lattice_spectra.topology import (
-    empty_set_is_fundamental,
-    fundamental_subsets,
-    is_increasing,
-    is_pairwise_bd,
-)
+from lattice_spectra.topology import fundamental_subsets, is_pairwise_bd
 
 
 class EmptyGeneratorSet(LatticeToolError):
@@ -25,6 +20,10 @@ class EmptyGeneratorSet(LatticeToolError):
 
 class NotACover(LatticeToolError):
     """The supplied family does not cover the target set or is not open."""
+
+
+class NotIncreasing(LatticeToolError):
+    """A stability test was handed a set that is not increasing."""
 
 
 def _is_closed(m, order, table):
@@ -54,6 +53,39 @@ def ideal_masks_brute(lat):
 def filter_masks_brute(lat):
     """Every filter found by scanning all carrier subsets."""
     return [m for m in range(1 << lat.n) if is_filter(lat, m)]
+
+
+def build_lattice_fixpoint(names, cover_pairs, name=""):
+    """``lattices.build_lattice`` with the transitive closure it once ran: a
+    fixpoint loop that ORs the up-sets of each up-set's members into it until
+    no up-set grows.  The same cycle check and :class:`CyclicCovers` text
+    follow, then ``lattice_from_order``."""
+    names = tuple(names)
+    n = len(names)
+    if len(set(names)) != n:
+        raise ValueError("element names must be unique")
+    index = {s: i for i, s in enumerate(names)}
+    up = [1 << i for i in range(n)]
+    for lo, hi in cover_pairs:
+        for s in (lo, hi):
+            if s not in index:
+                raise ValueError(f"cover mentions unknown element {s!r}")
+        up[index[lo]] |= 1 << index[hi]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            grown = up[i]
+            for j in bits(up[i]):
+                grown |= up[j]
+            if grown != up[i]:
+                up[i] = grown
+                changed = True
+    for i in range(n):
+        for j in bits(up[i]):
+            if i != j and up[j] >> i & 1:
+                raise CyclicCovers(f"cycle through {names[i]!r} and {names[j]!r}")
+    return lattice_from_order(names, up, name=name)
 
 
 def is_preorder(up):
@@ -276,6 +308,105 @@ def op_d_loop(space, a):
         if not u & outside:
             out |= 1 << x
     return out
+
+
+def is_increasing(top, a):
+    """Whether ``a`` is open in ``top``: no member's least neighbourhood
+    leaves it."""
+    return not any(top.up[x] & ~a for x in bits(a))
+
+
+def is_stable(space, a):
+    """Whether a tau-increasing set is fixed by i after d."""
+    if not is_increasing(space.tau, a):
+        raise NotIncreasing("stability is only defined for tau-increasing sets")
+    return topology.op_i(space, topology.op_d(space, a)) == a
+
+
+def is_costable(space, b):
+    """Whether a sigma-increasing set is fixed by d after i."""
+    if not is_increasing(space.sigma, b):
+        raise NotIncreasing("co-stability is only defined for sigma-increasing sets")
+    return topology.op_d(space, topology.op_i(space, b)) == b
+
+
+def stability_witness(spec):
+    """The stable and co-stable clauses ``suites.check_transition_operators``
+    once ran after its two identities: per element x in order, delta(x)
+    stable, then epsilon(x) co-stable; the first failure in the suite's
+    witness text, or None.  A set that is not increasing raises
+    :class:`NotIncreasing`, which the suite printed as
+    ``NotIncreasing: <message>``.
+
+    They hold wherever the identities d(delta(x)) = epsilon(x) and
+    i(epsilon(x)) = delta(x) hold, so on every spectrum that passes the
+    suite: delta(x) = i(epsilon(x)) is a tau up-closure, hence
+    tau-increasing, and epsilon(x) = d(delta(x)) is sigma-increasing by the
+    definition of d; then i(d(delta(x))) = i(epsilon(x)) = delta(x) and
+    d(i(epsilon(x))) = d(delta(x)) = epsilon(x)."""
+    lat, space = spec.lattice, spec.space
+    for x in range(lat.n):
+        if not is_stable(space, spec.delta[x]):
+            return f"delta({lat.names[x]}) is not stable"
+        if not is_costable(space, spec.epsilon[x]):
+            return f"epsilon({lat.names[x]}) is not co-stable"
+    return None
+
+
+def comaximal_pair_witness(spec):
+    """The last clause ``suites.check_spectrum_map_laws`` once ran, in its
+    witness text, or None: a lattice of two or more elements has a
+    comaximal pair.
+
+    It holds on every finite lattice: with bottom != top, ``down[bottom]``
+    and ``up[top]`` are a disjoint ideal and filter, and
+    ``spectra.extend_to_comaximal`` grows them into a comaximal pair.  In
+    the suite it could never fire: with no point every delta(x) is the
+    empty mask, so delta is not injective on two elements and the suite's
+    first clause has already returned."""
+    if spec.lattice.n >= 2 and len(spec.points) < 1:
+        return "a lattice with two elements has a comaximal pair"
+    return None
+
+
+def image_intersection_closed(spec):
+    """Whether the d-map image of a classical spectrum is closed under
+    intersection, by the pair scan ``build_classical_spectrum`` once ran
+    for the ``image intersection-closed:`` line of ``spec --classical``.
+
+    Always true: a prime ideal P misses meet(x, y) exactly when it misses
+    both x and y (P is down-closed, and prime: meet(x, y) in P puts x or y
+    in P), so ``dmap[x] & dmap[y]`` is ``dmap[meet(x, y)]``."""
+    image = set(spec.dmap)
+    return all(a & b in image for a, b in itertools.combinations(image, 2))
+
+
+def fip_scan_oracle(top):
+    """Whether the empty set is fundamental, literally: every subfamily of
+    compact-opens with the finite intersection property has a nonempty
+    total intersection.
+
+    Always true on a finite carrier, where a family with the finite
+    intersection property is one of its own finite subfamilies, so its
+    total intersection is nonempty; ``topology.fundamental_subsets`` always
+    holds the empty set.  The scan is exponential in the number of opens."""
+    members = sorted(opens(top))
+    for pick in range(1, 1 << len(members)):
+        family = [members[i] for i in bits(pick)]
+        total = full_mask(top.n)
+        for u in family:
+            total &= u
+        fip = True
+        for sub in range(1, 1 << len(family)):
+            m = full_mask(top.n)
+            for i in bits(sub):
+                m &= family[i]
+            if m == 0:
+                fip = False
+                break
+        if fip and total == 0:
+            return False
+    return True
 
 
 def increasing_pairs(space):
@@ -716,10 +847,11 @@ def is_bounded_pbd(space):
     """A bounded pairwise Balbes-Dwinger space has a tau-compact carrier and
     a sigma-fundamental empty set.  The compactness clause is evaluated by
     extracting a finite subcover of the principal opens ``up_tau`` (any open
-    cover would do), the empty-set clause is ``empty_set_is_fundamental``."""
+    cover would do).  The empty-set clause holds on every finite carrier
+    (:func:`fip_scan_oracle`)."""
     _pairwise_bd_or_raise(space)
     subcover = is_compact_subset(space.tau, full_mask(space.n), space.up_tau)
-    return isinstance(subcover, list) and empty_set_is_fundamental(space.sigma)
+    return isinstance(subcover, list)
 
 
 # ---------------------------------------------------------------------------

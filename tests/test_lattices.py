@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from lattice_spectra.lattices import (
 from oracles import (
     EmptyGeneratorSet,
     all_homs_brute,
+    build_lattice_fixpoint,
     compose,
     filter_masks_brute,
     generated_filter,
@@ -84,6 +86,37 @@ def test_tables_match_bound_scan_on_every_small_order():
 def test_cyclic_covers_rejected():
     with pytest.raises(CyclicCovers):
         build_lattice(["x", "y"], [("x", "y"), ("y", "x")])
+
+
+def _build_outcome(build, names, covers):
+    """The order and tables ``build`` makes, or its error and message."""
+    try:
+        lat = build(names, covers)
+    except (CyclicCovers, NotALattice) as exc:
+        return type(exc).__name__, str(exc)
+    return lat.up, lat.meet_table, lat.join_table
+
+
+def test_warshall_closure_matches_fixpoint_on_seeded_covers():
+    # one Warshall pass gives the order (and the CyclicCovers text) that the
+    # fixpoint loop gave, on seeded relations with and without cycles, and
+    # on chains numbered upwards, where the loop needs a pass per element
+    rng = random.Random(2023)
+    cases = []
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        names = [f"e{i}" for i in range(n)]
+        pairs = [(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, 2 * n))]
+        cases.append((names, [(lo, hi) for lo, hi in pairs if lo != hi]))
+    for n in (2, 5, 9):
+        names = [f"e{i}" for i in range(n)]
+        cases.append((names, [(names[i], names[i + 1]) for i in range(n - 1)]))
+    kinds = set()
+    for names, covers in cases:
+        outcome = _build_outcome(build_lattice, names, covers)
+        assert outcome == _build_outcome(build_lattice_fixpoint, names, covers), (names, covers)
+        kinds.add(outcome[0] if isinstance(outcome[0], str) else "lattice")
+    assert kinds == {"lattice", "CyclicCovers", "NotALattice"}
 
 
 def test_duplicate_names_rejected():

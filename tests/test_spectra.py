@@ -26,6 +26,7 @@ from lattice_spectra.spectra import (
 from oracles import (
     comaximal_pairs_brute,
     greedy_shrink_brute,
+    image_intersection_closed,
     opens,
     pair_filter,
     pair_ideal,
@@ -171,7 +172,7 @@ def test_classical_spectra(m5, chain2, n5):
     assert len(build_classical_spectrum(chain2).points) == 1
     n5_spec = build_classical_spectrum(n5)
     assert [n5.set_label(p) for p in n5_spec.points] == ["{0,b}", "{0,a,c}"]
-    assert n5_spec.image_intersection_closed
+    assert image_intersection_closed(n5_spec)
 
 
 def test_b_map(diamond, m5, n5):

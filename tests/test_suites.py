@@ -18,10 +18,18 @@ from lattice_spectra.spectra import (
     delta_compactness_check,
     gbd_witness,
 )
-from lattice_spectra.topology import FiniteTopology, bitop_space, fundamental_subsets
+from lattice_spectra.topology import FiniteTopology, PairwiseBDReport, bitop_space, fundamental_subsets
 
-from oracles import associativity_failure_brute, covering_witnesses_literal
+from oracles import (
+    NotIncreasing,
+    associativity_failure_brute,
+    comaximal_pair_witness,
+    covering_witnesses_literal,
+    image_intersection_closed,
+    stability_witness,
+)
 from test_golden import _boolean, _diamond
+from test_topology import discrete, indiscrete
 
 CORPUS_CHECKS = ["hom_classification", "functor_laws", "naturality_squares", "classical_bridge"]
 
@@ -452,6 +460,33 @@ def test_declared_bound_faults_reach_lattice_axioms(cat, bound, message):
                 assert suites.check_lattice_axioms(mutant) == message, (lat.name, x)
 
 
+@pytest.mark.parametrize(
+    "name, table, pair, value, message",
+    [
+        # meet(b, c) = a lies below b but not c, above every common lower
+        # bound, and keeps absorption at (b, c): join(b, a) = b
+        ("hexagon", "meet_table", ("b", "c"), "a", "meet table is not the glb at (b,c)"),
+        # join(0, 1) = 0 keeps absorption at (0, 1) and lies below every
+        # common upper bound, but is not above 1
+        ("chain2", "join_table", ("0", "1"), "0", "join table is not the lub at (0,1)"),
+    ],
+)
+def test_membership_faults_reach_lattice_axioms(cat, name, table, pair, value, message):
+    # at the first failing pair only the membership half of the glb (lub)
+    # clause fails; without it the check runs on to a later pair, where
+    # absorption fails.  No table fails that half alone over all pairs:
+    # absorption with a correct join table puts meet(x, y) below x, and at
+    # (y, x) below y (dually for joins)
+    lat = cat[name]
+    i, j = map(lat.index, pair)
+    entry = lat.index(value)
+    mutant = _corrupt(_corrupt(lat, table, i, j, entry), table, j, i, entry)
+    order = lat.down if table == "meet_table" else lat.up
+    common = order[i] & order[j]
+    assert not common >> entry & 1 and common & ~order[entry] == 0
+    assert suites.check_lattice_axioms(mutant) == message
+
+
 def test_lattice_axioms_catch_every_associativity_failure(lattices_upto_5, cat):
     # associativity is not in the suite: it follows from the glb/lub tables,
     # and every corrupted entry that breaks it fails the table check
@@ -736,6 +771,116 @@ def test_verdict_records_stay_out_of_the_library():
             if "NamedTuple" in bases and "passed" in fields:
                 with_passed.append(cls.name)
     assert sorted(with_passed) == ["BDSpaceReport", "CheckResult", "PairwiseBDReport"]
+
+
+# --- clauses settled before they run: definitions kept as oracles ------------
+
+
+def test_settled_clauses_hold_on_catalog_and_small_lattices(cat, lattices_upto_6):
+    # the suites pass, so the moved clauses hold as their proofs say
+    for lat in [*cat.values(), *lattices_upto_6]:
+        spec = build_bitop_spectrum(lat)
+        assert suites.check_transition_operators(lat) is None, lat.name
+        assert suites.check_spectrum_map_laws(lat) is None, lat.name
+        assert stability_witness(spec) is None, lat.name
+        assert comaximal_pair_witness(spec) is None, lat.name
+        assert image_intersection_closed(build_classical_spectrum(lat)), lat.name
+
+
+def _with_space(tau, sigma):
+    """A planted M5 spectrum on the topologies ``tau(n)`` and ``sigma(n)``,
+    or on M5's own where one is None."""
+
+    def plant(spec):
+        n = spec.space.n
+        space = bitop_space(tau(n) if tau else spec.space.tau, sigma(n) if sigma else spec.space.sigma)
+        return dataclasses.replace(spec, space=space)
+
+    return plant
+
+
+def _epsilon_a_not_sigma_increasing(spec):
+    """M5's spectrum with epsilon(a) one point of a two-point sigma class."""
+    k = next(k for k, u in enumerate(spec.space.up_sigma) if u != 1 << k)
+    epsilon = list(spec.epsilon)
+    epsilon[spec.lattice.index("a")] = 1 << k
+    return dataclasses.replace(spec, epsilon=tuple(epsilon))
+
+
+@pytest.mark.parametrize(
+    "plant, witness",
+    [
+        # sigma indiscrete: d(delta(a)) is empty
+        (_with_space(discrete, indiscrete), "delta(a) is not stable"),
+        # sigma discrete: d fixes everything, and epsilon(a) is not
+        # tau-increasing, so i(epsilon(a)) grows
+        (_with_space(None, discrete), "epsilon(a) is not co-stable"),
+        # tau indiscrete: delta(a) is not tau-increasing
+        (_with_space(indiscrete, None), "NotIncreasing: stability is only defined for tau-increasing sets"),
+        (_epsilon_a_not_sigma_increasing, "NotIncreasing: co-stability is only defined for sigma-increasing sets"),
+    ],
+)
+def test_stability_oracle_reports_planted_faults(m5, plant, witness):
+    # the witness texts of the stable and co-stable clauses that
+    # check_transition_operators ran, a raise printed as the suite's runner
+    # printed it; on each planted spectrum the identities fail first
+    spec = plant(build_bitop_spectrum(m5))
+    try:
+        found = stability_witness(spec)
+    except NotIncreasing as exc:
+        found = f"{type(exc).__name__}: {exc}"
+    assert found == witness
+
+
+def test_comaximal_pair_oracle_reports_planted_fault(monkeypatch, chain2):
+    # a planted spectrum without points: the oracle gives the text of the
+    # clause check_spectrum_map_laws ran last, and the suite stops at its
+    # first clause, delta injectivity, which is why the clause moved
+    empty = dataclasses.replace(build_bitop_spectrum(chain2), points=(), delta=(0, 0), epsilon=(0, 0))
+    assert comaximal_pair_witness(empty) == "a lattice with two elements has a comaximal pair"
+    monkeypatch.setattr(suites, "build_bitop_spectrum", lambda lat: empty)
+    assert suites.check_spectrum_map_laws(chain2) == "delta is not injective"
+
+
+def test_image_closure_oracle_reports_planted_fault(cat):
+    # the line spec --classical printed from the flag: "no" on a planted
+    # d-map image whose two sets meet outside it
+    planted = build_classical_spectrum(cat["b3"])._replace(dmap=(0b011, 0b110))
+    line = f"image intersection-closed: {'yes' if image_intersection_closed(planted) else 'no'}"
+    assert line == "image intersection-closed: no"
+
+
+def test_settled_checks_stay_out_of_the_library():
+    # the settled clauses and constants live in tests/oracles.py; no library
+    # module defines, imports, reads or exports their names
+    import lattice_spectra
+
+    gone = {
+        "is_stable",
+        "is_costable",
+        "is_increasing",
+        "NotIncreasing",
+        "empty_set_is_fundamental",
+        "image_intersection_closed",
+    }
+    package = Path(duality.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+        assert not names & gone, (path.name, names & gone)
+    assert not gone & set(lattice_spectra.__all__)
+    assert PairwiseBDReport._fields == ("passed", "failing_axiom", "witness")
+    assert spectra.ClassicalSpectrum._fields == ("lattice", "points", "dmap", "space")
 
 
 def _unused_imports(tree):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from lattice_spectra import topology
 from lattice_spectra.bitsets import bits, full_mask, is_subset, mask_of
 from lattice_spectra.duality import essential_lattice
-from lattice_spectra.errors import CarrierTooLarge, NotIncreasing, NotPairwiseBD
+from lattice_spectra.errors import CarrierTooLarge, NotPairwiseBD
 from lattice_spectra.lattices import build_lattice
 from lattice_spectra.spectra import build_bitop_spectrum
 from lattice_spectra.topology import (
@@ -17,17 +17,13 @@ from lattice_spectra.topology import (
     bitop_space,
     count_opens,
     doubled_space,
-    empty_set_is_fundamental,
     essential_subsets,
     fundamental_subsets,
     is_bd_space,
     is_continuous,
-    is_costable,
     is_homeomorphism,
-    is_increasing,
     is_pairwise_bd,
     is_pairwise_t0,
-    is_stable,
     op_d,
     op_i,
     topology_from_subbasis,
@@ -36,6 +32,7 @@ from lattice_spectra.topology import (
 import oracles
 from oracles import (
     NotACover,
+    NotIncreasing,
     _up_closure,
     adjunction_witness,
     bd_space_brute,
@@ -43,14 +40,18 @@ from oracles import (
     d_family_cover_witness,
     essential_subsets_brute,
     essential_subsets_by_sigma_opens,
+    fip_scan_oracle,
     increasing_pairs,
     is_bounded_pbd,
     is_compact_subset,
     is_continuous_brute,
+    is_costable,
     is_doubly_bd,
     is_homeomorphism_brute,
+    is_increasing,
     is_pairwise_t0_brute,
     is_preorder,
+    is_stable,
     op_d_loop,
     op_i_loop,
     opens,
@@ -316,28 +317,6 @@ def test_fundamental_zariski_two_chain(chain2):
     assert fam == frozenset({0, 1})  # d(1) and the empty set
 
 
-def fip_scan_oracle(top):
-    """Literal evaluation: every subfamily of compact-opens with the finite
-    intersection property has nonempty total intersection."""
-    members = sorted(opens(top))
-    for pick in range(1, 1 << len(members)):
-        family = [members[i] for i in bits(pick)]
-        total = full_mask(top.n)
-        for u in family:
-            total &= u
-        fip = True
-        for sub in range(1, 1 << len(family)):
-            m = full_mask(top.n)
-            for i in bits(sub):
-                m &= family[i]
-            if m == 0:
-                fip = False
-                break
-        if fip and total == 0:
-            return False
-    return True
-
-
 def test_empty_fundamental_matches_fip_scan(lattices_upto_6):
     from lattice_spectra.spectra import build_classical_spectrum
 
@@ -349,7 +328,10 @@ def test_empty_fundamental_matches_fip_scan(lattices_upto_6):
     tops = [top for top in tops if len(opens(top)) <= 12]
     assert len(tops) == 76
     for top in tops:
-        assert empty_set_is_fundamental(top) == fip_scan_oracle(top)
+        # the empty set qualifies by the literal clause, and the library's
+        # fundamental family holds it
+        assert fip_scan_oracle(top)
+        assert 0 in fundamental_subsets(top)
 
 
 # --- transition operators ----------------------------------------------------
@@ -723,6 +705,18 @@ def test_broken_sigma_basis_fails_axiom_iii():
     assert (report.failing_axiom, report.witness) == ("iii", "d-images of essential sets are not a basis for sigma")
     # the d-images cover the carrier, so generating sigma is what fails
     assert d_family_cover_witness(space, essential_subsets(space)) is None
+
+
+def test_axiom_ii_witness_lists_the_differing_points():
+    # tau discrete, sigma with 0 and 2 below 1: the essential sets
+    # i(up_sigma[x]) = up_sigma[x] generate a coarser topology whose
+    # neighbourhoods of 0 and 2 grow, while point 1 keeps its own
+    space = bitop_space(discrete(3), FiniteTopology((0b011, 0b010, 0b110)))
+    report = is_pairwise_bd(space)
+    assert (report.failing_axiom, report.witness) == (
+        "ii",
+        "essential sets do not generate tau (neighbourhoods differ at points [0, 2])",
+    )
 
 
 def test_axioms_ii_iii_match_open_family_forms():
