@@ -52,13 +52,13 @@ _PUBLIC = {
         "bitop_space",
         "count_opens",
         "doubled_space",
+        "bd_space_witness",
         "essential_subsets",
         "fundamental_subsets",
-        "is_bd_space",
-        "is_pairwise_bd",
-        "is_pairwise_t0",
         "op_d",
         "op_i",
+        "pairwise_bd_witness",
+        "pairwise_t0_witness",
         "topology_from_subbasis",
     ),
     "spectra": (
@@ -66,15 +66,15 @@ _PUBLIC = {
         "ClassicalSpectrum",
         "ComaximalPair",
         "b_map",
+        "bottom_via_fundamental",
         "build_bitop_spectrum",
         "build_classical_spectrum",
         "comaximal_pairs",
         "delta_compactness_check",
         "extend_to_comaximal",
         "gbd_witness",
-        "has_bottom_via_fundamental",
-        "has_top_via_compactness",
         "prime_points",
+        "top_via_compactness",
     ),
     "duality": (
         "EssentialLattice",
@@ -87,7 +87,7 @@ _PUBLIC = {
         "essential_functor_on_morphism",
         "essential_lattice",
         "h_map_classical",
-        "pbd_morphism",
+        "pbd_morphism_witness",
         "spec_b_on_hom",
         "spec_b_witness",
         "to_bitopological",

@@ -403,7 +403,8 @@ def enumerate_lattices(config: GeneratorConfig):
 
 
 def _quote(s: str) -> str:
-    return '"' + s.replace('"', '\\"') + '"'
+    """A DOT string: backslash and quote escaped, a newline as DOT's ``\\n``."""
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
 
 
 def to_dot(obj) -> str:
@@ -439,7 +440,7 @@ def to_dot(obj) -> str:
         for k, label in enumerate(labels):
             in_delta = ",".join(lat.names[x] for x in bits(d_of[k]))
             in_eps = ",".join(lat.names[x] for x in bits(e_of[k]))
-            text = f"{label}\\nd:{in_delta} e:{in_eps}"
+            text = f"{label}\nd:{in_delta} e:{in_eps}"
             lines.append(f"  {nodes[k]} [label={_quote(text)}];")
         space = obj.space
         for x in range(space.n):

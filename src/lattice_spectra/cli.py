@@ -36,8 +36,11 @@ if TYPE_CHECKING:
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise LatticeToolError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _json_line(record: dict) -> str:
@@ -293,10 +296,7 @@ def main(argv=None, out=None) -> int:
     }
     try:
         return handlers[args.command](args, out)
-    except LatticeToolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (LatticeToolError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

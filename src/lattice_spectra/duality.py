@@ -30,14 +30,14 @@ from .spectra import ComaximalPair, build_bitop_spectrum, build_classical_spectr
 from .topology import (
     BitopSpace,
     FiniteTopology,
+    bd_space_witness,
     doubled_space,
     essential_subsets,
     fundamental_subsets,
-    is_bd_space,
     is_continuous,
-    is_pairwise_bd,
     op_d,
     op_i,
+    pairwise_bd_witness,
 )
 
 
@@ -53,7 +53,6 @@ class HomClassification(NamedTuple):
     preimages are comaximal.  Witnesses name the first failing target object.
     """
 
-    hom: LatticeHom
     proper: bool
     vacuously_proper: bool
     proper_witness: str | None
@@ -100,7 +99,6 @@ def classify_hom(hom: LatticeHom) -> HomClassification:
             break
     _, failing = _pull_back(hom)
     return HomClassification(
-        hom,
         proper,
         len(primes) == 0,
         proper_witness,
@@ -119,8 +117,8 @@ class PBDMorphism(NamedTuple):
     ``mapping[k]`` is the target point of source point k.  The morphism
     conditions are bicontinuity, that essential sets pull back to essential
     sets, and that preimage commutes with the transition operators on
-    essential sets: :func:`pbd_morphism` checks them on a raw point map, and
-    :func:`spec_b_witness` on the image of a homomorphism under spec_B.
+    essential sets: :func:`pbd_morphism_witness` checks them on a point map,
+    and :func:`spec_b_witness` on the image of a homomorphism under spec_B.
     """
 
     source: BitopSpace
@@ -131,8 +129,11 @@ class PBDMorphism(NamedTuple):
         return preimage_mask(self.mapping, target_mask)
 
 
-def _pbd_conditions(source: BitopSpace, target: BitopSpace, mapping) -> str | None:
-    """The first morphism condition the point map fails, or None."""
+def pbd_morphism_witness(source: BitopSpace, target: BitopSpace, mapping) -> str | None:
+    """The first morphism condition that the point map ``mapping`` fails, as
+    witness text, or None; a map between the carriers comes first."""
+    if len(mapping) != source.n or any(not 0 <= v < target.n for v in mapping):
+        return "mapping is not a point map between the carriers"
     if not is_continuous(mapping, source.tau, target.tau):
         return "map is not tau-continuous"
     if not is_continuous(mapping, source.sigma, target.sigma):
@@ -147,18 +148,6 @@ def _pbd_conditions(source: BitopSpace, target: BitopSpace, mapping) -> str | No
         if preimage_mask(mapping, op_i(target, a)) != op_i(source, pre):
             return "preimage does not commute with i on essential sets"
     return None
-
-
-def pbd_morphism(source: BitopSpace, target: BitopSpace, mapping) -> PBDMorphism:
-    """Validate a raw point map as a morphism of pairwise Balbes-Dwinger
-    spaces; a failing condition raises ``ValueError`` with its text."""
-    mapping = tuple(mapping)
-    if len(mapping) != source.n or any(not 0 <= v < target.n for v in mapping):
-        raise ValueError("mapping is not a point map between the carriers")
-    witness = _pbd_conditions(source, target, mapping)
-    if witness is not None:
-        raise ValueError(witness)
-    return PBDMorphism(source, target, mapping)
 
 
 def spec_b_on_hom(hom: LatticeHom) -> PBDMorphism:
@@ -181,7 +170,7 @@ def spec_b_witness(hom: LatticeHom, morphism: PBDMorphism) -> str | None:
     """Check ``morphism = spec_b_on_hom(hom)`` against the theorem that makes
     spec_B a functor: delta and epsilon pull back along it (the preimage of
     delta(x) is delta(f(x)), dually for epsilon), and it satisfies every
-    morphism condition of :func:`pbd_morphism`.  Returns the first failure's
+    condition of :func:`pbd_morphism_witness`.  Returns the first failure's
     text, or None.  The corpus check ``hom_classification`` runs it once per
     quasi-proper homomorphism, and the ``hom`` command on its input."""
     src_spec = build_bitop_spectrum(hom.source)
@@ -192,7 +181,7 @@ def spec_b_witness(hom: LatticeHom, morphism: PBDMorphism) -> str | None:
             return "delta preimage identity fails"
         if preimage_mask(mapping, src_spec.epsilon[x]) != tgt_spec.epsilon[hom(x)]:
             return "epsilon preimage identity fails"
-    return _pbd_conditions(morphism.source, morphism.target, mapping)
+    return pbd_morphism_witness(morphism.source, morphism.target, mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +197,6 @@ class EssentialLattice(NamedTuple):
     lattice element k.
     """
 
-    space: BitopSpace
     lattice: FiniteLattice
     subsets: tuple[BitMask, ...]
 
@@ -216,9 +204,9 @@ class EssentialLattice(NamedTuple):
         return self.subsets.index(subset)
 
 
-def _inclusion_lattice(space: BitopSpace, family, name: str) -> EssentialLattice:
-    """A family of point sets of ``space`` ordered by inclusion, as a lattice
-    whose element k is ``subsets[k]`` (the family in sorted order)."""
+def _inclusion_lattice(family, name: str) -> EssentialLattice:
+    """A family of point sets ordered by inclusion, as a lattice whose
+    element k is ``subsets[k]`` (the family in sorted order)."""
     members = tuple(sorted(family))
     k = len(members)
     names = tuple("{" + ",".join(f"p{i}" for i in bits(m)) + "}" for m in members)
@@ -226,12 +214,12 @@ def _inclusion_lattice(space: BitopSpace, family, name: str) -> EssentialLattice
         mask_of(j for j in range(k) if is_subset(members[i], members[j]))
         for i in range(k)
     )
-    return EssentialLattice(space, lattice_from_order(names, up, name=name), members)
+    return EssentialLattice(lattice_from_order(names, up, name=name), members)
 
 
 @lru_cache(maxsize=None)
 def essential_lattice(space: BitopSpace) -> EssentialLattice:
-    return _inclusion_lattice(space, essential_subsets(space), "essential")
+    return _inclusion_lattice(essential_subsets(space), "essential")
 
 
 def essential_functor_on_morphism(m: PBDMorphism) -> LatticeHom:
@@ -251,9 +239,9 @@ def essential_functor_on_morphism(m: PBDMorphism) -> LatticeHom:
 
 
 def _require_pairwise_bd(space: BitopSpace) -> None:
-    report = is_pairwise_bd(space)
-    if not report.passed:
-        raise NotPairwiseBD(f"axiom ({report.failing_axiom}) fails: {report.witness}")
+    witness = pairwise_bd_witness(space)
+    if witness is not None:
+        raise NotPairwiseBD(witness)
 
 
 @lru_cache(maxsize=None)
@@ -291,12 +279,18 @@ def big_h_map(space: BitopSpace) -> tuple[int, ...]:
 # classical side: h_X and the fundamental-set lattice
 
 
+def _require_bd_space(top: FiniteTopology) -> None:
+    witness = bd_space_witness(top)
+    if witness is not None:
+        raise NotBDSpace(witness)
+
+
 @lru_cache(maxsize=None)
 def fundamental_lattice(top: FiniteTopology) -> EssentialLattice:
     """The fundamental subsets ordered by inclusion, named ``fundamental``:
     meet is intersection and join is union, which
     ``suites.check_classical_stone`` checks against the tables."""
-    return _inclusion_lattice(doubled_space(top), fundamental_subsets(top), "fundamental")
+    return _inclusion_lattice(fundamental_subsets(top), "fundamental")
 
 
 def h_map_classical(top: FiniteTopology) -> tuple[int, ...]:
@@ -306,9 +300,7 @@ def h_map_classical(top: FiniteTopology) -> tuple[int, ...]:
     is -1 when I_x is not a prime ideal.  The ``classical_stone`` suite
     checks that it is a homeomorphism.  Raises :class:`NotBDSpace` off
     Balbes-Dwinger spaces."""
-    verdict = is_bd_space(top)
-    if not verdict.passed:
-        raise NotBDSpace(verdict.reason or "not a Balbes-Dwinger space")
+    _require_bd_space(top)
     fund = fundamental_lattice(top)
     prime_masks = {p: k for k, p in enumerate(build_classical_spectrum(fund.lattice).points)}
     i_masks = transpose([full_mask(top.n) & ~a for a in fund.subsets], top.n)
@@ -363,9 +355,7 @@ def to_topological(space: BitopSpace) -> FiniteTopology:
 
 def to_bitopological(top: FiniteTopology) -> BitopSpace:
     """Double a Balbes-Dwinger topology into a bitopological space."""
-    verdict = is_bd_space(top)
-    if not verdict.passed:
-        raise NotBDSpace(verdict.reason or "not a Balbes-Dwinger space")
+    _require_bd_space(top)
     return doubled_space(top)
 
 
@@ -381,7 +371,7 @@ __all__ = [
     "essential_lattice",
     "fundamental_lattice",
     "h_map_classical",
-    "pbd_morphism",
+    "pbd_morphism_witness",
     "spec_b_on_hom",
     "spec_b_witness",
     "to_bitopological",

@@ -123,12 +123,6 @@ class BitopSpectrum:
         """The number of the point ``(a, b)``, keyed by the element pair."""
         return {(p.a, p.b): k for k, p in enumerate(self.points)}
 
-    def point_index(self, a: int, b: int) -> int:
-        return self.index[a, b]
-
-    def point_label(self, k: int) -> str:
-        return self.points[k].label()
-
 
 @lru_cache(maxsize=None)
 def build_bitop_spectrum(lat: FiniteLattice) -> BitopSpectrum:
@@ -179,7 +173,7 @@ def b_map(lat: FiniteLattice) -> tuple[int, ...]:
     bitop = build_bitop_spectrum(lat)
     full = full_mask(lat.n)
     return tuple(
-        bitop.point_index(lat.join_of(p), lat.meet_of(full & ~p)) for p in classical.points
+        bitop.index[lat.join_of(p), lat.meet_of(full & ~p)] for p in classical.points
     )
 
 
@@ -297,9 +291,9 @@ def prime_points(spectrum: BitopSpectrum) -> tuple[int, ...]:
     return tuple(bits(equal_closure_points(spectrum.space)))
 
 
-def has_top_via_compactness(lat: FiniteLattice) -> tuple[bool, int]:
-    """Reduce the full delta-cover of the spectrum greedily and read the top
-    off the join of the chosen elements.  Returns (agreement, witness)."""
+def top_via_compactness(lat: FiniteLattice) -> int:
+    """Reduce the full delta-cover of the spectrum greedily and return the
+    join of the chosen elements: the top."""
     spectrum = build_bitop_spectrum(lat)
     remaining = full_mask(len(spectrum.points))
     chosen: list[int] = []
@@ -310,15 +304,14 @@ def has_top_via_compactness(lat: FiniteLattice) -> tuple[bool, int]:
         )
         chosen.append(best)
         remaining &= ~spectrum.delta[best]
-    witness = lat.join_of(sum(1 << x for x in chosen))
-    return witness == lat.top, witness
+    return lat.join_of(sum(1 << x for x in chosen))
 
 
-def has_bottom_via_fundamental(lat: FiniteLattice) -> tuple[bool, int]:
+def bottom_via_fundamental(lat: FiniteLattice) -> int:
     """Exhibit finitely many elements whose epsilon-sets have empty
-    intersection; their meet is the bottom.  The empty set being
-    sigma-fundamental, which it always is on a finite carrier, guarantees
-    such a finite family exists."""
+    intersection and return their meet, which is the bottom.  The empty set
+    being sigma-fundamental, which it always is on a finite carrier,
+    guarantees such a finite family exists."""
     spectrum = build_bitop_spectrum(lat)
     remaining = full_mask(len(spectrum.points))
     chosen: list[int] = []
@@ -329,8 +322,7 @@ def has_bottom_via_fundamental(lat: FiniteLattice) -> tuple[bool, int]:
         )
         chosen.append(best)
         remaining &= spectrum.epsilon[best]
-    witness = lat.meet_of(sum(1 << x for x in chosen))
-    return witness == lat.bottom, witness
+    return lat.meet_of(sum(1 << x for x in chosen))
 
 
 __all__ = [
@@ -340,13 +332,13 @@ __all__ = [
     "DeltaCompactnessResult",
     "GBDResult",
     "b_map",
+    "bottom_via_fundamental",
     "build_bitop_spectrum",
     "build_classical_spectrum",
     "comaximal_pairs",
     "delta_compactness_check",
     "extend_to_comaximal",
     "gbd_witness",
-    "has_bottom_via_fundamental",
-    "has_top_via_compactness",
     "prime_points",
+    "top_via_compactness",
 ]

@@ -17,13 +17,13 @@ from .bitsets import bits, full_mask, image_mask, is_subset, preimage_mask, tran
 from .lattices import FiniteLattice, all_homs, check_hom
 from .spectra import (
     b_map,
+    bottom_via_fundamental,
     build_bitop_spectrum,
     build_classical_spectrum,
     delta_compactness_check,
     gbd_witness,
-    has_bottom_via_fundamental,
-    has_top_via_compactness,
     prime_points,
+    top_via_compactness,
 )
 from .duality import (
     big_h_map,
@@ -45,9 +45,9 @@ from .topology import (
     essential_subsets,
     is_continuous,
     is_homeomorphism,
-    is_pairwise_bd,
     op_d,
     op_i,
+    pairwise_bd_witness,
 )
 
 
@@ -142,7 +142,7 @@ def check_specialization_orders(lat: FiniteLattice):
 
     Pairwise T0 then holds without a scan: a_y <= a_x and b_x <= b_y force
     x == y by the maximality of both pairs.  ``check_pairwise_axioms`` runs
-    ``is_pairwise_t0`` as axiom (i)."""
+    ``pairwise_t0_witness`` as axiom (i)."""
     s = build_bitop_spectrum(lat)
     pts = s.points
     space = s.space
@@ -297,21 +297,17 @@ def check_essential_family(lat: FiniteLattice):
 
 
 def check_bounds_from_topology(lat: FiniteLattice):
-    ok_top, w_top = has_top_via_compactness(lat)
-    if not ok_top:
-        return f"subcover join {lat.names[w_top]} is not the top"
-    ok_bot, w_bot = has_bottom_via_fundamental(lat)
-    if not ok_bot:
-        return f"empty-intersection meet {lat.names[w_bot]} is not the bottom"
+    top = top_via_compactness(lat)
+    if top != lat.top:
+        return f"subcover join {lat.names[top]} is not the top"
+    bottom = bottom_via_fundamental(lat)
+    if bottom != lat.bottom:
+        return f"empty-intersection meet {lat.names[bottom]} is not the bottom"
     return None
 
 
 def check_pairwise_axioms(lat: FiniteLattice):
-    s = build_bitop_spectrum(lat)
-    report = is_pairwise_bd(s.space)
-    if not report.passed:
-        return f"axiom ({report.failing_axiom}) fails: {report.witness}"
-    return None
+    return pairwise_bd_witness(build_bitop_spectrum(lat).space)
 
 
 @lru_cache(maxsize=None)

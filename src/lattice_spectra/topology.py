@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 from .bitsets import BitMask, bits, full_mask, image_mask, is_subset, transpose
 from .errors import CarrierTooLarge
@@ -185,11 +184,6 @@ class BitopSpace:
     def up_sigma(self) -> tuple[BitMask, ...]:
         return self.sigma.up
 
-    @cached_property
-    def pairwise_bd_report(self) -> PairwiseBDReport:
-        """The pairwise Balbes-Dwinger report, computed once per space."""
-        return _pairwise_bd_report(self)
-
 
 def bitop_space(tau: FiniteTopology, sigma: FiniteTopology) -> BitopSpace:
     if tau.n != sigma.n:
@@ -233,7 +227,7 @@ def op_d(space: BitopSpace, a: BitMask) -> BitMask:
 # separation, compactness, fundamental and essential subsets
 
 
-def is_pairwise_t0(space: BitopSpace) -> tuple[bool, tuple[int, int] | None]:
+def pairwise_t0_witness(space: BitopSpace) -> tuple[int, int] | None:
     """Kelly pairwise T0: distinct points are separated by a tau-open around
     the first or a sigma-open around the second.
 
@@ -241,14 +235,15 @@ def is_pairwise_t0(space: BitopSpace) -> tuple[bool, tuple[int, int] | None]:
     set: x <=_tau y and y <=_sigma x force x == y.  Per point x the points y
     breaking that are ``up_tau[x]`` intersected with the sigma closure of x
     (the y with x in ``up_sigma[y]``, that is ``sigma.down[x]``), minus x
-    itself; the first witness is the lowest such y of the lowest such x.
+    itself.  The witness is the lowest such y of the lowest such x, as the
+    pair (x, y), or None when there is none.
     """
     closure_sigma = space.sigma.down
     for x, u in enumerate(space.up_tau):
         bad = u & closure_sigma[x] & ~(1 << x)
         if bad:
-            return False, (x, next(bits(bad)))
-    return True, None
+            return x, next(bits(bad))
+    return None
 
 
 def equal_closure_points(space: BitopSpace) -> BitMask:
@@ -308,16 +303,13 @@ def essential_subsets(space: BitopSpace) -> frozenset[BitMask]:
 # ---------------------------------------------------------------------------
 # Balbes-Dwinger style axiom checkers
 
-
-class PairwiseBDReport(NamedTuple):
-    passed: bool
-    failing_axiom: str | None = None
-    witness: str | None = None
+_AXIOM_FAILS = "axiom ({}) fails: {}"
 
 
-def is_pairwise_bd(space: BitopSpace) -> PairwiseBDReport:
-    """Check the five pairwise Balbes-Dwinger axioms in order and report the
-    first failure with a witness.
+@lru_cache(maxsize=None)
+def pairwise_bd_witness(space: BitopSpace) -> str | None:
+    """The first failing pairwise Balbes-Dwinger axiom as witness text,
+    ``axiom (...) fails: ...``, or None.
 
     Only axioms (i)-(iii) are evaluated, because (iv) and (v) hold on every
     finite bitopological space.  The essential family is the image of i on
@@ -343,39 +335,29 @@ def is_pairwise_bd(space: BitopSpace) -> PairwiseBDReport:
     carrier: the carrier is i of the sigma-open carrier, hence essential,
     and d fixes it (``tests/oracles.py::d_family_cover_witness``).
 
-    The report is computed once per space and kept on it
-    (``BitopSpace.pairwise_bd_report``), so the suites and bridge functions
-    that each need it share one evaluation.
+    The witness is computed once per space, so the suite and the bridge
+    functions that each need it share one evaluation.
     """
-    return space.pairwise_bd_report
-
-
-def _pairwise_bd_report(space: BitopSpace) -> PairwiseBDReport:
-    ok, pair = is_pairwise_t0(space)
-    if not ok:
-        return PairwiseBDReport(False, "i", f"points {pair[0]} and {pair[1]} are not separated")
+    pair = pairwise_t0_witness(space)
+    if pair is not None:
+        return _AXIOM_FAILS.format("i", f"points {pair[0]} and {pair[1]} are not separated")
 
     ess = essential_subsets(space)
     generated = topology_from_subbasis(space.n, ess)
     if generated != space.tau:
         diff = [x for x in range(space.n) if generated.up[x] != space.up_tau[x]]
-        return PairwiseBDReport(False, "ii", f"essential sets do not generate tau (neighbourhoods differ at points {diff})")
+        return _AXIOM_FAILS.format("ii", f"essential sets do not generate tau (neighbourhoods differ at points {diff})")
 
     d_family = {op_d(space, a) for a in ess}
-    # the family is intersection-closed and covers the carrier (see
-    # is_pairwise_bd), so it is a basis of sigma exactly when it generates sigma
+    # the family is intersection-closed and covers the carrier (see the
+    # docstring), so it is a basis of sigma exactly when it generates sigma
     if topology_from_subbasis(space.n, d_family) != space.sigma:
-        return PairwiseBDReport(False, "iii", "d-images of essential sets are not a basis for sigma")
-    return PairwiseBDReport(True)
+        return _AXIOM_FAILS.format("iii", "d-images of essential sets are not a basis for sigma")
+    return None
 
 
-class BDSpaceReport(NamedTuple):
-    passed: bool
-    reason: str | None = None
-
-
-def is_bd_space(top: FiniteTopology) -> BDSpaceReport:
-    """Balbes-Dwinger verdict for a single topology.
+def bd_space_witness(top: FiniteTopology) -> str | None:
+    """The reason a single topology is not Balbes-Dwinger, or None.
 
     The definition asks for T0, coherence (the fundamental subsets are an
     intersection-closed basis) and birreducibility of the fundamental family
@@ -386,7 +368,5 @@ def is_bd_space(top: FiniteTopology) -> BDSpaceReport:
     lowest point sharing its neighbourhood, then the lowest point it shares
     it with.  ``tests/oracles.py::bd_space_brute`` evaluates every clause.
     """
-    ok, pair = is_pairwise_t0(doubled_space(top))
-    if not ok:
-        return BDSpaceReport(False, f"not T0: points {pair[0]} and {pair[1]}")
-    return BDSpaceReport(True)
+    pair = pairwise_t0_witness(doubled_space(top))
+    return None if pair is None else f"not T0: points {pair[0]} and {pair[1]}"

@@ -7,11 +7,11 @@ import random
 
 from lattice_spectra import topology
 from lattice_spectra.bitsets import bits, full_mask, is_subset, preimage_mask
-from lattice_spectra.duality import big_h_map, essential_lattice, pbd_morphism
+from lattice_spectra.duality import PBDMorphism, big_h_map, essential_lattice, pbd_morphism_witness
 from lattice_spectra.errors import CyclicCovers, LatticeToolError, NotALattice, NotPairwiseBD
 from lattice_spectra.lattices import all_ideals, check_hom, lattice_from_order
 from lattice_spectra.spectra import build_bitop_spectrum, delta_compactness_check, gbd_witness
-from lattice_spectra.topology import fundamental_subsets, is_pairwise_bd
+from lattice_spectra.topology import fundamental_subsets, pairwise_bd_witness
 
 
 class EmptyGeneratorSet(LatticeToolError):
@@ -444,7 +444,7 @@ def d_family_closure_witness(space, essentials):
     """The intersection-closure half of pairwise-BD axiom (iii): the first
     two d-images of ``essentials``, ascending, whose intersection is not a
     d-image, as witness text, or None.  It holds on every finite space
-    (``topology.is_pairwise_bd`` gives the proof)."""
+    (``topology.pairwise_bd_witness`` gives the proof)."""
     d_family = {topology.op_d(space, a) for a in essentials}
     for a, b in itertools.combinations(sorted(d_family), 2):
         if a & b not in d_family:
@@ -456,7 +456,7 @@ def d_family_cover_witness(space, essentials):
     """The cover half of pairwise-BD axiom (iii): the points outside every
     d-image of ``essentials``, as witness text, or None.  It holds on every
     finite space: the carrier is i of the sigma-open carrier, hence
-    essential, and d fixes it (``topology.is_pairwise_bd``)."""
+    essential, and d fixes it (``topology.pairwise_bd_witness``)."""
     covered = 0
     for a in essentials:
         covered |= topology.op_d(space, a)
@@ -651,7 +651,7 @@ def pairwise_bd_first_axioms_brute(space, essentials):
 
 def bd_space_brute(top):
     """The Balbes-Dwinger clauses for a single topology evaluated literally,
-    as (passed, reason): T0, then the fundamental family (every open, each
+    as the first failing clause's text or None: T0, then the fundamental family (every open, each
     compact on a finite carrier, plus the empty set) closed under
     intersection, a basis whose unions are the opens, and the
     birreducibility witness for subfamilies of two."""
@@ -659,30 +659,31 @@ def bd_space_brute(top):
     for x in range(top.n):
         for y in range(x + 1, top.n):
             if not any((u >> x & 1) != (u >> y & 1) for u in family):
-                return False, f"not T0: points {x} and {y}"
+                return f"not T0: points {x} and {y}"
     fund = family | {0}
     for a, b in itertools.combinations(sorted(fund), 2):
         if a & b not in fund:
-            return False, "fundamental family not closed under intersection"
+            return "fundamental family not closed under intersection"
     if union_closure_brute(fund) != family:
-        return False, "fundamental subsets are not a basis"
+        return "fundamental subsets are not a basis"
     nonempty = sorted(m for m in fund if m)
     for v_fam in itertools.combinations(nonempty, 2):
         inter = v_fam[0] & v_fam[1]
         for w_fam in itertools.combinations(nonempty, 2):
             if inter & ~(w_fam[0] | w_fam[1]) == 0 and inter not in fund:
-                return False, "birreducibility witness missing"
-    return True, None
+                return "birreducibility witness missing"
+    return None
 
 
-def is_pairwise_t0_brute(space):
+def pairwise_t0_witness_brute(space):
     """Pairwise T0 over every ordered pair of distinct points: the first
-    (x, y), x ascending then y, with y tau-above x and x sigma-above y."""
+    (x, y), x ascending then y, with y tau-above x and x sigma-above y, or
+    None."""
     for x in range(space.n):
         for y in range(space.n):
             if x != y and space.up_tau[x] >> y & 1 and space.up_sigma[y] >> x & 1:
-                return False, (x, y)
-    return True, None
+                return x, y
+    return None
 
 
 def greedy_shrink_brute(mask, product_of, keeps):
@@ -756,19 +757,29 @@ def compose(f, g):
     return check_hom(f.source, g.target, (g.mapping[v] for v in f.mapping))
 
 
+def _validated_morphism(source, target, mapping):
+    """The morphism with point map ``mapping``; a failing condition of
+    ``pbd_morphism_witness`` raises ``ValueError`` with its text."""
+    mapping = tuple(mapping)
+    witness = pbd_morphism_witness(source, target, mapping)
+    if witness is not None:
+        raise ValueError(witness)
+    return PBDMorphism(source, target, mapping)
+
+
 def identity_morphism(space):
     """The identity point map of a pairwise Balbes-Dwinger space, validated
-    by ``pbd_morphism``: the identity of the category the spectrum functor
-    lands in."""
-    return pbd_morphism(space, space, range(space.n))
+    by ``pbd_morphism_witness``: the identity of the category the spectrum
+    functor lands in."""
+    return _validated_morphism(space, space, range(space.n))
 
 
 def compose_morphisms(f, g):
     """g after f for morphisms of pairwise Balbes-Dwinger spaces (requires
-    f.target == g.source), validated by ``pbd_morphism``."""
+    f.target == g.source), validated by ``pbd_morphism_witness``."""
     if f.target != g.source:
         raise ValueError("morphisms are not composable")
-    return pbd_morphism(f.source, g.target, (g.mapping[v] for v in f.mapping))
+    return _validated_morphism(f.source, g.target, (g.mapping[v] for v in f.mapping))
 
 
 def principal_ideal(lat, x):
@@ -831,9 +842,9 @@ def is_compact_subset(top, a, cover):
 
 
 def _pairwise_bd_or_raise(space):
-    report = is_pairwise_bd(space)
-    if not report.passed:
-        raise NotPairwiseBD(f"axiom ({report.failing_axiom}) fails: {report.witness}")
+    witness = pairwise_bd_witness(space)
+    if witness is not None:
+        raise NotPairwiseBD(witness)
 
 
 def is_doubly_bd(space):

@@ -34,7 +34,7 @@ from lattice_spectra.duality import (
     to_bitopological,
     to_topological,
 )
-from lattice_spectra.topology import essential_subsets, is_pairwise_t0, op_d, op_i
+from lattice_spectra.topology import essential_subsets, op_d, op_i, pairwise_t0_witness
 from lattice_spectra import cli, suites
 
 from oracles import (
@@ -113,8 +113,8 @@ def test_criterion_04_order_characterizations(lattices_upto_6):
                 assert bool(space.up_sigma[p] >> q & 1) == is_subset(
                     pair_filter(pts[p]), pair_filter(pts[q])
                 ), lat.name
-        ok, witness = is_pairwise_t0(space)
-        assert ok, (lat.name, witness)
+        witness = pairwise_t0_witness(space)
+        assert witness is None, (lat.name, witness)
     report(4, "specialization-orders-and-pairwise-t0")
 
 

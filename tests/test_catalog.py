@@ -20,7 +20,7 @@ from lattice_spectra.errors import (
     SizeBoundExceeded,
     UnknownElement,
 )
-from lattice_spectra.lattices import is_distributive
+from lattice_spectra.lattices import build_lattice, is_distributive
 from lattice_spectra.spectra import build_bitop_spectrum, build_classical_spectrum
 
 from oracles import count_lattices_brute, is_lattice_up_masks, labeled_posets_brute, validate_dot
@@ -281,6 +281,20 @@ def test_dot_outputs_are_valid(cat):
     for lat in cat.values():
         for obj in (lat, build_bitop_spectrum(lat), build_classical_spectrum(lat)):
             validate_dot(to_dot(obj))
+
+
+def test_dot_escapes_backslashes_in_names():
+    # an element named a\ must not end its DOT string early; the bitop
+    # labels keep their \n line break between the point and its d:/e: lists
+    lat = build_lattice(["0", "a\\", "1"], [("0", "a\\"), ("a\\", "1")], name="x")
+    hasse, classical, bitop = (
+        to_dot(obj) for obj in (lat, build_classical_spectrum(lat), build_bitop_spectrum(lat))
+    )
+    for text in (hasse, classical, bitop):
+        validate_dot(text)
+    assert '  "a\\\\";' in hasse.splitlines()
+    assert '  "{0,a\\\\}" -> "{0}";' in classical.splitlines()
+    assert '  "({0};{a\\\\,1})" [label="({0};{a\\\\,1})\\nd:a\\\\,1 e:a\\\\,1"];' in bitop.splitlines()
 
 
 def test_dot_stable_output(m5):

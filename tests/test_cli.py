@@ -163,6 +163,18 @@ def test_input_error_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["show", "verify"])
+def test_non_utf8_file_is_input_error(tmp_path, capsys, command):
+    # an undecodable byte is an input error on one line with exit 2, not a
+    # traceback with exit 1, the code of a verification failure
+    bad = tmp_path / "bad.lat"
+    bad.write_bytes(b"lattice x\xff\n")
+    assert run_cli([command, str(bad)]) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: {bad} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 9: invalid start byte\n"
+    )
+
+
 def test_hom_command(lattice_dir, tmp_path):
     hom = tmp_path / "inc.hom"
     hom.write_text("hom inc from chain2 to m5\nmap 0 0\nmap 1 a\n", encoding="utf-8")

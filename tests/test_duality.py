@@ -22,6 +22,7 @@ from lattice_spectra.duality import (
     essential_lattice,
     fundamental_lattice,
     h_map_classical,
+    pbd_morphism_witness,
     spec_b_on_hom,
     to_bitopological,
     to_topological,
@@ -173,6 +174,16 @@ def test_spec_b_contravariant_composition(lattices_upto_4):
                         left = spec_b_on_hom(compose(f, g))
                         right = compose_morphisms(spec_b_on_hom(g), spec_b_on_hom(f))
                         assert left.mapping == right.mapping
+
+
+def test_pbd_morphism_witness_rejects_maps_off_the_carriers(m5):
+    # a wrong length, or a value at or past the target's last point or
+    # below 0, is no point map; the identity passes every condition
+    space = build_bitop_spectrum(m5).space
+    identity = tuple(range(space.n))
+    assert pbd_morphism_witness(space, space, identity) is None
+    for bad in (identity[:-1], identity[:-1] + (space.n,), identity[:-1] + (-1,)):
+        assert pbd_morphism_witness(space, space, bad) == "mapping is not a point map between the carriers"
 
 
 def test_essential_functor_identity(m5):
@@ -341,10 +352,10 @@ def test_bridge_rejections(m5):
 
 
 def test_doubled_zariski_is_pairwise_bd(diamond):
-    from lattice_spectra.topology import is_pairwise_bd
+    from lattice_spectra.topology import pairwise_bd_witness
 
     top = build_classical_spectrum(diamond).space
-    assert is_pairwise_bd(doubled_space(top)).passed
+    assert pairwise_bd_witness(doubled_space(top)) is None
 
 
 def test_b_map_into_forgotten_spectrum(lattices_upto_5):

@@ -12,15 +12,15 @@ from lattice_spectra.topology import essential_subsets
 from lattice_spectra.spectra import (
     ComaximalPair,
     b_map,
+    bottom_via_fundamental,
     build_bitop_spectrum,
     build_classical_spectrum,
     comaximal_pairs,
     delta_compactness_check,
     extend_to_comaximal,
     gbd_witness,
-    has_bottom_via_fundamental,
-    has_top_via_compactness,
     prime_points,
+    top_via_compactness,
 )
 
 from oracles import (
@@ -245,7 +245,7 @@ def certify_gbd(lat, spec, v, w, res):
         assert is_subset(inter1, union1)
     else:
         assert not is_subset(inter, union)
-        k = 1 << spec.point_index(res.pair.a, res.pair.b)
+        k = 1 << spec.index[res.pair.a, res.pair.b]
         assert inter & k and not union & k
 
 
@@ -276,7 +276,7 @@ def certify_delta(lat, spec, x, v, res):
         assert is_subset(spec.delta[x], union1)
     else:
         assert not is_subset(spec.delta[x], union)
-        k = 1 << spec.point_index(res.pair.a, res.pair.b)
+        k = 1 << spec.index[res.pair.a, res.pair.b]
         assert spec.delta[x] & k and not union & k
 
 
@@ -390,11 +390,11 @@ def test_prime_points_n5(n5):
     # embedded image of {0,a,c} has coinciding closures.
     spec = build_bitop_spectrum(n5)
     pts = prime_points(spec)
-    assert [spec.point_label(k) for k in pts] == ["({0,a,c};{b,1})"]
+    assert [spec.points[k].label() for k in pts] == ["({0,a,c};{b,1})"]
     space = spec.space
     a, b, c = (n5.index(s) for s in "abc")
-    witness = spec.point_index(a, c)  # ({0,a};{c,1})
-    prime_but_split = spec.point_index(b, a)  # ({0,b};{a,c,1})
+    witness = spec.index[a, c]  # ({0,a};{c,1})
+    prime_but_split = spec.index[b, a]  # ({0,b};{a,c,1})
     assert space.up_sigma[witness] >> prime_but_split & 1
     assert not space.up_tau[witness] >> prime_but_split & 1
 
@@ -411,10 +411,8 @@ def test_all_points_prime_iff_distributive(lattices_upto_6):
 
 def test_bounds_all_catalog(cat):
     for lat in cat.values():
-        ok_top, w_top = has_top_via_compactness(lat)
-        assert ok_top and w_top == lat.top
-        ok_bot, w_bot = has_bottom_via_fundamental(lat)
-        assert ok_bot and w_bot == lat.bottom
+        assert top_via_compactness(lat) == lat.top
+        assert bottom_via_fundamental(lat) == lat.bottom
 
 
 def test_two_chain_epsilon_bottom_is_empty(chain2):
@@ -461,7 +459,7 @@ def test_order_characterizations(lattices_upto_5, cat):
 def test_m5_same_ideal_points_tau_equivalent(m5):
     spec = build_bitop_spectrum(m5)
     a, b, c = (m5.index(s) for s in "abc")
-    p = spec.point_index(a, b)  # ({0,a};{b,1})
-    q = spec.point_index(a, c)  # ({0,a};{c,1})
+    p = spec.index[a, b]  # ({0,a};{b,1})
+    q = spec.index[a, c]  # ({0,a};{c,1})
     assert spec.space.up_tau[p] >> q & 1
     assert spec.space.up_tau[q] >> p & 1

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import itertools
 import random
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -9,6 +10,7 @@ import pytest
 
 from lattice_spectra import duality, spectra, suites
 from lattice_spectra.bitsets import bits
+from lattice_spectra.errors import NotBDSpace, NotPairwiseBD
 from lattice_spectra.catalog import named_lattices
 from lattice_spectra.lattices import LatticeHom, check_hom
 from lattice_spectra.spectra import (
@@ -18,7 +20,7 @@ from lattice_spectra.spectra import (
     delta_compactness_check,
     gbd_witness,
 )
-from lattice_spectra.topology import FiniteTopology, PairwiseBDReport, bitop_space, fundamental_subsets
+from lattice_spectra.topology import FiniteTopology, bitop_space, fundamental_subsets
 
 from oracles import (
     NotIncreasing,
@@ -29,7 +31,7 @@ from oracles import (
     stability_witness,
 )
 from test_golden import _boolean, _diamond
-from test_topology import discrete, indiscrete
+from test_topology import discrete, indiscrete, sierpinski
 
 CORPUS_CHECKS = ["hom_classification", "functor_laws", "naturality_squares", "classical_bridge"]
 
@@ -300,7 +302,7 @@ def test_classical_point_map_fault_reaches_classical_stone(monkeypatch, chain3):
 )
 def test_b_map_faults_reach_both_printers(monkeypatch, cat, fault, lattice, bijective, corpus_lattice):
     if fault == "collapse":
-        monkeypatch.setattr(spectra.BitopSpectrum, "point_index", lambda self, a, b: 0)
+        _plant(monkeypatch, "b_map", lambda real: lambda lat: (0,) * len(real(lat)))
     else:
         _plant(monkeypatch, "is_homeomorphism", lambda real: lambda *args: False)
     result = _suite_result(cat[lattice], "classical_stone")
@@ -746,9 +748,12 @@ def test_only_cli_input_records_validate_themselves():
 
 def test_verdict_records_stay_out_of_the_library():
     # the library returns what it computes; each theorem verdict and its
-    # witness text live in the suite or corpus check that prints it.  Only
-    # the suites' result line and the two input verdicts that the library
-    # raises on carry a ``passed`` field
+    # witness text live in the suite or corpus check that prints it, and a
+    # verdict the library raises on is a function returning its witness or
+    # None.  Only the suites' result line carries a ``passed`` field, and no
+    # library module names a removed record, flag tuple or wrapper
+    import lattice_spectra
+
     package = Path(duality.__file__).parent
     gone = {
         "CharComaximalReport",
@@ -758,11 +763,24 @@ def test_verdict_records_stay_out_of_the_library():
         "DisCharReport",
         "BMapReport",
         "EssentialDeltaReport",
+        "PairwiseBDReport",
+        "BDSpaceReport",
+        "pairwise_bd_report",
+        "_pairwise_bd_report",
+        "is_pairwise_bd",
+        "is_bd_space",
+        "is_pairwise_t0",
+        "has_top_via_compactness",
+        "has_bottom_via_fundamental",
+        "pbd_morphism",
+        "_pbd_conditions",
+        "point_index",
+        "point_label",
     }
     with_passed = []
     for path in sorted(package.glob("*.py")):
         text = path.read_text(encoding="utf-8")
-        assert not {name for name in gone if name in text}, path.name
+        assert not gone & set(re.findall(r"\w+", text)), path.name
         for cls in ast.walk(ast.parse(text)):
             if not isinstance(cls, ast.ClassDef):
                 continue
@@ -770,7 +788,10 @@ def test_verdict_records_stay_out_of_the_library():
             fields = {n.target.id for n in cls.body if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)}
             if "NamedTuple" in bases and "passed" in fields:
                 with_passed.append(cls.name)
-    assert sorted(with_passed) == ["BDSpaceReport", "CheckResult", "PairwiseBDReport"]
+    assert not gone & set(lattice_spectra.__all__)
+    assert "hom" not in duality.HomClassification._fields
+    assert "space" not in duality.EssentialLattice._fields
+    assert with_passed == ["CheckResult"]
 
 
 # --- clauses settled before they run: definitions kept as oracles ------------
@@ -832,6 +853,81 @@ def test_stability_oracle_reports_planted_faults(m5, plant, witness):
     assert found == witness
 
 
+@pytest.mark.parametrize(
+    "fault, lattice, witness",
+    [
+        # every epsilon(x) empty: delta is untouched and still injective
+        ("zero", "chain2", "epsilon is not injective"),
+        # point 0 added to every epsilon(x): still injective and a meet
+        # homomorphism, but epsilon(0) is empty
+        ("point0", "m5", "epsilon(0) not inside delta(0)"),
+    ],
+)
+def test_epsilon_faults_reach_spectrum_map_laws(monkeypatch, cat, fault, lattice, witness):
+    # each planted epsilon fails one clause alone: without it the check
+    # would pass
+    lat = cat[lattice]
+    spec = build_bitop_spectrum(lat)
+    epsilon = tuple(0 if fault == "zero" else e | 1 for e in spec.epsilon)
+    monkeypatch.setattr(suites, "build_bitop_spectrum", lambda lat: dataclasses.replace(spec, epsilon=epsilon))
+    assert suites.check_spectrum_map_laws(lat) == witness
+
+
+def test_prime_ideal_clause_reaches_classical_stone(monkeypatch, chain2):
+    # a classical spectrum without points on a two-element lattice, the
+    # smallest size the clause covers
+    _plant(monkeypatch, "build_classical_spectrum", lambda real: lambda lat: real(lat)._replace(points=()))
+    result = _suite_result(chain2, "classical_stone")
+    assert (result.passed, result.witness) == (False, "a distributive lattice with two elements has a prime ideal")
+
+
+_NOT_PAIRWISE_BD = {
+    "i": (lambda: bitop_space(indiscrete(2), indiscrete(2)), "points 0 and 1 are not separated"),
+    "ii": (
+        lambda: bitop_space(discrete(3), FiniteTopology((0b011, 0b010, 0b110))),
+        "essential sets do not generate tau (neighbourhoods differ at points [0, 2])",
+    ),
+    "iii": (lambda: bitop_space(sierpinski(), discrete(2)), "d-images of essential sets are not a basis for sigma"),
+}
+
+
+@pytest.mark.parametrize("axiom", sorted(_NOT_PAIRWISE_BD))
+def test_pairwise_bd_witness_is_suite_and_error_text(monkeypatch, chain2, axiom):
+    # one witness text for each failing axiom: the pairwise_axioms suite
+    # prints it, and the bridges that need a pairwise Balbes-Dwinger space
+    # raise it
+    make, text = _NOT_PAIRWISE_BD[axiom]
+    space = make()
+    witness = f"axiom ({axiom}) fails: {text}"
+    spec = dataclasses.replace(build_bitop_spectrum(chain2), space=space)
+    monkeypatch.setattr(suites, "build_bitop_spectrum", lambda lat: spec)
+    result = _suite_result(chain2, "pairwise_axioms")
+    assert (result.passed, result.witness) == (False, witness)
+    for bridge in (duality.big_h_map, duality.to_topological):
+        with pytest.raises(NotPairwiseBD) as info:
+            bridge(space)
+        assert str(info.value) == witness
+
+
+@pytest.mark.parametrize(
+    "top, witness",
+    [
+        (indiscrete(2), "not T0: points 0 and 1"),
+        (FiniteTopology((0b111, 0b110, 0b110)), "not T0: points 1 and 2"),
+    ],
+)
+def test_bd_space_witness_is_suite_and_error_text(monkeypatch, chain2, top, witness):
+    # both bridges off a single topology raise the T0 witness, and the
+    # classical_stone suite prints it when the forgotten topology fails T0
+    for bridge in (duality.h_map_classical, duality.to_bitopological):
+        with pytest.raises(NotBDSpace) as info:
+            bridge(top)
+        assert str(info.value) == witness
+    monkeypatch.setattr(suites, "to_topological", lambda space: top)
+    result = _suite_result(chain2, "classical_stone")
+    assert (result.passed, result.witness) == (False, f"NotBDSpace: {witness}")
+
+
 def test_comaximal_pair_oracle_reports_planted_fault(monkeypatch, chain2):
     # a planted spectrum without points: the oracle gives the text of the
     # clause check_spectrum_map_laws ran last, and the suite stops at its
@@ -879,7 +975,6 @@ def test_settled_checks_stay_out_of_the_library():
                 names.add(node.value)
         assert not names & gone, (path.name, names & gone)
     assert not gone & set(lattice_spectra.__all__)
-    assert PairwiseBDReport._fields == ("passed", "failing_axiom", "witness")
     assert spectra.ClassicalSpectrum._fields == ("lattice", "points", "dmap", "space")
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import sys
 
 import pytest
@@ -14,18 +15,18 @@ from lattice_spectra.lattices import build_lattice
 from lattice_spectra.spectra import build_bitop_spectrum
 from lattice_spectra.topology import (
     FiniteTopology,
+    bd_space_witness,
     bitop_space,
     count_opens,
     doubled_space,
     essential_subsets,
     fundamental_subsets,
-    is_bd_space,
     is_continuous,
     is_homeomorphism,
-    is_pairwise_bd,
-    is_pairwise_t0,
     op_d,
     op_i,
+    pairwise_bd_witness,
+    pairwise_t0_witness,
     topology_from_subbasis,
 )
 
@@ -49,7 +50,6 @@ from oracles import (
     is_doubly_bd,
     is_homeomorphism_brute,
     is_increasing,
-    is_pairwise_t0_brute,
     is_preorder,
     is_stable,
     op_d_loop,
@@ -57,6 +57,7 @@ from oracles import (
     opens,
     pairwise_bd_axioms_iv_v_brute,
     pairwise_bd_first_axioms_brute,
+    pairwise_t0_witness_brute,
     sampled_increasing_pairs,
 )
 from test_golden import _boolean, _chain, _diamond
@@ -228,16 +229,15 @@ def test_open_sets_are_increasing(lattices_upto_5):
 
 
 def test_pairwise_t0_cases(m5):
-    assert is_pairwise_t0(doubled_space(discrete(3)))[0]
-    ok, pair = is_pairwise_t0(doubled_space(indiscrete(2)))
-    assert not ok and pair is not None
-    assert is_pairwise_t0(build_bitop_spectrum(m5).space)[0]
+    assert pairwise_t0_witness(doubled_space(discrete(3))) is None
+    assert pairwise_t0_witness(doubled_space(indiscrete(2))) == (0, 1)
+    assert pairwise_t0_witness(build_bitop_spectrum(m5).space) is None
 
 
 def test_pairwise_t0_equals_pairwise_ordered(lattices_upto_5):
     for lat in lattices_upto_5:
         space = build_bitop_spectrum(lat).space
-        ok, _ = is_pairwise_t0(space)
+        ok = pairwise_t0_witness(space) is None
         ordered = all(
             x == y or not (space.up_tau[x] >> y & 1 and space.up_sigma[y] >> x & 1)
             for x in range(space.n)
@@ -255,9 +255,9 @@ def test_pairwise_t0_matches_pair_scan(lattices_upto_6):
         spaces += [spectrum.space, doubled_space(spectrum.space.tau), doubled_space(spectrum.space.sigma)]
     failing = 0
     for space in spaces:
-        expected = is_pairwise_t0_brute(space)
-        assert is_pairwise_t0(space) == expected, (space.up_tau, space.up_sigma)
-        failing += not expected[0]
+        expected = pairwise_t0_witness_brute(space)
+        assert pairwise_t0_witness(space) == expected, (space.up_tau, space.up_sigma)
+        failing += expected is not None
     assert len(spaces) == 858 + 3 * 25
     assert 0 < failing < len(spaces)
 
@@ -396,18 +396,18 @@ def test_adjunction_all_pairs(lattices_upto_6):
 
 def test_d_family_closed_under_intersection(lattices_upto_6):
     # axiom (iii)'s closure half holds on every finite space, also where
-    # another axiom fails, so is_pairwise_bd evaluates only the basis half
+    # another axiom fails, so pairwise_bd_witness evaluates only the basis half
     spaces = _finite_fact_spaces(lattices_upto_6)
-    assert any(not is_pairwise_bd(space).passed for space in spaces)
+    assert any(pairwise_bd_witness(space) is not None for space in spaces)
     for space in spaces:
         assert d_family_closure_witness(space, essential_subsets(space)) is None, (space.up_tau, space.up_sigma)
 
 
 def test_d_family_covers_the_carrier(lattices_upto_6):
     # axiom (iii)'s cover half holds on every finite space, also where
-    # another axiom fails, so is_pairwise_bd does not test it
+    # another axiom fails, so pairwise_bd_witness does not test it
     spaces = _finite_fact_spaces(lattices_upto_6)
-    assert any(not is_pairwise_bd(space).passed for space in spaces)
+    assert any(pairwise_bd_witness(space) is not None for space in spaces)
     for space in spaces:
         assert d_family_cover_witness(space, essential_subsets(space)) is None, (space.up_tau, space.up_sigma)
 
@@ -686,23 +686,30 @@ def test_carrier_bound_guard(monkeypatch):
 # --- axiom checkers ----------------------------------------------------------
 
 
+def _failing_axiom(space):
+    """The axiom that ``pairwise_bd_witness`` names, read off its
+    ``axiom (...) fails: `` prefix, or None when the space passes."""
+    witness = pairwise_bd_witness(space)
+    if witness is None:
+        return None
+    return re.match(r"axiom \((\w+)\) fails: ", witness).group(1)
+
+
 def test_spectra_are_pairwise_bd(cat):
     for lat in cat.values():
-        report = is_pairwise_bd(build_bitop_spectrum(lat).space)
-        assert report.passed, (lat.name, report.failing_axiom, report.witness)
+        witness = pairwise_bd_witness(build_bitop_spectrum(lat).space)
+        assert witness is None, (lat.name, witness)
 
 
 def test_one_point_space_is_pairwise_bd():
-    assert is_pairwise_bd(doubled_space(indiscrete(1))).passed
+    assert pairwise_bd_witness(doubled_space(indiscrete(1))) is None
 
 
 def test_broken_sigma_basis_fails_axiom_iii():
     # tau = Sierpinski, sigma = discrete: {b} is sigma-open but no d-image
     # of an essential set produces it
     space = bitop_space(sierpinski(), discrete(2))
-    report = is_pairwise_bd(space)
-    assert not report.passed
-    assert (report.failing_axiom, report.witness) == ("iii", "d-images of essential sets are not a basis for sigma")
+    assert pairwise_bd_witness(space) == "axiom (iii) fails: d-images of essential sets are not a basis for sigma"
     # the d-images cover the carrier, so generating sigma is what fails
     assert d_family_cover_witness(space, essential_subsets(space)) is None
 
@@ -712,10 +719,8 @@ def test_axiom_ii_witness_lists_the_differing_points():
     # i(up_sigma[x]) = up_sigma[x] generate a coarser topology whose
     # neighbourhoods of 0 and 2 grow, while point 1 keeps its own
     space = bitop_space(discrete(3), FiniteTopology((0b011, 0b010, 0b110)))
-    report = is_pairwise_bd(space)
-    assert (report.failing_axiom, report.witness) == (
-        "ii",
-        "essential sets do not generate tau (neighbourhoods differ at points [0, 2])",
+    assert pairwise_bd_witness(space) == (
+        "axiom (ii) fails: essential sets do not generate tau (neighbourhoods differ at points [0, 2])"
     )
 
 
@@ -726,12 +731,8 @@ def test_axioms_ii_iii_match_open_family_forms():
     assert bitop_space(sierpinski(), discrete(2)) in spaces
     seen = set()
     for space in spaces:
-        report = is_pairwise_bd(space)
         literal = pairwise_bd_first_axioms_brute(space, essential_subsets(space))
-        if literal is None:
-            assert report.failing_axiom not in ("i", "ii", "iii")
-        else:
-            assert report.failing_axiom == literal
+        assert _failing_axiom(space) == literal
         seen.add(literal)
     assert seen == {None, "i", "ii", "iii"}
 
@@ -746,7 +747,7 @@ def test_axioms_iv_v_hold_on_every_small_space():
         ess = essential_subsets(space)
         assert pairwise_bd_axioms_iv_v_brute(space, ess) is None
         assert ess == essential_subsets_brute(space)
-        assert is_pairwise_bd(space).failing_axiom not in ("iv", "v")
+        assert _failing_axiom(space) not in ("iv", "v")
 
 
 def test_axioms_iv_v_hold_on_spectra(lattices_upto_6):
@@ -754,22 +755,20 @@ def test_axioms_iv_v_hold_on_spectra(lattices_upto_6):
     assert len(spaces) == 25
     for space in spaces:
         assert pairwise_bd_axioms_iv_v_brute(space, essential_subsets(space)) is None
-        assert is_pairwise_bd(space).failing_axiom not in ("iv", "v")
+        assert _failing_axiom(space) not in ("iv", "v")
 
 
 def test_indiscrete_pair_fails_t0():
     space = doubled_space(indiscrete(2))
-    report = is_pairwise_bd(space)
-    assert not report.passed
-    assert report.failing_axiom == "i"
+    assert pairwise_bd_witness(space) == "axiom (i) fails: points 0 and 1 are not separated"
 
 
 def test_bd_space_cases(cat):
     from lattice_spectra.spectra import build_classical_spectrum
 
     for name in ("chain2", "chain3", "diamond", "b3", "chain2xchain3"):
-        assert is_bd_space(build_classical_spectrum(cat[name]).space).passed
-    assert not is_bd_space(indiscrete(2)).passed
+        assert bd_space_witness(build_classical_spectrum(cat[name]).space) is None
+    assert bd_space_witness(indiscrete(2)) == "not T0: points 0 and 1"
 
 
 def test_bd_space_matches_literal_clauses(cat, lattices_upto_6):
@@ -780,16 +779,16 @@ def test_bd_space_matches_literal_clauses(cat, lattices_upto_6):
         space = build_bitop_spectrum(lat).space
         tops += [build_classical_spectrum(lat).space, space.tau, space.sigma]
     tops += [indiscrete(2), indiscrete(3), FiniteTopology((0b111, 0b110, 0b110))]
-    verdicts = [is_bd_space(top) for top in tops]
-    for top, verdict in zip(tops, verdicts):
-        assert (verdict.passed, verdict.reason) == bd_space_brute(top)
-    assert sum(not v.passed for v in verdicts) == 9
+    witnesses = [bd_space_witness(top) for top in tops]
+    for top, witness in zip(tops, witnesses):
+        assert witness == bd_space_brute(top)
+    assert sum(w is not None for w in witnesses) == 9
 
 
 def test_tau_of_doubly_bd_is_bd(diamond):
     space = build_bitop_spectrum(diamond).space
     assert is_doubly_bd(space)
-    assert is_bd_space(space.tau).passed
+    assert bd_space_witness(space.tau) is None
 
 
 def test_doubly_bd_cases(cat, chain2, m5):
