@@ -70,7 +70,6 @@ _PUBLIC = {
         "build_bitop_spectrum",
         "build_classical_spectrum",
         "comaximal_pairs",
-        "delta_compactness_check",
         "extend_to_comaximal",
         "gbd_witness",
         "prime_points",

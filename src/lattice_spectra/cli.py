@@ -110,10 +110,12 @@ def cmd_spec(args, out) -> int:
     from .topology import count_opens
 
     lat = parse_lattice(_read(args.file))
-    # the opens are counted before the first line, so a size limit prints nothing
+    # the opens are counted and the DOT file written before the first line,
+    # so a size limit or an unwritable DOT path prints nothing
     if args.classical:
         spec = build_classical_spectrum(lat)
         zariski = count_opens(spec.space)
+        _write_dot(args.dot, spec)
         out.write(f"classical spectrum of {lat.name}\n")
         out.write(f"points: {len(spec.points)}\n")
         labels = [lat.set_label(p) for p in spec.points]
@@ -126,12 +128,10 @@ def cmd_spec(args, out) -> int:
         out.write(f"zariski opens: {zariski}\n")
         # always so for prime ideals: tests/oracles.py::image_intersection_closed
         out.write("image intersection-closed: yes\n")
-        if args.dot:
-            with open(args.dot, "w", encoding="utf-8") as fh:
-                fh.write(to_dot(spec))
     else:
         spec = build_bitop_spectrum(lat)
         tau_opens, sigma_opens = count_opens(spec.space.tau), count_opens(spec.space.sigma)
+        _write_dot(args.dot, spec)
         out.write(f"bitopological spectrum of {lat.name}\n")
         out.write(f"points: {len(spec.points)}\n")
         labels = [p.label() for p in spec.points]
@@ -146,10 +146,13 @@ def cmd_spec(args, out) -> int:
         out.write(f"sigma opens: {sigma_opens}\n")
         same = spec.space.tau == spec.space.sigma
         out.write(f"tau == sigma: {'yes' if same else 'no'}\n")
-        if args.dot:
-            with open(args.dot, "w", encoding="utf-8") as fh:
-                fh.write(to_dot(spec))
     return 0
+
+
+def _write_dot(path, spectrum) -> None:
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(to_dot(spectrum))
 
 
 def _generator(*args, **kwargs) -> GeneratorConfig:

@@ -37,7 +37,8 @@ class ComaximalPair:
     ``b <= c``), and dually every element strictly below ``b`` is below
     ``a``.  A plain record: :func:`comaximal_pairs` keeps exactly the element
     pairs passing that test, and ``suites.check_covering_witnesses`` looks up
-    each pair :func:`extend_to_comaximal` returns among the spectrum points.
+    each separating pair :func:`gbd_witness` returns among the spectrum
+    points.
     """
 
     lattice: FiniteLattice
@@ -74,7 +75,9 @@ def comaximal_pairs(lat: FiniteLattice) -> tuple[ComaximalPair, ...]:
 
 
 def extend_to_comaximal(lat: FiniteLattice, a: int, b: int) -> ComaximalPair:
-    """Grow the disjoint pair ``(down[a], up[b])`` to a comaximal pair.
+    """Grow the disjoint pair ``(down[a], up[b])`` to a comaximal pair:
+    :func:`gbd_witness` grows (join W, meet V) into the point separating
+    inter(epsilon over V) from union(delta over W).
 
     The ideal grows first: the lowest-index element whose join with ``a``
     stays outside ``up[b]`` is joined in, and the search restarts; then the
@@ -181,95 +184,28 @@ def b_map(lat: FiniteLattice) -> tuple[int, ...]:
 # covering witnesses
 
 
-class GBDResult(NamedTuple):
-    """Outcome of the generalized covering reduction.
+def gbd_witness(spectrum: BitopSpectrum, v_mask: BitMask, w_mask: BitMask) -> ComaximalPair | None:
+    """None when inter(epsilon over V) lies inside union(delta over W), else
+    a point in the one and outside the other.
 
-    Either a witness element z with meet(V1) <= z <= join(W1) certifying the
-    containment of the epsilon-intersection in the delta-union, or a
-    comaximal pair whose filter contains V and whose ideal contains W,
-    certifying non-containment.
-    """
-
-    kind: str  # "witness" | "separating"
-    z: int | None = None
-    v1: BitMask | None = None
-    w1: BitMask | None = None
-    pair: ComaximalPair | None = None
-
-
-def _greedy_shrink(mask: BitMask, table, unit: int, keeps) -> BitMask:
-    """Drop members of ``mask`` lowest index first while the rest stays
-    nonempty and its ``table`` product (meet or join, ``unit`` the empty
-    product) still ``keeps``.
-
-    When member x is tried, the candidate is the members already kept below
-    x plus every member above x, so its product is the kept product times the
-    suffix product after x: one table lookup per member instead of a fresh
-    product per candidate.
-    """
-    members = list(bits(mask))
-    suffix = [unit] * (len(members) + 1)
-    for i in range(len(members) - 1, -1, -1):
-        suffix[i] = table[members[i]][suffix[i + 1]]
-    kept, acc = mask, unit
-    for i, x in enumerate(members):
-        cand = kept & ~(1 << x)
-        if cand and keeps(table[acc][suffix[i + 1]]):
-            kept = cand
-        else:
-            acc = table[acc][x]
-    return kept
-
-
-def gbd_witness(spectrum: BitopSpectrum, v_mask: BitMask, w_mask: BitMask) -> GBDResult:
-    """Certify whether inter(epsilon over V) lies inside union(delta over W).
-
-    By the covering reduction it does iff meet(V) <= join(W); the certificate
-    is a z in that interval with V and W shrunk (lowest index first, in
-    O(|V| + |W|) table lookups) to subsets still bracketing z, or else the
-    comaximal pair grown from (join W, meet V).  The result is a pure
-    function of the spectrum and the two masks, so a repeated sample gets the
-    same certificate and ``suites.check_covering_witnesses`` certifies each
-    distinct one once.  The suite holds the branch and the separating point
-    against the spectrum masks: a point (a, b) lies in every epsilon[v] iff
-    V <= up[b], and in no delta[w] iff W <= down[a].
+    By the covering reduction the containment holds iff meet(V) <= join(W);
+    on a finite lattice V and W are their own finite subfamilies, so nothing
+    is left to certify on that branch
+    (``tests/oracles.py::finite_subfamily_witness``).  Otherwise the point
+    is the comaximal pair grown from (join W, meet V): its filter contains V
+    and its ideal W.
+    delta-compactness is the case V = {x}: delta(x) lies inside
+    union(delta over W) iff x <= join(W).  ``suites.check_covering_witnesses``
+    holds the branch and the point against the spectrum masks.
     """
     if v_mask == 0 or w_mask == 0:
         raise EmptyInput("both generator sets must be nonempty")
     lat = spectrum.lattice
-    up = lat.up
     meet_v = lat.meet_of(v_mask)
     join_w = lat.join_of(w_mask)
-    if up[meet_v] >> join_w & 1:
-        z = next(bits(up[meet_v] & lat.down[join_w]))
-        v1 = _greedy_shrink(v_mask, lat.meet_table, lat.top, lambda m: up[m] >> z & 1)
-        w1 = _greedy_shrink(w_mask, lat.join_table, lat.bottom, lambda j: up[z] >> j & 1)
-        return GBDResult("witness", z=z, v1=v1, w1=w1)
-    return GBDResult("separating", pair=extend_to_comaximal(lat, join_w, meet_v))
-
-
-class DeltaCompactnessResult(NamedTuple):
-    kind: str  # "witness" | "separating"
-    v1: BitMask | None = None
-    pair: ComaximalPair | None = None
-
-
-def delta_compactness_check(spectrum: BitopSpectrum, x: int, v_mask: BitMask) -> DeltaCompactnessResult:
-    """Reduce a delta-cover of delta(x) to a finite witness V1 with x below
-    join(V1) (V shrunk lowest index first, in O(|V|) table lookups), or
-    produce a comaximal pair inside delta(x) missing the cover.  Like
-    ``gbd_witness`` it is a pure function of its arguments, and
-    ``suites.check_covering_witnesses`` holds the branch and the separating
-    point of each distinct sample against the spectrum masks once."""
-    if v_mask == 0:
-        raise EmptyInput("the covering set must be nonempty")
-    lat = spectrum.lattice
-    up = lat.up
-    join_v = lat.join_of(v_mask)
-    if up[x] >> join_v & 1:
-        v1 = _greedy_shrink(v_mask, lat.join_table, lat.bottom, lambda j: up[x] >> j & 1)
-        return DeltaCompactnessResult("witness", v1=v1)
-    return DeltaCompactnessResult("separating", pair=extend_to_comaximal(lat, join_v, x))
+    if lat.leq(meet_v, join_w):
+        return None
+    return extend_to_comaximal(lat, join_w, meet_v)
 
 
 # ---------------------------------------------------------------------------
@@ -329,14 +265,11 @@ __all__ = [
     "BitopSpectrum",
     "ClassicalSpectrum",
     "ComaximalPair",
-    "DeltaCompactnessResult",
-    "GBDResult",
     "b_map",
     "bottom_via_fundamental",
     "build_bitop_spectrum",
     "build_classical_spectrum",
     "comaximal_pairs",
-    "delta_compactness_check",
     "extend_to_comaximal",
     "gbd_witness",
     "prime_points",

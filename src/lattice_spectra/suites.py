@@ -20,7 +20,6 @@ from .spectra import (
     bottom_via_fundamental,
     build_bitop_spectrum,
     build_classical_spectrum,
-    delta_compactness_check,
     gbd_witness,
     prime_points,
     top_via_compactness,
@@ -185,7 +184,7 @@ def covering_samples(n: int) -> tuple[tuple[int, int, int], ...]:
     """The distinct seeded samples (V, W, x) for a lattice of ``n`` elements,
     in order of first occurrence: 60 draws of V, then W, then x from one
     ``Random(7)``.  The stream depends on ``n`` alone, so it is drawn once
-    per lattice size and kept."""
+    per lattice size and kept; ``check_covering_witnesses`` reads it."""
     rng = random.Random(_COVERING_SEED)
     full = full_mask(n)
     samples = {}  # an ordered set of the drawn triples
@@ -199,20 +198,25 @@ def covering_samples(n: int) -> tuple[tuple[int, int, int], ...]:
 def check_covering_witnesses(lat: FiniteLattice):
     """Certify the covering reduction on seeded samples (V, W, x).
 
-    ``gbd_witness`` and ``delta_compactness_check`` read their branch off the
-    lattice order; here each branch is held against the literal containment
-    of spectrum masks, and each separating pair must be a point of the one
-    side outside the other.
+    ``gbd_witness`` reads its branch off the lattice order; here it is held
+    against the literal containment of spectrum masks twice per sample: the
+    epsilon-intersection over V inside the delta-union over W, and
+    delta(x) inside the delta-union over V (delta-compactness, the call with
+    V = {x}).  Each separating pair must be a spectrum point of the one side
+    outside the other; one that is no point at all fails the same way.
 
-    The 60 samples are drawn as always (V, then W, then x from one
-    ``Random(7)``), but each distinct triple is certified once, in order of
-    first occurrence: both functions and every assertion below depend only
-    on the spectrum and the triple, so a repeat cannot change the verdict,
-    and the first failing triple (hence the witness text) is the same as in
-    draw order.  Small lattices repeat heavily: a one-element lattice draws
-    the one triple (1, 1, 0) sixty times.  A separating pair that is not a
-    spectrum point at all fails the same way as one on the wrong side."""
+    Each distinct triple is certified once, in order of first occurrence:
+    ``gbd_witness`` and every comparison below depend only on the spectrum
+    and the triple, so a repeat cannot change the verdict, and the first
+    failing triple (hence the witness text) is the same as in draw order.
+    Small lattices repeat heavily: a one-element lattice draws the one
+    triple (1, 1, 0) sixty times."""
     s = build_bitop_spectrum(lat)
+
+    def separates(pair, inside, outside):
+        k = s.index.get((pair.a, pair.b))
+        return k is not None and inside >> k & 1 and not outside >> k & 1
+
     for v, w, x in covering_samples(lat.n):
         inter = full_mask(len(s.points))
         union_v = union_w = 0
@@ -221,27 +225,16 @@ def check_covering_witnesses(lat: FiniteLattice):
             union_v |= s.delta[y]
         for y in bits(w):
             union_w |= s.delta[y]
-        res = gbd_witness(s, v, w)
-        if is_subset(inter, union_w) != (res.kind == "witness"):
+        pair = gbd_witness(s, v, w)
+        if is_subset(inter, union_w) != (pair is None):
             return f"branch mismatch for V={lat.set_label(v)} W={lat.set_label(w)}"
-        if res.kind == "witness":
-            if not (lat.leq(lat.meet_of(res.v1), res.z) and lat.leq(res.z, lat.join_of(res.w1))):
-                return f"witness chain broken for V={lat.set_label(v)} W={lat.set_label(w)}"
-            if res.v1 & ~v or res.w1 & ~w:
-                return "witness subsets escape the inputs"
-        else:
-            k = s.index.get((res.pair.a, res.pair.b))
-            if k is None or not (inter >> k & 1 and not union_w >> k & 1):
-                return "separating pair is not a counterexample point"
-        res2 = delta_compactness_check(s, x, v)
-        if is_subset(s.delta[x], union_v) != (res2.kind == "witness"):
+        if pair is not None and not separates(pair, inter, union_w):
+            return "separating pair is not a counterexample point"
+        pair = gbd_witness(s, 1 << x, v)
+        if is_subset(s.delta[x], union_v) != (pair is None):
             return f"cover branch mismatch at x={lat.names[x]} V={lat.set_label(v)}"
-        if res2.kind == "witness" and not lat.leq(x, lat.join_of(res2.v1)):
-            return "cover witness join does not dominate"
-        if res2.kind == "separating":
-            k = s.index.get((res2.pair.a, res2.pair.b))
-            if k is None or not (s.delta[x] >> k & 1 and not union_v >> k & 1):
-                return "cover separating pair is not a counterexample point"
+        if pair is not None and not separates(pair, s.delta[x], union_v):
+            return "cover separating pair is not a counterexample point"
     return None
 
 

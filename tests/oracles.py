@@ -10,7 +10,7 @@ from lattice_spectra.bitsets import bits, full_mask, is_subset, preimage_mask
 from lattice_spectra.duality import PBDMorphism, big_h_map, essential_lattice, pbd_morphism_witness
 from lattice_spectra.errors import CyclicCovers, LatticeToolError, NotALattice, NotPairwiseBD
 from lattice_spectra.lattices import all_ideals, check_hom, lattice_from_order
-from lattice_spectra.spectra import build_bitop_spectrum, delta_compactness_check, gbd_witness
+from lattice_spectra.spectra import build_bitop_spectrum, gbd_witness
 from lattice_spectra.topology import fundamental_subsets, pairwise_bd_witness
 
 
@@ -698,46 +698,101 @@ def greedy_shrink_brute(mask, product_of, keeps):
     return kept
 
 
-def covering_witnesses_literal(lat, gbd=gbd_witness, delta=delta_compactness_check):
+def _inter_epsilon(spec, v):
+    inter = full_mask(len(spec.points))
+    for x in bits(v):
+        inter &= spec.epsilon[x]
+    return inter
+
+
+def _union_delta(spec, w):
+    union = 0
+    for y in bits(w):
+        union |= spec.delta[y]
+    return union
+
+
+def finite_subfamily_witness(spec, v, w):
+    """The paper's finite-subfamily clause of the covering reduction on
+    nonempty masks V, W with meet(V) <= join(W), in the witness texts
+    ``suites.check_covering_witnesses`` once printed, or None (also when
+    meet(V) is not below join(W)): V and W shrunk, lowest index first by
+    :func:`greedy_shrink_brute`, to V1 and W1 around the lowest-index z in
+    [meet(V), join(W)] keep meet(V1) <= z <= join(W1), lie inside V and W,
+    and keep inter(epsilon over V1) inside union(delta over W1).
+
+    It holds on every finite lattice: the shrink starts from V and W, which
+    are finite subfamilies of themselves with meet(V) <= z <= join(W), and
+    drops a member only when the rest keeps its side of z, so the chain
+    holds and V1, W1 never leave V, W; the containment for (V1, W1) is then
+    the covering reduction's own branch, which the suite holds against the
+    spectrum masks.  So ``spectra.gbd_witness`` returns None on this branch
+    and certifies nothing further."""
+    lat = spec.lattice
+    meet_v, join_w = lat.meet_of(v), lat.join_of(w)
+    if not lat.leq(meet_v, join_w):
+        return None
+    z = next(bits(lat.up[meet_v] & lat.down[join_w]))
+    v1 = greedy_shrink_brute(v, lat.meet_of, lambda m: lat.leq(m, z))
+    w1 = greedy_shrink_brute(w, lat.join_of, lambda j: lat.leq(z, j))
+    if not (lat.leq(lat.meet_of(v1), z) and lat.leq(z, lat.join_of(w1))):
+        return f"witness chain broken for V={lat.set_label(v)} W={lat.set_label(w)}"
+    if v1 & ~v or w1 & ~w:
+        return "witness subsets escape the inputs"
+    if not is_subset(_inter_epsilon(spec, v1), _union_delta(spec, w1)):
+        return "witness subsets do not cover"
+    return None
+
+
+def cover_subfamily_witness(spec, x, v):
+    """:func:`finite_subfamily_witness` for delta-compactness, V = {x},
+    with the cover shrunk as ``suites.check_covering_witnesses`` once
+    certified it: when x <= join(V), the V1 shrunk from V keeping x below
+    its join dominates x, lies inside V, and keeps delta(x) inside
+    union(delta over V1); the first failure's text, or None.  It holds for
+    the same reason: V dominates x, and the shrink only drops a member when
+    the rest still does."""
+    lat = spec.lattice
+    if not lat.leq(x, lat.join_of(v)):
+        return None
+    v1 = greedy_shrink_brute(v, lat.join_of, lambda j: lat.leq(x, j))
+    if not lat.leq(x, lat.join_of(v1)):
+        return "cover witness join does not dominate"
+    if v1 & ~v:
+        return "witness subsets escape the inputs"
+    if not is_subset(spec.delta[x], _union_delta(spec, v1)):
+        return "cover witness subsets do not cover"
+    return None
+
+
+def covering_witnesses_literal(lat, gbd=gbd_witness):
     """The covering-witness certification over all 60 samples in draw order,
     repeats included: per sample V, W, then x from one ``Random(7)``, with
-    ``gbd`` and ``delta`` standing for the two covering functions.  Returns
-    None or the first failure's witness text."""
+    ``gbd`` standing for ``spectra.gbd_witness`` on (V, W) and on ({x}, V).
+    Returns None or the first failure's witness text."""
     s = build_bitop_spectrum(lat)
     rng = random.Random(7)
     full = full_mask(lat.n)
+
+    def separates(pair, inside, outside):
+        k = s.index.get((pair.a, pair.b))
+        return k is not None and inside >> k & 1 and not outside >> k & 1
+
     for _ in range(60):
         v = rng.randint(1, full)
         w = rng.randint(1, full)
-        inter = full_mask(len(s.points))
-        union_v = union_w = 0
-        for x in bits(v):
-            inter &= s.epsilon[x]
-            union_v |= s.delta[x]
-        for y in bits(w):
-            union_w |= s.delta[y]
-        res = gbd(s, v, w)
-        if is_subset(inter, union_w) != (res.kind == "witness"):
+        inter, union_v, union_w = _inter_epsilon(s, v), _union_delta(s, v), _union_delta(s, w)
+        pair = gbd(s, v, w)
+        if is_subset(inter, union_w) != (pair is None):
             return f"branch mismatch for V={lat.set_label(v)} W={lat.set_label(w)}"
-        if res.kind == "witness":
-            if not (lat.leq(lat.meet_of(res.v1), res.z) and lat.leq(res.z, lat.join_of(res.w1))):
-                return f"witness chain broken for V={lat.set_label(v)} W={lat.set_label(w)}"
-            if res.v1 & ~v or res.w1 & ~w:
-                return "witness subsets escape the inputs"
-        else:
-            k = s.index.get((res.pair.a, res.pair.b))
-            if k is None or not (inter >> k & 1 and not union_w >> k & 1):
-                return "separating pair is not a counterexample point"
+        if pair is not None and not separates(pair, inter, union_w):
+            return "separating pair is not a counterexample point"
         x = rng.randrange(lat.n)
-        res2 = delta(s, x, v)
-        if is_subset(s.delta[x], union_v) != (res2.kind == "witness"):
+        pair = gbd(s, 1 << x, v)
+        if is_subset(s.delta[x], union_v) != (pair is None):
             return f"cover branch mismatch at x={lat.names[x]} V={lat.set_label(v)}"
-        if res2.kind == "witness" and not lat.leq(x, lat.join_of(res2.v1)):
-            return "cover witness join does not dominate"
-        if res2.kind == "separating":
-            k = s.index.get((res2.pair.a, res2.pair.b))
-            if k is None or not (s.delta[x] >> k & 1 and not union_v >> k & 1):
-                return "cover separating pair is not a counterexample point"
+        if pair is not None and not separates(pair, s.delta[x], union_v):
+            return "cover separating pair is not a counterexample point"
     return None
 
 

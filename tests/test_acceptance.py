@@ -154,7 +154,7 @@ def test_criterion_07_covering_reduction_certificates(cat):
         for _ in range(200):
             v = rng.randint(1, full)
             w = rng.randint(1, full)
-            certify_gbd(lat, spec, v, w, gbd_witness(spec, v, w))
+            certify_gbd(spec, v, w, gbd_witness(spec, v, w))
     report(7, "covering-reduction-200-seeded-triples")
 
 

@@ -215,6 +215,20 @@ def test_exhaustive_no_duplicates(lattices_upto_6):
     assert len(forms) == len(set(forms))
 
 
+def test_exhaustive_order_is_canonical_form_order(lattices_upto_5):
+    # classes come in canonical-form order: on five elements M3, N5, B2 with
+    # a new top, B2 with a new bottom, then the chain, told apart here by
+    # their (atoms, coatoms) counts.  The grouping of canonical_form fixes
+    # this order; searching every permutation instead would swap the middle
+    # two
+    five = [lat for lat in lattices_upto_5 if lat.n == 5]
+    counts = [
+        (sum(d.bit_count() == 2 for d in lat.down), sum(u.bit_count() == 2 for u in lat.up))
+        for lat in five
+    ]
+    assert counts == [(3, 3), (2, 2), (2, 1), (1, 2), (1, 1)]
+
+
 def test_canonical_form_invariant_under_relabel(m5):
     from lattice_spectra.lattices import build_lattice
 

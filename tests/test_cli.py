@@ -68,6 +68,17 @@ def test_spec_limit_prints_nothing_before_the_error(lattice_dir, monkeypatch, ca
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("mode", ["--bitop", "--classical"])
+def test_spec_unwritable_dot_path_prints_nothing(lattice_dir, tmp_path, capsys, mode):
+    # the DOT file is written before the first line of the spectrum
+    dot_path = tmp_path / "missing" / "m5.dot"
+    code, out = run_cli(["spec", str(lattice_dir / "m5.lat"), mode, "--dot", str(dot_path)])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error: [Errno 2] ")
+    assert not dot_path.parent.exists()
+
+
 @pytest.mark.parametrize("k", [30, 40])
 def test_spec_counts_opens_past_enumeration(tmp_path, k):
     # 2^k tau- and sigma-opens on k(k-1) points, too many to list
@@ -310,6 +321,15 @@ def test_verify_bad_size_is_input_error(args):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("args, name", [(["--exhaustive", "1"], "gen1_0"), (["--random", "9", "1"], "rnd9_1")])
+def test_verify_smallest_sizes_accepted(args, name):
+    # a size of 1 and a count of 1 are the least the generator accepts
+    code, out = run_cli(["verify", *args])
+    assert code == 0
+    assert out.startswith(f"PASS {name} ")
+    assert out.endswith("lattices: 1  checks: 15  failures: 0\n")
+
+
 # --- loading contract: each command imports only the modules it runs -------
 
 _PRINT_LOADED = "import sys\nprint(*sorted(k for k in sys.modules if k.startswith('lattice_spectra.')))\n"
@@ -353,7 +373,7 @@ def test_public_names_resolve_lazily():
     import lattice_spectra
 
     exported = set(lattice_spectra.__all__)
-    assert len(exported) == len(lattice_spectra.__all__) == 80
+    assert len(exported) == len(lattice_spectra.__all__) == 79
     for name in exported:
         module = importlib.import_module(f"lattice_spectra.{lattice_spectra._MODULE_OF[name]}")
         assert getattr(lattice_spectra, name) is getattr(module, name), name

@@ -342,6 +342,14 @@ def test_is_prime_ideal_matches_brute_force(lattices_upto_6):
         assert prime_ideals(lat) == sorted(expected), lat.name
 
 
+def test_mask_past_the_carrier_is_no_prime_ideal(lattices_upto_4, cat):
+    # a bit past the carrier is no element, whatever the rest of the mask
+    for lat in [*lattices_upto_4, *cat.values()]:
+        assert is_prime_ideal(lat, 1 << lat.n) is False, lat.name
+        for m in prime_ideals(lat):
+            assert is_prime_ideal(lat, m | 1 << lat.n) is False, lat.name
+
+
 def test_prime_ideals_match_ideal_scan(lattices_upto_6, cat, chain2):
     lats = [*lattices_upto_6, *cat.values(), _boolean(chain2, 5), _boolean(chain2, 6)]
     lats += [product_lattice(a, b) for a in cat.values() for b in cat.values() if a.n * b.n <= 30]
@@ -381,6 +389,13 @@ def test_order_reversal_is_not_a_hom(chain2):
 def test_partial_map_rejected(chain2, m5):
     with pytest.raises(MissingMapping):
         check_hom(chain2, m5, (0,))
+
+
+@pytest.mark.parametrize("value", [-1, 5])
+def test_map_outside_the_target_carrier_rejected(chain2, m5, value):
+    # 5 is m5.n, the first index past the carrier
+    with pytest.raises(ValueError, match="^mapping hits elements outside the target carrier$"):
+        check_hom(chain2, m5, (0, value))
 
 
 def test_hom_count_chain2_to_m5(chain2, m5):

@@ -16,7 +16,6 @@ from lattice_spectra.spectra import (
     build_bitop_spectrum,
     build_classical_spectrum,
     comaximal_pairs,
-    delta_compactness_check,
     extend_to_comaximal,
     gbd_witness,
     prime_points,
@@ -25,6 +24,8 @@ from lattice_spectra.spectra import (
 
 from oracles import (
     comaximal_pairs_brute,
+    cover_subfamily_witness,
+    finite_subfamily_witness,
     greedy_shrink_brute,
     image_intersection_closed,
     opens,
@@ -196,26 +197,45 @@ def test_b_map_bijective_iff_distributive(lattices_upto_6):
 
 
 def test_gbd_trivial_reflexive(m5):
+    spec = build_bitop_spectrum(m5)
     for x in range(m5.n):
-        res = gbd_witness(build_bitop_spectrum(m5), 1 << x, 1 << x)
-        assert res.kind == "witness"
-        assert res.v1 == res.w1 == 1 << x
+        assert gbd_witness(spec, 1 << x, 1 << x) is None
+        assert finite_subfamily_witness(spec, 1 << x, 1 << x) is None
 
 
 def test_gbd_m5_witness_branch(m5):
+    # meet(a, b) = 0 <= c: the containment holds, and V, W are already the
+    # least subfamilies around z = 0
     a, b, c = (m5.index(s) for s in "abc")
-    res = gbd_witness(build_bitop_spectrum(m5), mask_of([a, b]), 1 << c)
-    assert res.kind == "witness"
-    assert res.z == m5.bottom
-    assert res.v1 == mask_of([a, b])
-    assert res.w1 == 1 << c
+    spec = build_bitop_spectrum(m5)
+    assert gbd_witness(spec, mask_of([a, b]), 1 << c) is None
+    assert greedy_shrink_brute(mask_of([a, b]), m5.meet_of, lambda m: m5.leq(m, m5.bottom)) == mask_of([a, b])
+    assert finite_subfamily_witness(spec, mask_of([a, b]), 1 << c) is None
+
+
+@pytest.mark.parametrize(
+    "shrunk, message, cover_message",
+    [
+        (lambda v: v & -v, "witness chain broken for V={a,b} W={c}", "cover witness join does not dominate"),
+        (lambda v: v | 1, "witness subsets escape the inputs", "witness subsets escape the inputs"),
+    ],
+)
+def test_finite_subfamily_oracle_reports_a_broken_shrink(monkeypatch, m5, shrunk, message, cover_message):
+    # the clauses hold for the greedy shrink; a shrink that drops a member
+    # V needs (keeping only a), or adds one (the bottom), is reported in the
+    # suite's old texts
+    import oracles
+
+    a, b, c = (m5.index(s) for s in "abc")
+    spec = build_bitop_spectrum(m5)
+    monkeypatch.setattr(oracles, "greedy_shrink_brute", lambda mask, product_of, keeps: shrunk(mask))
+    assert finite_subfamily_witness(spec, mask_of([a, b]), 1 << c) == message
+    assert cover_subfamily_witness(spec, m5.top, mask_of([a, b])) == cover_message
 
 
 def test_gbd_m5_separating_branch(m5):
     a, b = m5.index("a"), m5.index("b")
-    res = gbd_witness(build_bitop_spectrum(m5), 1 << a, 1 << b)
-    assert res.kind == "separating"
-    assert res.pair.label() == "({0,b};{a,1})"
+    assert gbd_witness(build_bitop_spectrum(m5), 1 << a, 1 << b).label() == "({0,b};{a,1})"
 
 
 def test_gbd_empty_input(m5):
@@ -223,29 +243,23 @@ def test_gbd_empty_input(m5):
         gbd_witness(build_bitop_spectrum(m5), 0, 1)
 
 
-def certify_gbd(lat, spec, v, w, res):
+def certify_gbd(spec, v, w, pair):
+    """``pair`` is ``gbd_witness(spec, v, w)``: None exactly when the
+    epsilon-intersection over V lies inside the delta-union over W, with
+    the finite-subfamily clause holding, else a point of the one outside
+    the other."""
     inter = full_mask(len(spec.points))
     for x in bits(v):
         inter &= spec.epsilon[x]
     union = 0
     for y in bits(w):
         union |= spec.delta[y]
-    if res.kind == "witness":
+    if pair is None:
         assert is_subset(inter, union)
-        assert res.v1 and res.w1
-        assert is_subset(res.v1, v) and is_subset(res.w1, w)
-        assert lat.leq(lat.meet_of(res.v1), res.z)
-        assert lat.leq(res.z, lat.join_of(res.w1))
-        inter1 = full_mask(len(spec.points))
-        for x in bits(res.v1):
-            inter1 &= spec.epsilon[x]
-        union1 = 0
-        for y in bits(res.w1):
-            union1 |= spec.delta[y]
-        assert is_subset(inter1, union1)
+        assert finite_subfamily_witness(spec, v, w) is None
     else:
         assert not is_subset(inter, union)
-        k = 1 << spec.index[res.pair.a, res.pair.b]
+        k = 1 << spec.index[pair.a, pair.b]
         assert inter & k and not union & k
 
 
@@ -259,24 +273,23 @@ def test_gbd_randomized_certificates(cat):
         for _ in range(40):
             v = rng.randint(1, full)
             w = rng.randint(1, full)
-            certify_gbd(lat, spec, v, w, gbd_witness(spec, v, w))
+            certify_gbd(spec, v, w, gbd_witness(spec, v, w))
 
 
-def certify_delta(lat, spec, x, v, res):
+def certify_delta(spec, x, v, pair):
+    """``pair`` is ``gbd_witness(spec, 1 << x, v)``, the delta-compactness
+    case: None exactly when delta(x) lies inside the delta-union over V,
+    with the finite-subfamily clause holding, else a point of delta(x)
+    outside it."""
     union = 0
     for y in bits(v):
         union |= spec.delta[y]
-    if res.kind == "witness":
+    if pair is None:
         assert is_subset(spec.delta[x], union)
-        assert res.v1 and is_subset(res.v1, v)
-        assert lat.leq(x, lat.join_of(res.v1))
-        union1 = 0
-        for y in bits(res.v1):
-            union1 |= spec.delta[y]
-        assert is_subset(spec.delta[x], union1)
+        assert cover_subfamily_witness(spec, x, v) is None
     else:
         assert not is_subset(spec.delta[x], union)
-        k = 1 << spec.index[res.pair.a, res.pair.b]
+        k = 1 << spec.index[pair.a, pair.b]
         assert spec.delta[x] & k and not union & k
 
 
@@ -286,9 +299,9 @@ def test_gbd_every_generator_pair(lattices_upto_4):
         spec = build_bitop_spectrum(lat)
         for v in range(1, 1 << lat.n):
             for w in range(1, 1 << lat.n):
-                res = gbd_witness(spec, v, w)
-                certify_gbd(lat, spec, v, w, res)
-                kinds[res.kind] += 1
+                pair = gbd_witness(spec, v, w)
+                certify_gbd(spec, v, w, pair)
+                kinds["witness" if pair is None else "separating"] += 1
     # all (2^n - 1)^2 nonempty pairs of the 5 lattices: 509
     assert kinds == {"witness": 469, "separating": 40}
 
@@ -299,77 +312,29 @@ def test_delta_compactness_every_cover(lattices_upto_5):
         spec = build_bitop_spectrum(lat)
         for x in range(lat.n):
             for v in range(1, 1 << lat.n):
-                res = delta_compactness_check(spec, x, v)
-                certify_delta(lat, spec, x, v, res)
-                kinds[res.kind] += 1
+                pair = gbd_witness(spec, 1 << x, v)
+                certify_delta(spec, x, v, pair)
+                kinds["witness" if pair is None else "separating"] += 1
     # n * (2^n - 1) pairs (x, V) over the 10 lattices: 923
     assert kinds == {"witness": 772, "separating": 151}
 
 
-def _gbd_by_brute_shrink(spec, v, w):
-    """``gbd_witness`` as a tuple, with V and W shrunk by the quadratic loop."""
-    lat = spec.lattice
-    meet_v, join_w = lat.meet_of(v), lat.join_of(w)
-    if not lat.leq(meet_v, join_w):
-        return ("separating", None, None, None, extend_to_comaximal(lat, join_w, meet_v))
-    z = next(bits(lat.up[meet_v] & lat.down[join_w]))
-    v1 = greedy_shrink_brute(v, lat.meet_of, lambda m: lat.leq(m, z))
-    w1 = greedy_shrink_brute(w, lat.join_of, lambda j: lat.leq(z, j))
-    return ("witness", z, v1, w1, None)
-
-
-def _delta_by_brute_shrink(spec, x, v):
-    """``delta_compactness_check`` as a tuple, V shrunk by the quadratic loop."""
-    lat = spec.lattice
-    join_v = lat.join_of(v)
-    if not lat.leq(x, join_v):
-        return ("separating", None, extend_to_comaximal(lat, join_v, x))
-    return ("witness", greedy_shrink_brute(v, lat.join_of, lambda j: lat.leq(x, j)), None)
-
-
-def test_greedy_shrink_matches_quadratic_loop_exhaustive(lattices_upto_4):
-    for lat in lattices_upto_4:
-        spec = build_bitop_spectrum(lat)
-        masks = range(1, 1 << lat.n)
-        for v, w in itertools.product(masks, repeat=2):
-            assert tuple(gbd_witness(spec, v, w)) == _gbd_by_brute_shrink(spec, v, w), (lat.name, v, w)
-        for x, v in itertools.product(range(lat.n), masks):
-            assert tuple(delta_compactness_check(spec, x, v)) == _delta_by_brute_shrink(spec, x, v)
-
-
-def test_greedy_shrink_matches_quadratic_loop_sampled(lattices_upto_6):
-    from test_golden import _boolean, _diamond
-
-    rng = random.Random(31)
-    shrunk = 0
-    for lat in [*lattices_upto_6, _boolean(5), _diamond(6)]:
-        spec = build_bitop_spectrum(lat)
-        full = full_mask(lat.n)
-        for _ in range(100):
-            v, w, x = rng.randint(1, full), rng.randint(1, full), rng.randrange(lat.n)
-            res = gbd_witness(spec, v, w)
-            assert tuple(res) == _gbd_by_brute_shrink(spec, v, w), (lat.name, v, w)
-            assert tuple(delta_compactness_check(spec, x, v)) == _delta_by_brute_shrink(spec, x, v)
-            shrunk += res.kind == "witness" and res.v1 != v
-    assert shrunk > 1000
-
-
 def test_delta_compactness_trivial(m5):
     a = m5.index("a")
-    res = delta_compactness_check(build_bitop_spectrum(m5), a, mask_of([a, m5.index("b")]))
-    assert res.kind == "witness"
-    assert res.v1 == 1 << a
+    spec = build_bitop_spectrum(m5)
+    v = mask_of([a, m5.index("b")])
+    assert gbd_witness(spec, 1 << a, v) is None
+    # the shrink drops b: a alone dominates a
+    assert greedy_shrink_brute(v, m5.join_of, lambda j: m5.leq(a, j)) == 1 << a
+    assert cover_subfamily_witness(spec, a, v) is None
 
 
 def test_delta_compactness_m5(m5):
     a, b = m5.index("a"), m5.index("b")
     spec = build_bitop_spectrum(m5)
-    res = delta_compactness_check(spec, m5.top, mask_of([a, b]))
-    assert res.kind == "witness"
-    assert res.v1 == mask_of([a, b])
-    res2 = delta_compactness_check(spec, a, 1 << b)
-    assert res2.kind == "separating"
-    assert res2.pair.label() == "({0,b};{a,1})"
+    assert gbd_witness(spec, 1 << m5.top, mask_of([a, b])) is None
+    assert greedy_shrink_brute(mask_of([a, b]), m5.join_of, lambda j: m5.leq(m5.top, j)) == mask_of([a, b])
+    assert gbd_witness(spec, 1 << a, 1 << b).label() == "({0,b};{a,1})"
 
 
 # --- prime points ------------------------------------------------------------

@@ -17,7 +17,6 @@ from lattice_spectra.spectra import (
     ComaximalPair,
     build_bitop_spectrum,
     build_classical_spectrum,
-    delta_compactness_check,
     gbd_witness,
 )
 from lattice_spectra.topology import FiniteTopology, bitop_space, fundamental_subsets
@@ -85,21 +84,16 @@ def _covering_draws(lat):
 
 def test_covering_witnesses_sample_stream(monkeypatch, cat):
     # the suite draws V, W, then x per sample, 60 samples from Random(7), and
-    # hands both covering functions the lattice's one cached spectrum once
-    # per distinct triple, in order of first occurrence
+    # hands gbd_witness the lattice's one cached spectrum twice per distinct
+    # triple, on (V, W) and on ({x}, V), in order of first occurrence
     calls = []
-    gbd, delta = suites.gbd_witness, suites.delta_compactness_check
+    gbd = suites.gbd_witness
 
     def recording_gbd(spectrum, v, w):
-        calls.append((spectrum, "gbd", v, w))
+        calls.append((spectrum, v, w))
         return gbd(spectrum, v, w)
 
-    def recording_delta(spectrum, x, v):
-        calls.append((spectrum, "delta", x, v))
-        return delta(spectrum, x, v)
-
     monkeypatch.setattr(suites, "gbd_witness", recording_gbd)
-    monkeypatch.setattr(suites, "delta_compactness_check", recording_delta)
     for name in ("chain1", "m5", "n5", "hexagon", "b3"):
         lat = cat[name]
         spec = build_bitop_spectrum(lat)
@@ -107,11 +101,11 @@ def test_covering_witnesses_sample_stream(monkeypatch, cat):
         assert suites.check_covering_witnesses(lat) is None
         expected = []
         for v, w, x in dict.fromkeys(_covering_draws(lat)):
-            expected += [(spec, "gbd", v, w), (spec, "delta", x, v)]
+            expected += [(spec, v, w), (spec, 1 << x, v)]
         assert all(c[0] is spec for c in calls), name
         assert calls == expected, name
         if name == "chain1":
-            assert calls == [(spec, "gbd", 1, 1), (spec, "delta", 0, 1)]
+            assert calls == [(spec, 1, 1), (spec, 1, 1)]
 
 
 def test_covering_witnesses_equal_literal_loop(lattices_upto_6, cat):
@@ -353,10 +347,10 @@ def test_naturality_faults_reach_naturality_squares(monkeypatch, name, make, wit
 
 
 def _planted_faults(lat, side, fault):
-    """Wrong answers of one covering function ("gbd" or "delta") on triples
-    that repeat in the stream, as (argument tuple, bad result): the other
-    branch ("branch"), or a separating pair that is no counterexample point
-    ("pair")."""
+    """Wrong answers of one of the suite's two ``gbd_witness`` calls, on
+    (V, W) ("gbd") or on ({x}, V) ("delta"), for triples that repeat in the
+    stream, as (argument tuple, bad result): the other branch ("branch"), or
+    a separating pair that is no counterexample point ("pair")."""
     s = build_bitop_spectrum(lat)
     draws = _covering_draws(lat)
     out = []
@@ -370,19 +364,18 @@ def _planted_faults(lat, side, fault):
         for y in bits(w):
             union_w |= s.delta[y]
         if side == "gbd":
-            args, res, counter = (v, w), gbd_witness(s, v, w), inter & ~union_w
-            witness = res._replace(kind="witness", z=lat.bottom, v1=v, w1=w, pair=None)
+            args, counter = (v, w), inter & ~union_w
         else:
-            args, res, counter = (x, v), delta_compactness_check(s, x, v), s.delta[x] & ~union_v
-            witness = res._replace(kind="witness", v1=v, pair=None)
-        if fault == "branch" and res.kind == "separating":
-            out.append((args, witness))
+            args, counter = (1 << x, v), s.delta[x] & ~union_v
+        pair = gbd_witness(s, *args)
+        if fault == "branch" and pair is not None:
+            out.append((args, None))
         elif fault == "branch" and s.points:
-            out.append((args, res._replace(kind="separating", pair=s.points[0])))
-        elif fault == "pair" and res.kind == "separating":
+            out.append((args, s.points[0]))
+        elif fault == "pair" and pair is not None:
             harmless = [p for k, p in enumerate(s.points) if not counter >> k & 1]
             if harmless:
-                out.append((args, res._replace(pair=harmless[0])))
+                out.append((args, harmless[0]))
     return out
 
 
@@ -391,22 +384,30 @@ def _planted_faults(lat, side, fault):
 def test_covering_witnesses_first_failure_equals_literal_loop(monkeypatch, lattices_upto_4, cat, side, fault):
     # a fault planted on a triple that repeats in the stream is reported
     # with the same witness text as the literal 60-sample loop reports it
-    name = {"gbd": "gbd_witness", "delta": "delta_compactness_check"}[side]
-    real = getattr(suites, name)
+    real = suites.gbd_witness
     planted = 0
+    texts = set()
     for lat in [*lattices_upto_4, *cat.values()]:
         for target, bad in _planted_faults(lat, side, fault):
             def faulty(spectrum, *args, target=target, bad=bad):
                 return bad if args == target else real(spectrum, *args)
 
-            monkeypatch.setattr(suites, name, faulty)
+            monkeypatch.setattr(suites, "gbd_witness", faulty)
             got = suites.check_covering_witnesses(lat)
             monkeypatch.undo()
             assert got is not None, (lat.name, target)
-            assert got == covering_witnesses_literal(lat, **{side: faulty}), (lat.name, target)
+            assert got == covering_witnesses_literal(lat, gbd=faulty), (lat.name, target)
+            texts.add(got.split(" for ")[0].split(" at ")[0])
             planted += 1
     # triples repeat on 2-4 elements: the generated lattices, chain2-4, diamond
     assert planted == {"branch": 54, "pair": 4}[fault]
+    # both calls go to gbd_witness, so a fault planted on one call also hits
+    # the other wherever their masks are equal: on chain3 the masks (2, 1)
+    # are both (V, W) of one triple and ({x}, V) of another
+    assert texts == {
+        "branch": {"branch mismatch", "cover branch mismatch"},
+        "pair": {"cover separating pair is not a counterexample point"},
+    }[fault]
 
 
 @pytest.mark.parametrize(
@@ -776,6 +777,10 @@ def test_verdict_records_stay_out_of_the_library():
         "_pbd_conditions",
         "point_index",
         "point_label",
+        "GBDResult",
+        "DeltaCompactnessResult",
+        "delta_compactness_check",
+        "_greedy_shrink",
     }
     with_passed = []
     for path in sorted(package.glob("*.py")):
