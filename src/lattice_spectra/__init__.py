@@ -28,7 +28,6 @@ _PUBLIC = {
         "NotDisjoint",
         "NotDoublyBD",
         "NotPairwiseBD",
-        "NotQuasiProper",
         "ParseError",
         "SizeBoundExceeded",
         "UnknownElement",
@@ -41,10 +40,11 @@ _PUBLIC = {
         "all_ideals",
         "build_lattice",
         "check_hom",
-        "is_distributive",
+        "forbidden_sublattice",
         "lattice_from_order",
         "prime_ideals",
         "product_lattice",
+        "violating_triple",
     ),
     "topology": (
         "BitopSpace",
@@ -77,16 +77,16 @@ _PUBLIC = {
     ),
     "duality": (
         "EssentialLattice",
-        "HomClassification",
         "PBDMorphism",
         "big_h_map",
-        "classify_hom",
         "delta_embedding",
         "delta_natural_iso_check",
         "essential_functor_on_morphism",
         "essential_lattice",
         "h_map_classical",
         "pbd_morphism_witness",
+        "proper_witness",
+        "quasi_proper_witness",
         "spec_b_on_hom",
         "spec_b_witness",
         "to_bitopological",

@@ -29,7 +29,7 @@ from .catalog import (
     to_dot,
 )
 from .errors import LatticeToolError
-from .lattices import all_filters, all_ideals, is_distributive, prime_ideals
+from .lattices import all_filters, all_ideals, forbidden_sublattice, prime_ideals, violating_triple
 
 if TYPE_CHECKING:
     from .suites import CheckResult
@@ -92,12 +92,11 @@ def cmd_show(args, out) -> int:
         )
     else:
         out.write("prime ideals: 0\n")
-    rep = is_distributive(lat)
-    if rep.distributive:
+    if lat.distributive:
         out.write("distributive: yes\n")
     else:
-        x, y, z = rep.triple
-        copy = rep.sublattice
+        x, y, z = violating_triple(lat)
+        copy = forbidden_sublattice(lat)
         out.write(
             f"distributive: no (triple {lat.names[x]},{lat.names[y]},{lat.names[z]}; "
             f"{copy.kind} copy {lat.set_label(sum(1 << e for e in copy.elements))})\n"
@@ -203,42 +202,44 @@ def cmd_verify(args, out) -> int:
 
 def cmd_hom(args, out) -> int:
     from .duality import (
-        classify_hom,
         delta_natural_iso_check,
         essential_functor_on_morphism,
+        proper_witness,
+        quasi_proper_witness,
         spec_b_on_hom,
         spec_b_witness,
     )
+    from .spectra import build_classical_spectrum
 
     source = parse_lattice(_read(args.source))
     target = parse_lattice(_read(args.target))
     hom = parse_hom(_read(args.homfile), source, target)
     out.write(f"hom {source.name} -> {target.name}: {hom.label()}\n")
-    cls = classify_hom(hom)
-    if cls.proper:
-        note = " (vacuous: target spectrum empty)" if cls.vacuously_proper else ""
+    witness = proper_witness(hom)
+    if witness is None:
+        note = "" if build_classical_spectrum(target).points else " (vacuous: target spectrum empty)"
         out.write(f"proper: yes{note}\n")
     else:
-        out.write(f"proper: no witness={cls.proper_witness}\n")
-    if cls.quasi_proper:
-        out.write("quasi-proper: yes\n")
-        morphism = spec_b_on_hom(hom)
-        out.write(
-            f"spectrum map: {len(morphism.source.up_tau)} points -> "
-            f"{len(morphism.target.up_tau)} points\n"
-        )
-        witness = spec_b_witness(hom, morphism)
-        if witness is not None:
-            out.write(f"pbd-morphism conditions: FAIL witness={witness}\n")
-            return 1
-        out.write("pbd-morphism conditions: PASS\n")
-        failing = delta_natural_iso_check(hom, essential_functor_on_morphism(morphism))
-        if failing is not None:
-            out.write(f"naturality square: FAIL witness={failing}\n")
-            return 1
-        out.write("naturality square: PASS\n")
-    else:
-        out.write(f"quasi-proper: no witness={cls.quasi_witness}\n")
+        out.write(f"proper: no witness={witness}\n")
+    morphism = spec_b_on_hom(hom)
+    if morphism is None:
+        out.write(f"quasi-proper: no witness={quasi_proper_witness(hom)}\n")
+        return 0
+    out.write("quasi-proper: yes\n")
+    out.write(
+        f"spectrum map: {len(morphism.source.up_tau)} points -> "
+        f"{len(morphism.target.up_tau)} points\n"
+    )
+    witness = spec_b_witness(hom, morphism)
+    if witness is not None:
+        out.write(f"pbd-morphism conditions: FAIL witness={witness}\n")
+        return 1
+    out.write("pbd-morphism conditions: PASS\n")
+    failing = delta_natural_iso_check(hom, essential_functor_on_morphism(morphism))
+    if failing is not None:
+        out.write(f"naturality square: FAIL witness={failing}\n")
+        return 1
+    out.write("naturality square: PASS\n")
     return 0
 
 

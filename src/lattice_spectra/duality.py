@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .bitsets import BitMask, bits, full_mask, is_subset, mask_of, preimage_mask, transpose
-from .errors import NotBDSpace, NotDoublyBD, NotPairwiseBD, NotQuasiProper
+from .errors import NotBDSpace, NotDoublyBD, NotPairwiseBD
 from .lattices import (
     FiniteLattice,
     LatticeHom,
@@ -45,21 +45,6 @@ from .topology import (
 # homomorphism classification
 
 
-class HomClassification(NamedTuple):
-    """Properness data for a lattice homomorphism.
-
-    proper: prime-ideal preimages are prime (vacuously true when the target
-    spectrum is empty, recorded separately).  quasi_proper: comaximal-pair
-    preimages are comaximal.  Witnesses name the first failing target object.
-    """
-
-    proper: bool
-    vacuously_proper: bool
-    proper_witness: str | None
-    quasi_proper: bool
-    quasi_witness: str | None
-
-
 def _pull_back(hom: LatticeHom) -> tuple[tuple[int, ...] | None, ComaximalPair | None]:
     """The preimage map on comaximal pairs, as (point map, None), or
     (None, the first target point whose preimage pair is not comaximal).
@@ -83,28 +68,22 @@ def _pull_back(hom: LatticeHom) -> tuple[tuple[int, ...] | None, ComaximalPair |
     return tuple(mapping), None
 
 
-def _not_comaximal(p: ComaximalPair) -> str:
-    return f"preimage of {p.label()} is not comaximal"
-
-
-def classify_hom(hom: LatticeHom) -> HomClassification:
+def proper_witness(hom: LatticeHom) -> str | None:
+    """The first prime ideal of the target whose preimage is not a prime
+    ideal, as witness text, or None: f is proper (vacuously so when the
+    target has no prime ideal)."""
     src, tgt = hom.source, hom.target
-    primes = build_classical_spectrum(tgt).points
-    proper = True
-    proper_witness = None
-    for p in primes:
+    for p in build_classical_spectrum(tgt).points:
         if not is_prime_ideal(src, hom.preimage(p)):
-            proper = False
-            proper_witness = f"preimage of {tgt.set_label(p)} is not a prime ideal"
-            break
+            return f"preimage of {tgt.set_label(p)} is not a prime ideal"
+    return None
+
+
+def quasi_proper_witness(hom: LatticeHom) -> str | None:
+    """The first comaximal pair of the target whose preimage pair is not
+    comaximal, as witness text, or None: f is quasi-proper."""
     _, failing = _pull_back(hom)
-    return HomClassification(
-        proper,
-        len(primes) == 0,
-        proper_witness,
-        failing is None,
-        None if failing is None else _not_comaximal(failing),
-    )
+    return None if failing is None else f"preimage of {failing.label()} is not comaximal"
 
 
 # ---------------------------------------------------------------------------
@@ -150,17 +129,17 @@ def pbd_morphism_witness(source: BitopSpace, target: BitopSpace, mapping) -> str
     return None
 
 
-def spec_b_on_hom(hom: LatticeHom) -> PBDMorphism:
+def spec_b_on_hom(hom: LatticeHom) -> PBDMorphism | None:
     """The spectrum functor on a quasi-proper homomorphism f: L -> N, sending
-    a comaximal pair of N to its preimage pair; contravariant.  Raises
-    :class:`NotQuasiProper` when f is not quasi-proper.
+    a comaximal pair of N to its preimage pair; contravariant.  None when f
+    is not quasi-proper (:func:`quasi_proper_witness` names the pair).
 
     It computes the point map only; :func:`spec_b_witness` checks that the
     result is a morphism carrying delta and epsilon along f.
     """
     mapping, failing = _pull_back(hom)
     if failing is not None:
-        raise NotQuasiProper(_not_comaximal(failing))
+        return None
     return PBDMorphism(
         build_bitop_spectrum(hom.target).space, build_bitop_spectrum(hom.source).space, mapping
     )
@@ -361,10 +340,8 @@ def to_bitopological(top: FiniteTopology) -> BitopSpace:
 
 __all__ = [
     "EssentialLattice",
-    "HomClassification",
     "PBDMorphism",
     "big_h_map",
-    "classify_hom",
     "delta_embedding",
     "delta_natural_iso_check",
     "essential_functor_on_morphism",
@@ -372,6 +349,8 @@ __all__ = [
     "fundamental_lattice",
     "h_map_classical",
     "pbd_morphism_witness",
+    "proper_witness",
+    "quasi_proper_witness",
     "spec_b_on_hom",
     "spec_b_witness",
     "to_bitopological",

@@ -47,10 +47,6 @@ class NotDoublyBD(LatticeToolError):
     """Operation requires a doubly Balbes-Dwinger space."""
 
 
-class NotQuasiProper(LatticeToolError):
-    """Spectrum functor applied to a homomorphism that is not quasi-proper."""
-
-
 class NotDisjoint(LatticeToolError):
     """Comaximal extension needs a disjoint ideal/filter pair."""
 

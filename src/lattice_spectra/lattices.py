@@ -250,13 +250,10 @@ class SublatticeWitness(NamedTuple):
     elements: tuple[int, ...]
 
 
-class DistributivityReport(NamedTuple):
-    distributive: bool
-    triple: tuple[int, int, int] | None = None
-    sublattice: SublatticeWitness | None = None
-
-
-def _find_violating_triple(lat: FiniteLattice):
+def violating_triple(lat: FiniteLattice) -> tuple[int, int, int] | None:
+    """The first triple (x, y, z), in index order, with
+    ``x meet (y join z) != (x meet y) join (x meet z)``, or None: the
+    lattice is distributive (``lat.distributive``)."""
     n = lat.n
     for x in range(n):
         for y in range(n):
@@ -268,8 +265,9 @@ def _find_violating_triple(lat: FiniteLattice):
     return None
 
 
-def _find_forbidden_sublattice(lat: FiniteLattice):
-    """The lexicographically least copy of the diamond m5 or the pentagon n5.
+def forbidden_sublattice(lat: FiniteLattice) -> SublatticeWitness | None:
+    """The lexicographically least copy of the diamond m5 or the pentagon n5,
+    or None: the lattice is distributive.
 
     A copy is fixed by its three middle elements x, y, z: its bottom is their
     meet and its top their join.  So the scan runs over 3-subsets (O(n^3))
@@ -297,14 +295,6 @@ def _find_forbidden_sublattice(lat: FiniteLattice):
                 if best is None or combo < best.elements:
                     best = SublatticeWitness("n5" if comparable else "m5", combo)
     return best
-
-
-def is_distributive(lat: FiniteLattice) -> DistributivityReport:
-    """``lat.distributive``; when negative, with the first violating triple
-    and the least copy of the three atom diamond or the pentagon."""
-    if lat.distributive:
-        return DistributivityReport(True)
-    return DistributivityReport(False, _find_violating_triple(lat), _find_forbidden_sublattice(lat))
 
 
 # ---------------------------------------------------------------------------

@@ -26,13 +26,13 @@ from .spectra import (
 )
 from .duality import (
     big_h_map,
-    classify_hom,
     delta_embedding,
     delta_natural_iso_check,
     essential_functor_on_morphism,
     essential_lattice,
     fundamental_lattice,
     h_map_classical,
+    proper_witness,
     spec_b_on_hom,
     spec_b_witness,
     to_bitopological,
@@ -514,20 +514,17 @@ def corpus_checks(lattices=None) -> list[CheckResult]:
 
 def _corpus_homs(lats):
     """For each ordered pair (i, j) of corpus positions, in that order, every
-    hom lats[i] -> lats[j] in ``all_homs`` order as (hom, classification,
-    spectrum morphism, essential-functor image of that morphism); the last
-    two are None unless the hom is quasi-proper."""
+    hom lats[i] -> lats[j] in ``all_homs`` order as (hom, whether it is
+    proper, spectrum morphism, essential-functor image of that morphism);
+    the last two are None exactly when the hom is not quasi-proper."""
     table = {}
     for i, a in enumerate(lats):
         for j, b in enumerate(lats):
             rows = table[i, j] = []
             for h in all_homs(a, b):
-                cls = classify_hom(h)
-                m = e = None
-                if cls.quasi_proper:
-                    m = spec_b_on_hom(h)
-                    e = essential_functor_on_morphism(m)
-                rows.append((h, cls, m, e))
+                m = spec_b_on_hom(h)
+                e = None if m is None else essential_functor_on_morphism(m)
+                rows.append((h, proper_witness(h) is None, m, e))
     return table
 
 
@@ -537,10 +534,10 @@ def _check_hom_classification(lats, homs):
     delta and epsilon along it (:func:`spec_b_witness`)."""
     for (i, j), rows in homs.items():
         both_distributive = lats[i].distributive and lats[j].distributive
-        for hom, cls, m, _ in rows:
-            if cls.quasi_proper and not cls.proper:
+        for hom, proper, m, _ in rows:
+            if m is not None and not proper:
                 return f"quasi-proper but not proper: {hom.label()}"
-            if both_distributive and cls.proper != cls.quasi_proper:
+            if both_distributive and proper != (m is not None):
                 return f"proper/quasi-proper split on distributive pair: {hom.label()}"
             if m is not None and (witness := spec_b_witness(hom, m)) is not None:
                 return witness
@@ -555,7 +552,7 @@ def _check_functor_laws(lats, homs):
     for rows in quasi.values():
         for _, _, _, e in rows:
             check_hom(e.source, e.target, e.mapping)
-            if not classify_hom(e).quasi_proper:
+            if spec_b_on_hom(e) is None:
                 return "essential functor produced a non-quasi-proper hom"
     by_mapping = {pair: {row[0].mapping: row for row in rows} for pair, rows in homs.items()}
     for i, lat in enumerate(lats):
@@ -569,8 +566,8 @@ def _check_functor_laws(lats, homs):
             for k in range(len(lats)):
                 composites = by_mapping[i, k]
                 for g, _, m_g, e_g in quasi[j, k]:
-                    _, cls, left, e_left = composites[tuple(map(g.mapping.__getitem__, f.mapping))]
-                    if not cls.quasi_proper:
+                    _, _, left, e_left = composites[tuple(map(g.mapping.__getitem__, f.mapping))]
+                    if left is None:
                         return f"composition of quasi-proper homs is not quasi-proper: {f.label()} ; {g.label()}"
                     if left.mapping != tuple(map(m_f.mapping.__getitem__, m_g.mapping)):
                         return f"spec_B breaks composition on {f.label()} ; {g.label()}"
@@ -615,8 +612,8 @@ def _check_classical_bridge(lats, homs):
         spec_a, prime_masks, ba = classical[i]
         for j in distributive:
             spec_b_, _, bb = classical[j]
-            for f, cls, bit, _ in homs[i, j]:
-                if not cls.proper:
+            for f, proper, bit, _ in homs[i, j]:
+                if not proper:
                     continue
                 point_map = []
                 for p in spec_b_.points:

@@ -20,7 +20,7 @@ from lattice_spectra.errors import (
     SizeBoundExceeded,
     UnknownElement,
 )
-from lattice_spectra.lattices import build_lattice, is_distributive
+from lattice_spectra.lattices import build_lattice
 from lattice_spectra.spectra import build_bitop_spectrum, build_classical_spectrum
 
 from oracles import count_lattices_brute, is_lattice_up_masks, labeled_posets_brute, validate_dot
@@ -144,7 +144,7 @@ def test_catalog_module_is_not_shadowed():
 
 
 def test_catalog_distributivity_split(cat):
-    distributive = {k for k, v in cat.items() if is_distributive(v).distributive}
+    distributive = {k for k, v in cat.items() if v.distributive}
     assert distributive == {
         "chain1", "chain2", "chain3", "chain4", "chain5",
         "diamond", "b3", "chain2xchain3", "chain3xchain3",

@@ -1,12 +1,8 @@
 import pytest
 
 from lattice_spectra import suites
-from lattice_spectra.errors import NotBDSpace, NotDoublyBD, NotQuasiProper
-from lattice_spectra.lattices import (
-    all_homs,
-    check_hom,
-    is_distributive,
-)
+from lattice_spectra.errors import NotBDSpace, NotDoublyBD
+from lattice_spectra.lattices import all_homs, check_hom
 from lattice_spectra.spectra import (
     b_map,
     build_bitop_spectrum,
@@ -15,7 +11,6 @@ from lattice_spectra.spectra import (
 )
 from lattice_spectra.duality import (
     big_h_map,
-    classify_hom,
     delta_embedding,
     delta_natural_iso_check,
     essential_functor_on_morphism,
@@ -23,6 +18,8 @@ from lattice_spectra.duality import (
     fundamental_lattice,
     h_map_classical,
     pbd_morphism_witness,
+    proper_witness,
+    quasi_proper_witness,
     spec_b_on_hom,
     to_bitopological,
     to_topological,
@@ -71,48 +68,46 @@ def test_essential_lattice_operations(lattices_upto_5):
 
 
 def test_identity_classification(m5):
-    cls = classify_hom(identity_hom(m5))
-    assert cls.proper and cls.quasi_proper
-    assert cls.vacuously_proper  # m5 has an empty classical spectrum
+    hom = identity_hom(m5)
+    assert proper_witness(hom) is None and quasi_proper_witness(hom) is None
+    assert build_classical_spectrum(m5).points == ()  # so proper vacuously
 
 
 def test_atom_inclusions_proper_not_quasi_proper(chain2, m5):
     verdicts = []
     for atom in ("a", "b", "c"):
-        cls = classify_hom(check_hom(chain2, m5, (0, m5.index(atom))))
-        verdicts.append((atom, cls.proper, cls.vacuously_proper, cls.quasi_proper))
-        assert cls.quasi_witness is not None
+        hom = check_hom(chain2, m5, (0, m5.index(atom)))
+        verdicts.append((atom, proper_witness(hom), quasi_proper_witness(hom)))
+    # m5 has no prime ideal, so each inclusion is proper vacuously
     assert verdicts == [
-        ("a", True, True, False),
-        ("b", True, True, False),
-        ("c", True, True, False),
+        ("a", None, "preimage of ({0,a};{b,1}) is not comaximal"),
+        ("b", None, "preimage of ({0,a};{c,1}) is not comaximal"),
+        ("c", None, "preimage of ({0,a};{b,1}) is not comaximal"),
     ]
 
 
 def test_bottom_top_inclusion_is_quasi_proper(chain2, m5):
-    cls = classify_hom(check_hom(chain2, m5, (0, m5.top)))
-    assert cls.proper and cls.quasi_proper
+    hom = check_hom(chain2, m5, (0, m5.top))
+    assert proper_witness(hom) is None and quasi_proper_witness(hom) is None
 
 
 def test_quasi_proper_implies_proper_corpus(lattices_upto_4):
     for src in lattices_upto_4:
         for tgt in lattices_upto_4:
             for hom in all_homs(src, tgt):
-                cls = classify_hom(hom)
-                if cls.quasi_proper:
-                    assert cls.proper, hom.label()
+                if quasi_proper_witness(hom) is None:
+                    assert proper_witness(hom) is None, hom.label()
 
 
 def test_proper_iff_quasi_proper_on_distributive(lattices_upto_4):
     for src in lattices_upto_4:
-        if not is_distributive(src).distributive:
+        if not src.distributive:
             continue
         for tgt in lattices_upto_4:
-            if not is_distributive(tgt).distributive:
+            if not tgt.distributive:
                 continue
             for hom in all_homs(src, tgt):
-                cls = classify_hom(hom)
-                assert cls.proper == cls.quasi_proper, hom.label()
+                assert (proper_witness(hom) is None) == (quasi_proper_witness(hom) is None), hom.label()
 
 
 # --- spectrum functor on morphisms ---------------------------------------------
@@ -126,18 +121,17 @@ def test_pull_back_matches_literal_preimages(lattices_upto_5, cat):
             for h in all_homs(a, b):
                 homs += 1
                 expected, failing = spectrum_map_brute(h)
-                cls = classify_hom(h)
-                assert cls.quasi_proper == (expected is not None), h.label()
+                witness = quasi_proper_witness(h)
+                m = spec_b_on_hom(h)
                 if expected is None:
                     i, f = failing
                     label = f"({b.set_label(i)};{b.set_label(f)})"
-                    assert cls.quasi_witness == f"preimage of {label} is not comaximal"
-                    with pytest.raises(NotQuasiProper):
-                        spec_b_on_hom(h)
+                    assert witness == f"preimage of {label} is not comaximal", h.label()
+                    assert m is None, h.label()
                 else:
                     quasi_proper += 1
-                    assert cls.quasi_witness is None
-                    assert spec_b_on_hom(h).mapping == expected, h.label()
+                    assert witness is None, h.label()
+                    assert m.mapping == expected, h.label()
     assert (homs, quasi_proper) == (9944, 1818)
 
 
@@ -147,8 +141,7 @@ def test_spec_b_identity(m5):
 
 
 def test_spec_b_requires_quasi_proper(chain2, m5):
-    with pytest.raises(NotQuasiProper):
-        spec_b_on_hom(check_hom(chain2, m5, (0, m5.index("a"))))
+    assert spec_b_on_hom(check_hom(chain2, m5, (0, m5.index("a")))) is None
 
 
 def test_spec_b_collapse_surjection(diamond, chain2):
@@ -165,15 +158,16 @@ def test_spec_b_contravariant_composition(lattices_upto_4):
     for a in lattices_upto_4:
         for b in lattices_upto_4:
             for f in all_homs(a, b):
-                if not classify_hom(f).quasi_proper:
+                mf = spec_b_on_hom(f)
+                if mf is None:
                     continue
                 for c in lattices_upto_4:
                     for g in all_homs(b, c):
-                        if not classify_hom(g).quasi_proper:
+                        mg = spec_b_on_hom(g)
+                        if mg is None:
                             continue
                         left = spec_b_on_hom(compose(f, g))
-                        right = compose_morphisms(spec_b_on_hom(g), spec_b_on_hom(f))
-                        assert left.mapping == right.mapping
+                        assert left.mapping == compose_morphisms(mg, mf).mapping
 
 
 def test_pbd_morphism_witness_rejects_maps_off_the_carriers(m5):
@@ -196,7 +190,7 @@ def test_essential_functor_on_collapse(diamond, chain2):
     f = check_hom(diamond, chain2, (0, 1, 0, 1))
     hom = essential_functor_on_morphism(spec_b_on_hom(f))
     assert hom.source.n == 4 and hom.target.n == 2
-    assert classify_hom(hom).quasi_proper
+    assert quasi_proper_witness(hom) is None
 
 
 # --- comaximal characterization and the reconstruction isomorphism -------------
@@ -262,7 +256,7 @@ def test_h_classical_diamond(diamond):
 
 def test_h_classical_all_distributive(lattices_upto_5):
     for lat in lattices_upto_5:
-        if not is_distributive(lat).distributive:
+        if not lat.distributive:
             continue
         top = build_classical_spectrum(lat).space
         mapping = h_map_classical(top)
@@ -281,7 +275,7 @@ def test_classical_point_maps_continuity_is_strong_continuity(lattices_upto_5):
         for b in distributive:
             spec_b = build_classical_spectrum(b)
             for f in all_homs(a, b):
-                if not classify_hom(f).proper:
+                if proper_witness(f) is not None:
                     continue
                 point_map = [index[f.preimage(p)] for p in spec_b.points]
                 continuous = is_continuous(point_map, spec_b.space, spec_a.space)
@@ -298,7 +292,7 @@ def test_h_classical_rejects_non_bd():
 
 def test_fundamental_lattice_matches_source(lattices_upto_5):
     for lat in lattices_upto_5:
-        if not is_distributive(lat).distributive:
+        if not lat.distributive:
             continue
         spec = build_classical_spectrum(lat)
         fund = fundamental_lattice(spec.space)
@@ -329,7 +323,7 @@ def test_naturality_catalog_small(cat):
     for src in small:
         for tgt in small:
             for hom in all_homs(src, tgt):
-                if classify_hom(hom).quasi_proper:
+                if spec_b_on_hom(hom) is not None:
                     assert _natural_square(hom) is None, hom.label()
 
 
@@ -360,7 +354,7 @@ def test_doubled_zariski_is_pairwise_bd(diamond):
 
 def test_b_map_into_forgotten_spectrum(lattices_upto_5):
     for lat in lattices_upto_5:
-        if not is_distributive(lat).distributive:
+        if not lat.distributive:
             continue
         point_map = b_map(lat)
         spec = build_bitop_spectrum(lat)
@@ -383,5 +377,5 @@ def test_dischar_reports(diamond, m5, n5):
 def test_dischar_upto_5(lattices_upto_5):
     for lat in lattices_upto_5:
         faces = distributivity_faces(build_bitop_spectrum(lat).space)
-        assert faces == (is_distributive(lat).distributive,) * 4, lat.name
+        assert faces == (lat.distributive,) * 4, lat.name
         assert suites.check_distributive_equivalences(lat) is None, lat.name

@@ -13,13 +13,12 @@ from lattice_spectra.lattices import (
     all_ideals,
     build_lattice,
     check_hom,
-    _find_forbidden_sublattice,
-    _find_violating_triple,
-    is_distributive,
+    forbidden_sublattice,
     is_prime_ideal,
     lattice_from_order,
     prime_ideals,
     product_lattice,
+    violating_triple,
 )
 
 
@@ -239,21 +238,18 @@ def test_prime_ideals(m5, n5, chain2):
 
 
 def test_distributive_diamond(diamond):
-    rep = is_distributive(diamond)
-    assert rep.distributive and rep.triple is None and rep.sublattice is None
+    assert diamond.distributive
+    assert violating_triple(diamond) is None and forbidden_sublattice(diamond) is None
 
 
 def test_m5_witness(m5):
-    rep = is_distributive(m5)
-    assert not rep.distributive
-    assert rep.sublattice.kind == "m5"
-    assert rep.sublattice.elements == (0, 1, 2, 3, 4)
+    assert not m5.distributive
+    assert forbidden_sublattice(m5) == ("m5", (0, 1, 2, 3, 4))
 
 
 def test_n5_witness(n5):
-    rep = is_distributive(n5)
-    assert not rep.distributive
-    assert rep.sublattice.kind == "n5"
+    assert not n5.distributive
+    assert forbidden_sublattice(n5).kind == "n5"
 
 
 def _boolean(chain2, k):
@@ -266,10 +262,7 @@ def _boolean(chain2, k):
 def _assert_detectors_agree(lats):
     # the two witness searches and the join-prime verdict, on every lattice
     for lat in lats:
-        triple = _find_violating_triple(lat)
-        sublattice = _find_forbidden_sublattice(lat)
-        assert (triple is None) == (sublattice is None) == lat.distributive, lat
-        assert is_distributive(lat) == (lat.distributive, triple, sublattice), lat
+        assert (violating_triple(lat) is None) == (forbidden_sublattice(lat) is None) == lat.distributive, lat
 
 
 def test_detectors_agree_upto_6(lattices_upto_6, cat, chain2):
@@ -324,7 +317,7 @@ def test_sublattice_witness_matches_5_subset_scan(lattices_upto_6, cat):
     non_distributive = 0
     for lat in lats:
         expected = _forbidden_sublattice_by_5_subsets(lat)
-        witness = is_distributive(lat).sublattice
+        witness = forbidden_sublattice(lat)
         assert (None if witness is None else (witness.kind, witness.elements)) == expected, lat
         non_distributive += expected is not None
     assert non_distributive >= 80
@@ -360,14 +353,14 @@ def test_prime_ideals_match_ideal_scan(lattices_upto_6, cat, chain2):
 def test_prime_ideals_exist_for_distributive(lattices_upto_6):
     # the prime ideal theorem at finite scale
     for lat in lattices_upto_6:
-        if lat.n >= 2 and is_distributive(lat).distributive:
+        if lat.n >= 2 and lat.distributive:
             assert prime_ideals(lat), lat.name
 
 
 def test_products_of_chains_distributive(cat):
-    assert is_distributive(cat["chain2xchain3"]).distributive
-    assert is_distributive(cat["chain3xchain3"]).distributive
-    assert not is_distributive(cat["m5xchain2"]).distributive
+    assert cat["chain2xchain3"].distributive
+    assert cat["chain3xchain3"].distributive
+    assert not cat["m5xchain2"].distributive
 
 
 # --- homomorphisms -----------------------------------------------------------
@@ -423,7 +416,7 @@ def test_compose(chain2, diamond, m5):
 def test_product_lattice_structure(chain2, chain3):
     prod = product_lattice(chain2, chain3)
     assert prod.n == 6
-    assert is_distributive(prod).distributive
+    assert prod.distributive
 
 
 # --- algebraic laws (property based) -----------------------------------------

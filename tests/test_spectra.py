@@ -7,7 +7,6 @@ from lattice_spectra import suites
 from lattice_spectra.bitsets import bits, full_mask, is_subset, mask_of
 from lattice_spectra.catalog import GeneratorConfig, enumerate_lattices
 from lattice_spectra.errors import EmptyInput, NotDisjoint
-from lattice_spectra.lattices import is_distributive
 from lattice_spectra.topology import essential_subsets
 from lattice_spectra.spectra import (
     ComaximalPair,
@@ -190,7 +189,7 @@ def test_b_map_bijective_iff_distributive(lattices_upto_6):
     for lat in lattices_upto_6:
         points = len(build_bitop_spectrum(lat).points)
         bijective = sorted(b_map(lat)) == list(range(points))
-        assert bijective == is_distributive(lat).distributive, lat.name
+        assert bijective == lat.distributive, lat.name
 
 
 # --- covering witnesses ------------------------------------------------------
@@ -368,7 +367,7 @@ def test_all_points_prime_iff_distributive(lattices_upto_6):
     for lat in lattices_upto_6:
         spec = build_bitop_spectrum(lat)
         all_prime = len(prime_points(spec)) == len(spec.points)
-        assert all_prime == is_distributive(lat).distributive
+        assert all_prime == lat.distributive
 
 
 # --- bounds from the topology -------------------------------------------------

@@ -36,29 +36,37 @@ CORPUS_CHECKS = ["hom_classification", "functor_laws", "naturality_squares", "cl
 
 
 def test_corpus_classifies_each_hom_once(monkeypatch):
-    seen = []
-    classify = suites.classify_hom
+    pulled, classified = [], []
+    pull_back, proper_witness = duality._pull_back, suites.proper_witness
 
-    def counting(hom):
-        seen.append(hom)
-        return classify(hom)
+    def counting_pull_back(hom):
+        pulled.append(hom)
+        return pull_back(hom)
 
-    monkeypatch.setattr(suites, "classify_hom", counting)
+    def counting_proper_witness(hom):
+        classified.append(hom)
+        return proper_witness(hom)
+
+    monkeypatch.setattr(duality, "_pull_back", counting_pull_back)
+    monkeypatch.setattr(suites, "proper_witness", counting_proper_witness)
     corpus = suites.corpus_lattices()
     results = suites.corpus_checks(corpus)
     assert [(r.check, r.passed) for r in results] == [(c, True) for c in CORPUS_CHECKS]
     # the default corpus (the 5 lattices with at most 4 elements) has 221
-    # homs; the functor laws then classify the essential functor's image of
-    # each of the 60 quasi-proper ones, once
-    table = [h for h in seen if h.source in corpus]
-    assert len(table) == len(set(table)) == 221
-    quasi = [h for h in table if duality.classify_hom(h).quasi_proper]
-    images = seen[len(table):]
-    assert len(images) == len(set(images)) == len(quasi) == 60
+    # homs, each pulled back and tested for properness once, as the table
+    # is built; the functor laws then pull back the essential functor's
+    # image of each of the 60 quasi-proper ones, and the naturality squares
+    # lift each image once more
+    table = pulled[:221]
+    assert len(set(table)) == 221 and all(h.source in corpus for h in table)
+    assert classified == table
+    images, lifts = pulled[221:281], pulled[281:]
+    assert len(set(images)) == sum(pull_back(h)[0] is not None for h in table) == 60
+    assert lifts == images
     assert all(h.source.name == "essential" for h in images)
 
 
-@pytest.mark.parametrize("broken", ["classify_hom", "spec_b_on_hom"])
+@pytest.mark.parametrize("broken", ["proper_witness", "spec_b_on_hom"])
 def test_corpus_table_failure_fails_every_check(monkeypatch, broken):
     def boom(hom):
         raise RuntimeError("boom")
@@ -68,6 +76,41 @@ def test_corpus_table_failure_fails_every_check(monkeypatch, broken):
     assert [(r.lattice, r.check, r.passed, r.witness) for r in results] == [
         ("corpus", c, False, "RuntimeError: boom") for c in CORPUS_CHECKS
     ]
+
+
+@pytest.mark.parametrize(
+    "check, planted, hom, witness",
+    [
+        ("hom_classification", "proper_witness", (1, 1, (0, 1)), "quasi-proper but not proper: x0->x0 x1->x1"),
+        (
+            "hom_classification",
+            "spec_b_on_hom",
+            (1, 2, (0, 2)),
+            "proper/quasi-proper split on distributive pair: x0->x0 x1->x2",
+        ),
+        (
+            "functor_laws",
+            "spec_b_on_hom",
+            (2, 1, (0, 0, 1)),
+            "composition of quasi-proper homs is not quasi-proper: x0->x0 x1->x0 x2->x2 ; x0->x0 x1->x1 x2->x1",
+        ),
+        ("classical_bridge", "spec_b_on_hom", (1, 1, (0, 1)), "proper hom is not quasi-proper: x0->x0 x1->x1"),
+    ],
+    ids=["quasi-proper-not-proper", "distributive-split", "composition", "proper-not-quasi-proper"],
+)
+def test_planted_hom_verdict_reaches_its_corpus_clause(monkeypatch, check, planted, hom, witness):
+    # one hom of the default corpus, (source position, target position,
+    # mapping), is made not proper or not quasi-proper.  Every corpus lattice
+    # is distributive, so a quasi-proper hom planted as not proper also
+    # splits a distributive pair: only the text tells the clauses apart
+    corpus = suites.corpus_lattices()
+    i, j, mapping = hom
+    chosen = LatticeHom(corpus[i], corpus[j], mapping)
+    real = getattr(suites, planted)
+    value = "planted" if planted == "proper_witness" else None
+    monkeypatch.setattr(suites, planted, lambda h: value if h == chosen else real(h))
+    result = next(r for r in suites.corpus_checks(corpus) if r.check == check)
+    assert (result.passed, result.witness) == (False, witness)
 
 
 def _covering_draws(lat):
@@ -551,8 +594,8 @@ def _corpus_with_row(monkeypatch, lat, m=None, e=None):
         homs = real(lats)
         rows = homs[0, 0]
         k = next(k for k, row in enumerate(rows) if row[0].mapping == tuple(range(lat.n)))
-        h, cls, m0, e0 = rows[k]
-        rows[k] = (h, cls, m0 if m is None else m, e0 if e is None else e)
+        h, proper, m0, e0 = rows[k]
+        rows[k] = (h, proper, m0 if m is None else m, e0 if e is None else e)
         return homs
 
     monkeypatch.setattr(suites, "_corpus_homs", planted)
@@ -750,9 +793,10 @@ def test_only_cli_input_records_validate_themselves():
 def test_verdict_records_stay_out_of_the_library():
     # the library returns what it computes; each theorem verdict and its
     # witness text live in the suite or corpus check that prints it, and a
-    # verdict the library raises on is a function returning its witness or
-    # None.  Only the suites' result line carries a ``passed`` field, and no
-    # library module names a removed record, flag tuple or wrapper
+    # verdict the library answers is a function returning its witness or
+    # None.  Only the suites' result line has a ``bool`` field
+    # (``CheckResult.passed``), and no library module names a removed
+    # record, flag tuple or wrapper
     import lattice_spectra
 
     package = Path(duality.__file__).parent
@@ -781,22 +825,32 @@ def test_verdict_records_stay_out_of_the_library():
         "DeltaCompactnessResult",
         "delta_compactness_check",
         "_greedy_shrink",
+        "HomClassification",
+        "classify_hom",
+        "DistributivityReport",
+        "is_distributive",
+        "NotQuasiProper",
     }
-    with_passed = []
+    flags = []
     for path in sorted(package.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         assert not gone & set(re.findall(r"\w+", text)), path.name
         for cls in ast.walk(ast.parse(text)):
             if not isinstance(cls, ast.ClassDef):
                 continue
-            bases = {b.id for b in cls.bases if isinstance(b, ast.Name)}
-            fields = {n.target.id for n in cls.body if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)}
-            if "NamedTuple" in bases and "passed" in fields:
-                with_passed.append(cls.name)
+            # the last dotted part, so ``typing.NamedTuple`` and
+            # ``dataclasses.dataclass(...)`` count too
+            bases = {ast.unparse(b).rsplit(".", 1)[-1] for b in cls.bases}
+            decorators = {ast.unparse(d).split("(")[0].rsplit(".", 1)[-1] for d in cls.decorator_list}
+            if "NamedTuple" in bases or "dataclass" in decorators:
+                flags += [
+                    f"{cls.name}.{ast.unparse(n.target)}"
+                    for n in cls.body
+                    if isinstance(n, ast.AnnAssign) and ast.unparse(n.annotation) == "bool"
+                ]
     assert not gone & set(lattice_spectra.__all__)
-    assert "hom" not in duality.HomClassification._fields
     assert "space" not in duality.EssentialLattice._fields
-    assert with_passed == ["CheckResult"]
+    assert flags == ["CheckResult.passed"]
 
 
 # --- clauses settled before they run: definitions kept as oracles ------------
