@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .bitsets import bits, full_mask, transpose
@@ -216,14 +215,14 @@ def named_lattices() -> dict[str, FiniteLattice]:
 # enumeration up to isomorphism
 
 
-@dataclass(frozen=True)
 class GeneratorConfig:
     mode: str  # "exhaustive" | "random"
     max_size: int
-    seed: int | None = None
-    count: int | None = None
+    seed: int | None
+    count: int | None
 
-    def __post_init__(self) -> None:
+    def __init__(self, mode: str, max_size: int, seed: int | None = None, count: int | None = None) -> None:
+        self.mode, self.max_size, self.seed, self.count = mode, max_size, seed, count
         if self.mode not in ("exhaustive", "random"):
             raise ValueError("mode is 'exhaustive' or 'random'")
         if self.max_size < 1:

@@ -10,7 +10,8 @@ Each command imports only the modules it runs, so a short command does not
 pay for loading the whole package: ``show`` loads ``catalog`` and
 ``lattices``; ``spec`` adds ``spectra`` and ``topology``; ``verify`` adds
 ``duality`` and ``suites``; ``hom`` adds ``duality``.  ``json`` is imported
-only where structured output is written.
+only where structured output is written.  The records are NamedTuples and
+plain classes, so no command loads ``inspect`` or ``ast`` for them.
 """
 
 from __future__ import annotations

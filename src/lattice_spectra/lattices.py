@@ -12,7 +12,6 @@ operations here are pure functions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -25,7 +24,6 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
 class FiniteLattice:
     """A finite (hence bounded) lattice given by its order and operation tables.
 
@@ -42,7 +40,19 @@ class FiniteLattice:
     join_table: tuple[tuple[int, ...], ...]
     bottom: int
     top: int
-    name: str = field(default="", compare=False)
+    name: str  # a label only: equality and hashing read the tables
+
+    def __init__(self, names, up, meet_table, join_table, bottom, top, name="") -> None:
+        self._key = (names, up, meet_table, join_table, bottom, top)
+        self.names, self.up, self.meet_table, self.join_table, self.bottom, self.top = self._key
+        self.name = name
+        self._hash = hash(self._key)  # every lru_cache keys on lattices: hash the tables once
+
+    def __eq__(self, other):
+        return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n(self) -> int:
@@ -301,8 +311,7 @@ def forbidden_sublattice(lat: FiniteLattice) -> SublatticeWitness | None:
 # homomorphisms
 
 
-@dataclass(frozen=True)
-class LatticeHom:
+class LatticeHom(NamedTuple):
     """A total map between lattice carriers preserving meet and join.
 
     A plain record: :func:`check_hom` is the one validator, and it is what

@@ -11,7 +11,6 @@ generate the two topologies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -27,8 +26,7 @@ from .topology import (
 )
 
 
-@dataclass(frozen=True)
-class ComaximalPair:
+class ComaximalPair(NamedTuple):
     """The comaximal pair ``(down[a], up[b])``, stored as the elements a, b.
 
     The pair is disjoint when ``b`` is not below ``a``.  The ideal is maximal
@@ -104,7 +102,6 @@ def extend_to_comaximal(lat: FiniteLattice, a: int, b: int) -> ComaximalPair:
 # the two spectra
 
 
-@dataclass(frozen=True)
 class BitopSpectrum:
     """The comaximal pairs of a lattice with the two generated topologies.
 
@@ -120,6 +117,19 @@ class BitopSpectrum:
     delta: tuple[BitMask, ...]
     epsilon: tuple[BitMask, ...]
     space: BitopSpace
+
+    def __init__(self, lattice, points, delta, epsilon, space) -> None:
+        self._key = (lattice, points, delta, epsilon, space)
+        self.lattice, self.points, self.delta, self.epsilon, self.space = self._key
+
+    def __eq__(self, other):
+        return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        return "BitopSpectrum(lattice={!r}, points={!r}, delta={!r}, epsilon={!r}, space={!r})".format(*self._key)
 
     @cached_property
     def index(self) -> dict[tuple[int, int], int]:

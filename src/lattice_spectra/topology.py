@@ -32,8 +32,8 @@ stability, co-stability and openness tests are definitions in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .bitsets import BitMask, bits, full_mask, image_mask, is_subset, transpose
 from .errors import CarrierTooLarge
@@ -42,7 +42,6 @@ from .errors import CarrierTooLarge
 _COUNT_MEMO_BOUND = 1 << 17
 
 
-@dataclass(frozen=True)
 class FiniteTopology:
     """A topology on {0..n-1}, stored as its specialization preorder.
 
@@ -56,6 +55,18 @@ class FiniteTopology:
     """
 
     up: tuple[BitMask, ...]
+
+    def __init__(self, up: tuple[BitMask, ...]) -> None:
+        self.up = up
+
+    def __eq__(self, other):
+        return self.up == other.up if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.up,))
+
+    def __repr__(self) -> str:
+        return f"FiniteTopology(up={self.up!r})"
 
     @property
     def n(self) -> int:
@@ -164,8 +175,7 @@ def is_homeomorphism(mapping, source: FiniteTopology, target: FiniteTopology) ->
     )
 
 
-@dataclass(frozen=True)
-class BitopSpace:
+class BitopSpace(NamedTuple):
     """A carrier with two topologies; :func:`bitop_space` builds it from two
     topologies on the same points."""
 

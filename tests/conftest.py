@@ -4,6 +4,15 @@ from lattice_spectra import duality, suites
 from lattice_spectra.catalog import GeneratorConfig, enumerate_lattices, named_lattices
 
 
+def replaced(record, **changes):
+    """A copy of the plain record ``record`` (a ``FiniteLattice`` or a
+    ``BitopSpectrum``) with ``changes`` applied: ``_replace`` for the records
+    that are not NamedTuples.  The class annotations list the fields in
+    constructor order."""
+    fields = {f: getattr(record, f) for f in type(record).__annotations__}
+    return type(record)(**{**fields, **changes})
+
+
 @pytest.fixture(autouse=True)
 def _fresh_reconstruction_verdicts(request):
     """The reconstruction map and its verdicts are cached per space value,

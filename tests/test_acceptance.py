@@ -2,7 +2,6 @@
 printed PASS line each.  Everything runs at desk scale in well under the
 five-minute budget."""
 
-import dataclasses
 import io
 import random
 import subprocess
@@ -35,6 +34,7 @@ from lattice_spectra.duality import (
 from lattice_spectra.topology import essential_subsets, op_d, op_i, pairwise_t0_witness
 from lattice_spectra import cli, suites
 
+from conftest import replaced
 from oracles import (
     adjunction_witness,
     compose,
@@ -262,7 +262,7 @@ def test_criterion_11_cli_contract(cat, tmp_path, monkeypatch):
     def corrupt(lat, i, j, value, name=""):
         table = [list(row) for row in lat.meet_table]
         table[i][j] = value
-        return dataclasses.replace(lat, meet_table=tuple(map(tuple, table)), name=name or lat.name)
+        return replaced(lat, meet_table=tuple(map(tuple, table)), name=name or lat.name)
 
     detected = 0
     for i in range(m5.n):

@@ -255,20 +255,18 @@ def test_hom_morphism_failure_exits_1(lattice_dir, tmp_path, monkeypatch):
     ],
 )
 def test_hom_naturality_failure_exits_1(lattice_dir, tmp_path, monkeypatch, planted, witness):
-    import dataclasses
-
     from lattice_spectra import duality
     from lattice_spectra.catalog import named_lattices
 
     if planted == "functor":
         real = duality.essential_functor_on_morphism
         monkeypatch.setattr(
-            duality, "essential_functor_on_morphism", lambda m: dataclasses.replace(real(m), mapping=real(m).mapping[::-1])
+            duality, "essential_functor_on_morphism", lambda m: real(m)._replace(mapping=real(m).mapping[::-1])
         )
     else:
         real = duality.delta_embedding
         b3 = named_lattices()["b3"]
-        monkeypatch.setattr(duality, "delta_embedding", lambda lat: dataclasses.replace(real(lat), target=b3))
+        monkeypatch.setattr(duality, "delta_embedding", lambda lat: real(lat)._replace(target=b3))
     hom = tmp_path / "id.hom"
     hom.write_text("hom id from m5 to m5\n" + "".join(f"map {x} {x}\n" for x in "0abc1"), encoding="utf-8")
     code, out = run_cli(["hom", str(hom), str(lattice_dir / "m5.lat"), str(lattice_dir / "m5.lat")])
@@ -344,6 +342,17 @@ def _probe(code):
 
 def test_import_loads_no_submodule():
     assert _probe("import lattice_spectra\n" + _PRINT_LOADED) == [""]
+
+
+def test_cli_and_suites_load_neither_dataclasses_nor_inspect():
+    # the records are NamedTuples and plain classes, so no launch pays for
+    # ``dataclasses`` and the ``inspect``/``ast``/``dis`` it pulls in; module
+    # sets are compared, not times
+    print_all = "import sys\nprint(*sorted(sys.modules))\n"
+    bare = set(_probe(print_all)[0].split())
+    loaded = set(_probe("import lattice_spectra.cli, lattice_spectra.suites\n" + print_all)[0].split())
+    assert "lattice_spectra.suites" in loaded
+    assert not {"dataclasses", "inspect"} & (loaded - bare)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import itertools
 import random
 import re
@@ -21,6 +20,7 @@ from lattice_spectra.spectra import (
 )
 from lattice_spectra.topology import FiniteTopology, bitop_space, fundamental_subsets
 
+from conftest import replaced
 from oracles import (
     NotIncreasing,
     associativity_failure_brute,
@@ -269,7 +269,7 @@ def _essential_spectrum_with_zero(field):
             s = real(lat)
             if lat.name != "essential":
                 return s
-            return dataclasses.replace(s, **{field: (0,) * len(getattr(s, field))})
+            return replaced(s, **{field: (0,) * len(getattr(s, field))})
 
         return planted
 
@@ -366,14 +366,14 @@ def test_essential_family_fault_reaches_essential_family(monkeypatch, chain2):
 
 
 def _reversed_functor(real):
-    return lambda m: dataclasses.replace(real(m), mapping=real(m).mapping[::-1])
+    return lambda m: real(m)._replace(mapping=real(m).mapping[::-1])
 
 
 def _embedding_into_b3(real):
     """Element embeddings whose target is the eight-element Boolean lattice:
     the mappings, and so every square, are unchanged, but no embedding is an
     isomorphism."""
-    return lambda lat: dataclasses.replace(real(lat), target=named_lattices()["b3"])
+    return lambda lat: real(lat)._replace(target=named_lattices()["b3"])
 
 
 @pytest.mark.parametrize(
@@ -475,7 +475,7 @@ def _corrupt(lat, table_name, i, j, value):
     """A copy of the lattice record ``lat`` with one table entry changed."""
     table = [list(row) for row in getattr(lat, table_name)]
     table[i][j] = value
-    return dataclasses.replace(lat, **{table_name: tuple(map(tuple, table))})
+    return replaced(lat, **{table_name: tuple(map(tuple, table))})
 
 
 @pytest.mark.parametrize(
@@ -502,7 +502,7 @@ def test_declared_bound_faults_reach_lattice_axioms(cat, bound, message):
     for lat in (cat["chain3"], cat["m5"], cat["b3"]):
         for x in range(lat.n):
             if x != getattr(lat, bound):
-                mutant = dataclasses.replace(lat, **{bound: x})
+                mutant = replaced(lat, **{bound: x})
                 assert suites.check_lattice_axioms(mutant) == message, (lat.name, x)
 
 
@@ -772,20 +772,37 @@ def test_library_raises_no_runtime_error():
     assert found == ["catalog._random"]
 
 
+def _does_more_than_store(constructor: ast.FunctionDef) -> bool:
+    """Whether a constructor body holds anything but assignments whose
+    values call nothing except ``hash``."""
+    for stmt in constructor.body:
+        if not isinstance(stmt, ast.Assign):
+            return True
+        calls = [n for n in ast.walk(stmt.value) if isinstance(n, ast.Call)]
+        if any(ast.unparse(c.func) != "hash" for c in calls):
+            return True
+    return False
+
+
 def test_only_cli_input_records_validate_themselves():
     # records the library computes are plain; each value is validated where
-    # it enters, by its builder or parser.  The one ``__post_init__`` left
-    # checks the generator sizes given on the command line
+    # it enters, by its builder or parser.  The one record constructor that
+    # does more than store its fields checks the generator sizes given on
+    # the command line (the exceptions in ``errors`` are not records)
     package = Path(duality.__file__).parent
     found = []
     for path in sorted(package.glob("*.py")):
+        if path.stem == "errors":
+            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for cls in ast.walk(tree):
             if isinstance(cls, ast.ClassDef):
                 found += [
                     f"{path.stem}.{cls.name}"
                     for node in cls.body
-                    if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name in ("__init__", "__new__", "__post_init__")
+                    and _does_more_than_store(node)
                 ]
     assert found == ["catalog.GeneratorConfig"]
 
@@ -831,7 +848,7 @@ def test_verdict_records_stay_out_of_the_library():
         "is_distributive",
         "NotQuasiProper",
     }
-    flags = []
+    flags, records = [], []
     for path in sorted(package.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         assert not gone & set(re.findall(r"\w+", text)), path.name
@@ -839,18 +856,24 @@ def test_verdict_records_stay_out_of_the_library():
             if not isinstance(cls, ast.ClassDef):
                 continue
             # the last dotted part, so ``typing.NamedTuple`` and
-            # ``dataclasses.dataclass(...)`` count too
+            # ``dataclasses.dataclass(...)`` count too; a plain record is a
+            # class outside ``errors`` with its own ``__init__``
             bases = {ast.unparse(b).rsplit(".", 1)[-1] for b in cls.bases}
             decorators = {ast.unparse(d).split("(")[0].rsplit(".", 1)[-1] for d in cls.decorator_list}
-            if "NamedTuple" in bases or "dataclass" in decorators:
-                flags += [
-                    f"{cls.name}.{ast.unparse(n.target)}"
-                    for n in cls.body
-                    if isinstance(n, ast.AnnAssign) and ast.unparse(n.annotation) == "bool"
-                ]
+            init = next((n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "__init__"), None)
+            plain = init is not None and path.stem != "errors"
+            fields = [n for n in cls.body if isinstance(n, ast.AnnAssign)]
+            if plain:
+                # every constructor argument is a field annotated on the
+                # class, in order, so this scan sees each of them
+                assert [a.arg for a in init.args.args[1:]] == [ast.unparse(n.target) for n in fields], cls.name
+            if "NamedTuple" in bases or "dataclass" in decorators or plain:
+                flags += [f"{cls.name}.{ast.unparse(n.target)}" for n in fields if ast.unparse(n.annotation) == "bool"]
+                records.append(cls.name)
     assert not gone & set(lattice_spectra.__all__)
     assert "space" not in duality.EssentialLattice._fields
     assert flags == ["CheckResult.passed"]
+    assert {"FiniteLattice", "FiniteTopology", "BitopSpectrum", "GeneratorConfig", "LatticeHom"} <= set(records)
 
 
 # --- clauses settled before they run: definitions kept as oracles ------------
@@ -874,7 +897,7 @@ def _with_space(tau, sigma):
     def plant(spec):
         n = spec.space.n
         space = bitop_space(tau(n) if tau else spec.space.tau, sigma(n) if sigma else spec.space.sigma)
-        return dataclasses.replace(spec, space=space)
+        return replaced(spec, space=space)
 
     return plant
 
@@ -884,7 +907,7 @@ def _epsilon_a_not_sigma_increasing(spec):
     k = next(k for k, u in enumerate(spec.space.up_sigma) if u != 1 << k)
     epsilon = list(spec.epsilon)
     epsilon[spec.lattice.index("a")] = 1 << k
-    return dataclasses.replace(spec, epsilon=tuple(epsilon))
+    return replaced(spec, epsilon=tuple(epsilon))
 
 
 @pytest.mark.parametrize(
@@ -928,7 +951,7 @@ def test_epsilon_faults_reach_spectrum_map_laws(monkeypatch, cat, fault, lattice
     lat = cat[lattice]
     spec = build_bitop_spectrum(lat)
     epsilon = tuple(0 if fault == "zero" else e | 1 for e in spec.epsilon)
-    monkeypatch.setattr(suites, "build_bitop_spectrum", lambda lat: dataclasses.replace(spec, epsilon=epsilon))
+    monkeypatch.setattr(suites, "build_bitop_spectrum", lambda lat: replaced(spec, epsilon=epsilon))
     assert suites.check_spectrum_map_laws(lat) == witness
 
 
@@ -958,7 +981,7 @@ def test_pairwise_bd_witness_is_suite_and_error_text(monkeypatch, chain2, axiom)
     make, text = _NOT_PAIRWISE_BD[axiom]
     space = make()
     witness = f"axiom ({axiom}) fails: {text}"
-    spec = dataclasses.replace(build_bitop_spectrum(chain2), space=space)
+    spec = replaced(build_bitop_spectrum(chain2), space=space)
     monkeypatch.setattr(suites, "build_bitop_spectrum", lambda lat: spec)
     result = _suite_result(chain2, "pairwise_axioms")
     assert (result.passed, result.witness) == (False, witness)
@@ -991,7 +1014,7 @@ def test_comaximal_pair_oracle_reports_planted_fault(monkeypatch, chain2):
     # a planted spectrum without points: the oracle gives the text of the
     # clause check_spectrum_map_laws ran last, and the suite stops at its
     # first clause, delta injectivity, which is why the clause moved
-    empty = dataclasses.replace(build_bitop_spectrum(chain2), points=(), delta=(0, 0), epsilon=(0, 0))
+    empty = replaced(build_bitop_spectrum(chain2), points=(), delta=(0, 0), epsilon=(0, 0))
     assert comaximal_pair_witness(empty) == "a lattice with two elements has a comaximal pair"
     monkeypatch.setattr(suites, "build_bitop_spectrum", lambda lat: empty)
     assert suites.check_spectrum_map_laws(chain2) == "delta is not injective"
