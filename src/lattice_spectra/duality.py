@@ -14,10 +14,11 @@ direct evaluation rather than symbolically.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_
 from typing import NamedTuple
 
-from .bitsets import BitMask, bits, full_mask, is_subset, mask_of, preimage_mask, transpose
+from .bitsets import BitMask, bits, full_mask, preimage_mask, transpose
 from .errors import NotBDSpace, NotDoublyBD, NotPairwiseBD
 from .lattices import (
     FiniteLattice,
@@ -185,14 +186,16 @@ class EssentialLattice(NamedTuple):
 
 def _inclusion_lattice(family, name: str) -> EssentialLattice:
     """A family of point sets ordered by inclusion, as a lattice whose
-    element k is ``subsets[k]`` (the family in sorted order)."""
+    element k is ``subsets[k]`` (the family in sorted order).  The sets
+    containing ``members[i]`` are the intersection of the transposed family's
+    distinct rows over its points."""
     members = tuple(sorted(family))
-    k = len(members)
     names = tuple("{" + ",".join(f"p{i}" for i in bits(m)) + "}" for m in members)
-    up = tuple(
-        mask_of(j for j in range(k) if is_subset(members[i], members[j]))
-        for i in range(k)
-    )
+    rows: dict[BitMask, BitMask] = {}
+    for p, row in enumerate(transpose(members, members[-1].bit_length())):
+        rows[row] = rows.get(row, 0) | 1 << p
+    full = full_mask(len(members))
+    up = tuple(reduce(and_, (r for r, pts in rows.items() if pts & m), full) for m in members)
     return EssentialLattice(lattice_from_order(names, up, name=name), members)
 
 

@@ -19,20 +19,22 @@ transition operators ``i`` and ``d`` are defined pointwise:
 which makes (i, d) an adjoint pair between sigma-increasing and
 tau-increasing subsets.  Both are unions of neighbourhoods: i(A) is the
 union of up_tau over A, and d(A) is the complement of the union of the
-sigma down-sets over the complement of A.  Each topology keeps chunk tables
-for those unions (``FiniteTopology.up_chunks``/``down_chunks``), so either
-operator costs one lookup per 8-point block; ``tests/oracles.py`` keeps the
-per-point loops they replace.  A subbasis generates its topology with such a
-table too, once ``bitsets.transpose`` lists the sets around each point.
-The operators read only ``tau.up_chunks`` and ``sigma.down_chunks``.  The
-stability, co-stability and openness tests are definitions in
-``tests/oracles.py``: on a spectrum the transition identities that the
-``transition_operators`` suite checks settle them.
+sigma down-sets over the complement of A.  Points with equal least
+neighbourhoods form one T0 class, and a spectrum has few of them (M100's
+9900 points carry 100 tau classes), so each operator takes one union per
+class (``FiniteTopology.classes``); ``tests/oracles.py`` keeps the
+per-point loops they replace.  A subbasis generates its topology with one
+intersection per distinct column of the transposed family, so the points
+of a class share one mask object and ``up`` costs n pointers plus one
+mask per class.  The stability, co-stability and openness tests are
+definitions in ``tests/oracles.py``: on a spectrum the transition
+identities that the ``transition_operators`` suite checks settle them.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from operator import and_, or_
 from typing import NamedTuple
 
 from .bitsets import BitMask, bits, full_mask, image_mask, is_subset, transpose
@@ -73,40 +75,24 @@ class FiniteTopology:
         return len(self.up)
 
     @cached_property
+    def classes(self) -> tuple[tuple[BitMask, BitMask, BitMask], ...]:
+        """The T0 classes in first-member order, as ``(members, up, down)``
+        masks: points share a class exactly when their ``up`` masks are
+        equal, and ``down``, the closure of any member, holds the members of
+        the classes whose ``up`` meets the class."""
+        groups: dict[BitMask, BitMask] = {}
+        for x, u in enumerate(self.up):
+            groups[u] = groups.get(u, 0) | 1 << x
+        return tuple(
+            (m, u, reduce(or_, (w for v, w in groups.items() if v & m), 0)) for u, m in groups.items()
+        )
+
+    @cached_property
     def down(self) -> tuple[BitMask, ...]:
         """``down[y]`` is the specialization down-set {x : x <= y}, the
-        closure of y."""
-        # not bitsets.transpose: these rows are sparse; on M100's tau (980,100
-        # bits in 9900 x 9900, Python 3.11) this loop takes 0.6 s, it 3.1 s
-        down = [0] * self.n
-        for x, ux in enumerate(self.up):
-            for y in bits(ux):
-                down[y] |= 1 << x
-        return tuple(down)
-
-    @cached_property
-    def up_chunks(self) -> tuple[list[BitMask], ...]:
-        """Up-closure tables: per block of 8 points, the union of ``up`` over
-        each subset of the block (see :func:`_chunk_unions`)."""
-        return _chunk_unions(self.up)
-
-    @cached_property
-    def down_chunks(self) -> tuple[list[BitMask], ...]:
-        """Down-closure tables, as ``up_chunks`` for ``down``."""
-        return _chunk_unions(self.down)
-
-
-def _chunk_unions(masks) -> tuple[list[BitMask], ...]:
-    """For each block of 8 consecutive indices, the union of ``masks`` over
-    each subset of the block, indexed by the subset's 8-bit pattern.  The
-    union over any index set is then one lookup per block."""
-    tables = []
-    for base in range(0, len(masks), 8):
-        table = [0]
-        for m in masks[base : base + 8]:
-            table += [t | m for t in table]
-        tables.append(table)
-    return tuple(tables)
+        closure of y: its class's ``down``."""
+        by_up = {u: d for _, u, d in self.classes}
+        return tuple(by_up[u] for u in self.up)
 
 
 def count_opens(top: FiniteTopology) -> int:
@@ -140,17 +126,18 @@ def topology_from_subbasis(n: int, family) -> FiniteTopology:
 
     Every open containing x contains a finite intersection of subbasis sets
     around x, so the least neighbourhood of x is the intersection of all
-    subbasis sets containing x (the carrier when there are none): the
-    complement of the union of their complements, which the row of x in the
-    transposed family indexes.  An empty family yields the indiscrete
+    subbasis sets containing x (the carrier when there are none), which the
+    row of x in the transposed family lists.  Points with equal rows share
+    one intersection, computed once.  An empty family yields the indiscrete
     topology.
     """
     full = full_mask(n)
     family = list(family)
     if any(s & ~full for s in family):
         raise ValueError("subbasis set outside the carrier")
-    tables = _chunk_unions([full & ~s for s in family])
-    return FiniteTopology(tuple(full & ~_union_of(tables, m) for m in transpose(family, n)))
+    cols = transpose(family, n)
+    ups = {c: reduce(and_, (family[j] for j in bits(c)), full) for c in set(cols)}
+    return FiniteTopology(tuple(ups[c] for c in cols))
 
 
 def is_continuous(mapping, source: FiniteTopology, target: FiniteTopology) -> bool:
@@ -168,10 +155,20 @@ def is_continuous(mapping, source: FiniteTopology, target: FiniteTopology) -> bo
 def is_homeomorphism(mapping, source: FiniteTopology, target: FiniteTopology) -> bool:
     """Whether ``mapping`` is a bijection carrying each least neighbourhood
     onto the least neighbourhood of the image point, which on finite carriers
-    is exactly a homeomorphism."""
+    is exactly a homeomorphism.
+
+    Checking the first member x of each T0 class suffices once both carriers
+    have as many classes: the images f(up[x]) are then all the target
+    neighbourhoods, so a member y of the class of x has up[f(y)] = f(up[x'])
+    for a first member x'; y in up[x'] and f(y) in f(up[x]) give
+    up[x] = up[y] <= up[x'] <= up[x].
+    """
     return (
         len(set(mapping)) == source.n == target.n
-        and all(image_mask(mapping, u) == target.up[mapping[x]] for x, u in enumerate(source.up))
+        and len(source.classes) == len(target.classes)
+        and all(
+            image_mask(mapping, u) == target.up[mapping[next(bits(m))]] for m, u, _ in source.classes
+        )
     )
 
 
@@ -210,27 +207,19 @@ def doubled_space(top: FiniteTopology) -> BitopSpace:
 # transition operators
 
 
-def _union_of(tables, a: BitMask) -> BitMask:
-    """The union of the masks indexed by ``a``, one lookup per 8-point block
-    of ``a`` in chunk tables built by :func:`_chunk_unions`."""
-    out = 0
-    for table, byte in zip(tables, a.to_bytes(len(tables), "little")):
-        if byte:
-            out |= table[byte]
-    return out
-
-
 def op_i(space: BitopSpace, a: BitMask) -> BitMask:
-    """tau up-closure: points above some member of ``a``."""
-    return _union_of(space.tau.up_chunks, a)
+    """tau up-closure: the union of the tau classes' ``up`` over the classes
+    meeting ``a``."""
+    return reduce(or_, (u for m, u, _ in space.tau.classes if m & a), 0)
 
 
 def op_d(space: BitopSpace, a: BitMask) -> BitMask:
     """Largest sigma-increasing subset of ``a``: the points none of whose
     sigma successors lies outside ``a``, that is the complement of the sigma
-    down-closure of the complement."""
+    down-closure of the complement, the union of the sigma classes' ``down``
+    over the classes meeting it."""
     full = full_mask(space.n)
-    return full & ~_union_of(space.sigma.down_chunks, full & ~a)
+    return full & ~reduce(or_, (d for m, _, d in space.sigma.classes if m & ~a), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -147,7 +147,7 @@ def test_dot_labels_match_literal_definition(corpus):
 
 
 def test_kept_down_loop_matches_transpose(corpus):
-    # FiniteTopology.down keeps its own loop (sparse rows); cross-check it
+    # FiniteTopology.down is read off the T0 classes; cross-check it
     for lat in corpus:
         s = build_bitop_spectrum(lat)
         for top in (s.space.tau, s.space.sigma, build_classical_spectrum(lat).space):

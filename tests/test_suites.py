@@ -2,6 +2,7 @@ import ast
 import itertools
 import random
 import re
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,7 +12,7 @@ from lattice_spectra import duality, spectra, suites
 from lattice_spectra.bitsets import bits
 from lattice_spectra.errors import NotBDSpace, NotPairwiseBD
 from lattice_spectra.catalog import named_lattices
-from lattice_spectra.lattices import LatticeHom, check_hom
+from lattice_spectra.lattices import LatticeHom, build_lattice, check_hom
 from lattice_spectra.spectra import (
     ComaximalPair,
     build_bitop_spectrum,
@@ -1089,3 +1090,20 @@ def test_library_imports_only_what_it_uses():
     assert unused == {}
     # the check sees a leftover import
     assert _unused_imports(ast.parse("import itertools\nfrom x import y as z\nz()\n")) == ["itertools"]
+
+
+def test_suite_memory_grows_with_t0_classes():
+    # each topology is read through its T0 classes (M30: 870 points, 30 tau
+    # classes), so the 15 suites peak near 0.6 MiB under tracemalloc, where
+    # per-block union tables of n^2 bits took 7.6 MiB; fresh element names
+    # keep the lattice and its spectrum out of every lru_cache
+    atoms = [f"memory{i}" for i in range(30)]
+    lat = build_lattice(["0", *atoms, "1"], [("0", a) for a in atoms] + [(a, "1") for a in atoms])
+    tracemalloc.start()
+    try:
+        results = suites.suite_for_lattice(lat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in results), [r for r in results if not r.passed]
+    assert peak < 2 << 20, peak

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lattice_spectra import topology
-from lattice_spectra.bitsets import bits, full_mask, is_subset, mask_of
+from lattice_spectra.bitsets import bits, full_mask, is_subset, mask_of, transpose
 from lattice_spectra.duality import essential_lattice
 from lattice_spectra.errors import CarrierTooLarge, NotPairwiseBD
 from lattice_spectra.lattices import build_lattice
@@ -496,17 +496,22 @@ def test_operators_equal_loops_on_seeded_masks(k):
         assert op_d(space, a) == op_d_loop(space, a)
 
 
-def test_chunk_tables():
-    # a 9-point chain: two blocks, the second of one point
-    top = topology_from_subbasis(9, [full_mask(9) & ~((1 << k) - 1) for k in range(9)])
-    assert [len(t) for t in top.up_chunks] == [256, 2]
-    assert top.down == tuple((1 << (y + 1)) - 1 for y in range(9))
-    for a in range(1 << 9):
-        union = 0
-        for x in bits(a):
-            union |= top.up[x]
-        table, low = top.up_chunks, a & 0xFF
-        assert table[0][low] | table[1][a >> 8] == union
+def test_t0_classes(lattices_upto_6):
+    # every topology on one to three points, and both topologies of the
+    # spectrum of every lattice of at most 6 elements
+    tops = [top for space in small_bitop_spaces() for top in space]
+    tops += [top for lat in lattices_upto_6 for top in build_bitop_spectrum(lat).space]
+    for top in tops:
+        covered = 0
+        for members, up, _ in top.classes:
+            assert members and not members & covered, top
+            covered |= members
+            assert all(top.up[x] == up for x in bits(members)), top
+        assert covered == full_mask(top.n), top
+        # first-member order, and one class per distinct neighbourhood
+        lows = [m & -m for m, _, _ in top.classes]
+        assert lows == sorted(lows) and len(lows) == len(set(top.up)), top
+        assert top.down == tuple(transpose(top.up, top.n)), top
 
 
 # --- stability ---------------------------------------------------------------
