@@ -89,6 +89,7 @@ _PUBLIC = {
         "quasi_proper_witness",
         "spec_b_on_hom",
         "spec_b_witness",
+        "spec_on_hom",
         "to_bitopological",
         "to_topological",
     ),

@@ -114,38 +114,28 @@ def cmd_spec(args, out) -> int:
     # so a size limit or an unwritable DOT path prints nothing
     if args.classical:
         spec = build_classical_spectrum(lat)
-        zariski = count_opens(spec.space)
-        _write_dot(args.dot, spec)
-        out.write(f"classical spectrum of {lat.name}\n")
-        out.write(f"points: {len(spec.points)}\n")
+        kind, maps = "classical", (("d", spec.dmap),)
         labels = [lat.set_label(p) for p in spec.points]
-        for label in labels:
-            out.write(f"  {label}\n")
-        out.write("d:\n")
-        for x in range(lat.n):
-            names = [labels[k] for k in bits(spec.dmap[x])]
-            out.write(f"  {lat.names[x]} -> {{{','.join(names)}}}\n")
-        out.write(f"zariski opens: {zariski}\n")
         # always so for prime ideals: tests/oracles.py::image_intersection_closed
-        out.write("image intersection-closed: yes\n")
+        tail = [f"zariski opens: {count_opens(spec.space)}", "image intersection-closed: yes"]
     else:
         spec = build_bitop_spectrum(lat)
-        tau_opens, sigma_opens = count_opens(spec.space.tau), count_opens(spec.space.sigma)
-        _write_dot(args.dot, spec)
-        out.write(f"bitopological spectrum of {lat.name}\n")
-        out.write(f"points: {len(spec.points)}\n")
+        kind, maps = "bitopological", (("delta", spec.delta), ("epsilon", spec.epsilon))
         labels = [p.label() for p in spec.points]
-        for label in labels:
-            out.write(f"  {label}\n")
-        for title, table in (("delta", spec.delta), ("epsilon", spec.epsilon)):
-            out.write(f"{title}:\n")
-            for x in range(lat.n):
-                names = [labels[k] for k in bits(table[x])]
-                out.write(f"  {lat.names[x]} -> {{{','.join(names)}}}\n")
-        out.write(f"tau opens: {tau_opens}\n")
-        out.write(f"sigma opens: {sigma_opens}\n")
-        same = spec.space.tau == spec.space.sigma
-        out.write(f"tau == sigma: {'yes' if same else 'no'}\n")
+        tau, sigma = spec.space
+        same = "yes" if tau == sigma else "no"
+        tail = [f"tau opens: {count_opens(tau)}", f"sigma opens: {count_opens(sigma)}", f"tau == sigma: {same}"]
+    _write_dot(args.dot, spec)
+    out.write(f"{kind} spectrum of {lat.name}\npoints: {len(labels)}\n")
+    for label in labels:
+        out.write(f"  {label}\n")
+    for title, table in maps:
+        out.write(f"{title}:\n")
+        for x in range(lat.n):
+            names = [labels[k] for k in bits(table[x])]
+            out.write(f"  {lat.names[x]} -> {{{','.join(names)}}}\n")
+    for line in tail:
+        out.write(f"{line}\n")
     return 0
 
 

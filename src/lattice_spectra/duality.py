@@ -1,6 +1,7 @@
-"""The functorial layer: homomorphism classification, the spectrum and
-essential-set functors on morphisms, the reconstruction isomorphisms, and the
-bridge between the bitopological and the classical pictures.
+"""The functorial layer: homomorphism classification, the classical and
+bitopological spectrum functors and the essential-set functor on morphisms,
+the reconstruction isomorphisms, and the bridge between the bitopological
+and the classical pictures.
 
 The functions here compute and return what they compute: point maps,
 lattices, spectra.  A theorem about it is checked once, by the suite or
@@ -24,7 +25,6 @@ from .lattices import (
     FiniteLattice,
     LatticeHom,
     check_hom,
-    is_prime_ideal,
     lattice_from_order,
 )
 from .spectra import ComaximalPair, build_bitop_spectrum, build_classical_spectrum
@@ -34,7 +34,6 @@ from .topology import (
     bd_space_witness,
     doubled_space,
     essential_subsets,
-    fundamental_subsets,
     is_continuous,
     op_d,
     op_i,
@@ -69,15 +68,40 @@ def _pull_back(hom: LatticeHom) -> tuple[tuple[int, ...] | None, ComaximalPair |
     return tuple(mapping), None
 
 
+def _classical_pull_back(hom: LatticeHom) -> tuple[tuple[int, ...] | None, BitMask | None]:
+    """The preimage map on prime ideals, as (point map, None), or (None, the
+    first target prime ideal whose preimage is not a source point).
+
+    ``prime_ideals`` lists every mask that ``is_prime_ideal`` accepts, so a
+    preimage is a source point exactly when it is a prime ideal
+    (``tests/oracles.py::classical_point_map_brute`` tests each one).
+    """
+    index = {p: k for k, p in enumerate(build_classical_spectrum(hom.source).points)}
+    mapping = []
+    for p in build_classical_spectrum(hom.target).points:
+        k = index.get(hom.preimage(p))
+        if k is None:
+            return None, p
+        mapping.append(k)
+    return tuple(mapping), None
+
+
 def proper_witness(hom: LatticeHom) -> str | None:
     """The first prime ideal of the target whose preimage is not a prime
     ideal, as witness text, or None: f is proper (vacuously so when the
-    target has no prime ideal)."""
-    src, tgt = hom.source, hom.target
-    for p in build_classical_spectrum(tgt).points:
-        if not is_prime_ideal(src, hom.preimage(p)):
-            return f"preimage of {tgt.set_label(p)} is not a prime ideal"
-    return None
+    target has no prime ideal).  It reads the pull-back that
+    :func:`spec_on_hom` returns."""
+    _, failing = _classical_pull_back(hom)
+    return None if failing is None else f"preimage of {hom.target.set_label(failing)} is not a prime ideal"
+
+
+def spec_on_hom(hom: LatticeHom) -> tuple[int, ...] | None:
+    """The classical spectrum functor on a proper homomorphism f: L -> N,
+    sending a prime ideal of N to its preimage; contravariant.  Entry k
+    numbers the preimage of ``build_classical_spectrum(N).points[k]`` among
+    ``build_classical_spectrum(L).points``.  None when f is not proper
+    (:func:`proper_witness` names the prime ideal)."""
+    return _classical_pull_back(hom)[0]
 
 
 def quasi_proper_witness(hom: LatticeHom) -> str | None:
@@ -174,7 +198,9 @@ class EssentialLattice(NamedTuple):
     Join is union and meet is i(d(intersection));
     ``suites.check_essential_family`` checks both against the tables
     computed from the order.  ``subsets[k]`` is the point mask realising
-    lattice element k.
+    lattice element k.  On the doubled space of a topology X, i fixes every
+    open, so this is the fundamental lattice F(X) of the classical duality,
+    with intersection as meet (``suites.check_classical_stone``).
     """
 
     lattice: FiniteLattice
@@ -184,24 +210,19 @@ class EssentialLattice(NamedTuple):
         return self.subsets.index(subset)
 
 
-def _inclusion_lattice(family, name: str) -> EssentialLattice:
-    """A family of point sets ordered by inclusion, as a lattice whose
-    element k is ``subsets[k]`` (the family in sorted order).  The sets
-    containing ``members[i]`` are the intersection of the transposed family's
-    distinct rows over its points."""
-    members = tuple(sorted(family))
+@lru_cache(maxsize=None)
+def essential_lattice(space: BitopSpace) -> EssentialLattice:
+    """The essential sets in sorted order, element k being ``subsets[k]``.
+    The sets containing ``members[i]`` are the intersection of the
+    transposed family's distinct rows over its points."""
+    members = tuple(sorted(essential_subsets(space)))
     names = tuple("{" + ",".join(f"p{i}" for i in bits(m)) + "}" for m in members)
     rows: dict[BitMask, BitMask] = {}
     for p, row in enumerate(transpose(members, members[-1].bit_length())):
         rows[row] = rows.get(row, 0) | 1 << p
     full = full_mask(len(members))
     up = tuple(reduce(and_, (r for r, pts in rows.items() if pts & m), full) for m in members)
-    return EssentialLattice(lattice_from_order(names, up, name=name), members)
-
-
-@lru_cache(maxsize=None)
-def essential_lattice(space: BitopSpace) -> EssentialLattice:
-    return _inclusion_lattice(essential_subsets(space), "essential")
+    return EssentialLattice(lattice_from_order(names, up, name="essential"), members)
 
 
 def essential_functor_on_morphism(m: PBDMorphism) -> LatticeHom:
@@ -258,7 +279,7 @@ def big_h_map(space: BitopSpace) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# classical side: h_X and the fundamental-set lattice
+# classical side: h_X
 
 
 def _require_bd_space(top: FiniteTopology) -> None:
@@ -267,23 +288,16 @@ def _require_bd_space(top: FiniteTopology) -> None:
         raise NotBDSpace(witness)
 
 
-@lru_cache(maxsize=None)
-def fundamental_lattice(top: FiniteTopology) -> EssentialLattice:
-    """The fundamental subsets ordered by inclusion, named ``fundamental``:
-    meet is intersection and join is union, which
-    ``suites.check_classical_stone`` checks against the tables."""
-    return _inclusion_lattice(fundamental_subsets(top), "fundamental")
-
-
 def h_map_classical(top: FiniteTopology) -> tuple[int, ...]:
     """The map x |-> {fundamental A : x not in A} into spec(F(X)), F(X) the
-    fundamental lattice: entry x numbers I_x among
-    ``build_classical_spectrum(fundamental_lattice(top).lattice).points``, or
+    fundamental lattice ``essential_lattice(doubled_space(top))``: the
+    fundamental sets are the essential sets of the doubled space.  Entry x
+    numbers I_x among ``build_classical_spectrum(F(X).lattice).points``, or
     is -1 when I_x is not a prime ideal.  The ``classical_stone`` suite
     checks that it is a homeomorphism.  Raises :class:`NotBDSpace` off
     Balbes-Dwinger spaces."""
     _require_bd_space(top)
-    fund = fundamental_lattice(top)
+    fund = essential_lattice(doubled_space(top))
     prime_masks = {p: k for k, p in enumerate(build_classical_spectrum(fund.lattice).points)}
     i_masks = transpose([full_mask(top.n) & ~a for a in fund.subsets], top.n)
     return tuple(prime_masks.get(ix, -1) for ix in i_masks)
@@ -340,22 +354,3 @@ def to_bitopological(top: FiniteTopology) -> BitopSpace:
     _require_bd_space(top)
     return doubled_space(top)
 
-
-__all__ = [
-    "EssentialLattice",
-    "PBDMorphism",
-    "big_h_map",
-    "delta_embedding",
-    "delta_natural_iso_check",
-    "essential_functor_on_morphism",
-    "essential_lattice",
-    "fundamental_lattice",
-    "h_map_classical",
-    "pbd_morphism_witness",
-    "proper_witness",
-    "quasi_proper_witness",
-    "spec_b_on_hom",
-    "spec_b_witness",
-    "to_bitopological",
-    "to_topological",
-]

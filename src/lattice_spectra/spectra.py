@@ -270,18 +270,3 @@ def bottom_via_fundamental(lat: FiniteLattice) -> int:
         remaining &= spectrum.epsilon[best]
     return lat.meet_of(sum(1 << x for x in chosen))
 
-
-__all__ = [
-    "BitopSpectrum",
-    "ClassicalSpectrum",
-    "ComaximalPair",
-    "b_map",
-    "bottom_via_fundamental",
-    "build_bitop_spectrum",
-    "build_classical_spectrum",
-    "comaximal_pairs",
-    "extend_to_comaximal",
-    "gbd_witness",
-    "prime_points",
-    "top_via_compactness",
-]

@@ -30,16 +30,16 @@ from .duality import (
     delta_natural_iso_check,
     essential_functor_on_morphism,
     essential_lattice,
-    fundamental_lattice,
     h_map_classical,
-    proper_witness,
     spec_b_on_hom,
     spec_b_witness,
+    spec_on_hom,
     to_bitopological,
     to_topological,
 )
 from .topology import (
     BitopSpace,
+    doubled_space,
     equal_closure_points,
     essential_subsets,
     is_continuous,
@@ -255,17 +255,18 @@ def check_prime_point_closures(lat: FiniteLattice):
     return None
 
 
-def _inclusion_table_witness(lat: FiniteLattice, subsets, meet, meet_label: str):
-    """The first table entry of a lattice of point sets ordered by inclusion
-    (element k is ``subsets[k]``) that is not the union, or the meet, of its
-    two sets, as witness text; None when every entry is.  ``meet(i, j)`` is
-    the expected meet of elements i and j."""
+def _inclusion_table_witness(title: str, ess, meet, meet_label: str):
+    """The first table entry of ``ess.lattice`` (element k is
+    ``ess.subsets[k]``) that is not the union, or the meet, of its two sets,
+    as witness text headed by ``title``; None when every entry is.
+    ``meet(i, j)`` is the expected meet of elements i and j."""
+    lat, subsets = ess
     for i in range(lat.n):
         for j in range(lat.n):
             if subsets[lat.join_table[i][j]] != subsets[i] | subsets[j]:
-                return f"{lat.name} join is not union"
+                return f"{title} join is not union"
             if subsets[lat.meet_table[i][j]] != meet(i, j):
-                return f"{lat.name} meet is not {meet_label}"
+                return f"{title} meet is not {meet_label}"
     return None
 
 
@@ -293,7 +294,7 @@ def check_essential_family(lat: FiniteLattice):
             i_of[a] = op_i(space, a)
         return i_of[a]
 
-    return _inclusion_table_witness(ess.lattice, ess.subsets, meet, "i(d(intersection))")
+    return _inclusion_table_witness("essential", ess, meet, "i(d(intersection))")
 
 
 def check_bounds_from_topology(lat: FiniteLattice):
@@ -435,10 +436,10 @@ def check_classical_stone(lat: FiniteLattice):
     witness = b_map_witness(lat, b_map(lat))
     if witness is not None:
         return witness
-    fund = fundamental_lattice(classical.space)
+    fund = essential_lattice(doubled_space(classical.space))
     subsets = fund.subsets
     witness = _inclusion_table_witness(
-        fund.lattice, subsets, lambda i, j: subsets[i] & subsets[j], "intersection"
+        "fundamental", fund, lambda i, j: subsets[i] & subsets[j], "intersection"
     )
     if witness is not None:
         return witness
@@ -521,9 +522,11 @@ def corpus_checks(lattices=None) -> list[CheckResult]:
 
 def _corpus_homs(lats):
     """For each ordered pair (i, j) of corpus positions, in that order, every
-    hom lats[i] -> lats[j] in ``all_homs`` order as (hom, whether it is
-    proper, spectrum morphism, essential-functor image of that morphism);
-    the last two are None exactly when the hom is not quasi-proper."""
+    hom lats[i] -> lats[j] in ``all_homs`` order as (hom, classical point
+    map, spectrum morphism, essential-functor image e of that morphism,
+    ``spec_b_on_hom(e)``).  The point map is None exactly when the hom is
+    not proper (:func:`spec_on_hom`), and the last three are None exactly
+    when it is not quasi-proper; the last is also None when e is not."""
     table = {}
     for i, a in enumerate(lats):
         for j, b in enumerate(lats):
@@ -531,7 +534,7 @@ def _corpus_homs(lats):
             for h in all_homs(a, b):
                 m = spec_b_on_hom(h)
                 e = None if m is None else essential_functor_on_morphism(m)
-                rows.append((h, proper_witness(h) is None, m, e))
+                rows.append((h, spec_on_hom(h), m, e, None if e is None else spec_b_on_hom(e)))
     return table
 
 
@@ -541,7 +544,8 @@ def _check_hom_classification(lats, homs):
     delta and epsilon along it (:func:`spec_b_witness`)."""
     for (i, j), rows in homs.items():
         both_distributive = lats[i].distributive and lats[j].distributive
-        for hom, proper, m, _ in rows:
+        for hom, point_map, m, *_ in rows:
+            proper = point_map is not None
             if m is not None and not proper:
                 return f"quasi-proper but not proper: {hom.label()}"
             if both_distributive and proper != (m is not None):
@@ -557,23 +561,23 @@ def _check_functor_laws(lats, homs):
     # the quasi-proper rows of each pair, in hom-table order
     quasi = {pair: [row for row in rows if row[2] is not None] for pair, rows in homs.items()}
     for rows in quasi.values():
-        for _, _, _, e in rows:
+        for *_, e, lift in rows:
             check_hom(e.source, e.target, e.mapping)
-            if spec_b_on_hom(e) is None:
+            if lift is None:
                 return "essential functor produced a non-quasi-proper hom"
     by_mapping = {pair: {row[0].mapping: row for row in rows} for pair, rows in homs.items()}
     for i, lat in enumerate(lats):
-        _, _, m, eh = by_mapping[i, i][tuple(range(lat.n))]
+        _, _, m, eh, _ = by_mapping[i, i][tuple(range(lat.n))]
         if m.mapping != tuple(range(m.source.n)):
             return f"spectrum of the identity is not the identity on {lat.name}"
         if eh.mapping != tuple(range(eh.source.n)):
             return f"essential functor of the identity is not the identity on {lat.name}"
     for (i, j), rows in quasi.items():
-        for f, _, m_f, e_f in rows:
+        for f, _, m_f, e_f, _ in rows:
             for k in range(len(lats)):
                 composites = by_mapping[i, k]
-                for g, _, m_g, e_g in quasi[j, k]:
-                    _, _, left, e_left = composites[tuple(map(g.mapping.__getitem__, f.mapping))]
+                for g, _, m_g, e_g, _ in quasi[j, k]:
+                    _, _, left, e_left, _ = composites[tuple(map(g.mapping.__getitem__, f.mapping))]
                     if left is None:
                         return f"composition of quasi-proper homs is not quasi-proper: {f.label()} ; {g.label()}"
                     if left.mapping != tuple(map(m_f.mapping.__getitem__, m_g.mapping)):
@@ -585,7 +589,7 @@ def _check_functor_laws(lats, homs):
 
 def _check_naturality(lats, homs):
     for rows in homs.values():
-        for f, _, m, em in rows:
+        for f, _, m, em, lifted in rows:
             if m is None:
                 continue
             failing = delta_natural_iso_check(f, em)
@@ -593,7 +597,6 @@ def _check_naturality(lats, homs):
                 return f"element-embedding square fails on {f.label()} at {failing}"
             hx = big_h_map(m.source)
             hy = big_h_map(m.target)
-            lifted = spec_b_on_hom(em)
             for k in range(m.source.n):
                 if lifted.mapping[hx[k]] != hy[m.mapping[k]]:
                     return f"reconstruction square fails on {f.label()}"
@@ -601,6 +604,12 @@ def _check_naturality(lats, homs):
 
 
 def _check_classical_bridge(lats, homs):
+    """On distributive lattices: doubling and forgetting are inverse, the
+    prime-ideal embedding holds (:func:`b_map_witness`), and each proper
+    hom's classical point map (:func:`spec_on_hom`, read from the table) is
+    continuous, is quasi-proper, and commutes with the embeddings and
+    spec_B.  That the map exists for every proper hom is settled before it
+    runs: ``tests/oracles.py::classical_point_map_brute`` holds the proof."""
     distributive = [i for i, lat in enumerate(lats) if lat.distributive]
     classical = {}
     for i in distributive:
@@ -612,30 +621,22 @@ def _check_classical_bridge(lats, homs):
         point_map = b_map(lat)
         if b_map_witness(lat, point_map) is not None:
             return f"prime-ideal embedding fails on {lat.name}"
-        spec = build_classical_spectrum(lat)
-        prime_masks = {p: k for k, p in enumerate(spec.points)}
-        classical[i] = (spec, prime_masks, point_map)
+        classical[i] = (build_classical_spectrum(lat).space, point_map)
     for i in distributive:
-        spec_a, prime_masks, ba = classical[i]
+        space_a, ba = classical[i]
         for j in distributive:
-            spec_b_, _, bb = classical[j]
-            for f, proper, bit, _ in homs[i, j]:
-                if not proper:
+            space_b, bb = classical[j]
+            for f, point_map, bit, *_ in homs[i, j]:
+                if point_map is None:
                     continue
-                point_map = []
-                for p in spec_b_.points:
-                    pre = f.preimage(p)
-                    if pre not in prime_masks:
-                        return f"proper hom does not act on spectra: {f.label()}"
-                    point_map.append(prime_masks[pre])
                 # the fundamental subsets of a finite space are all its opens,
                 # so continuity is strong continuity
-                if not is_continuous(point_map, spec_b_.space, spec_a.space):
+                if not is_continuous(point_map, space_b, space_a):
                     return f"spectrum map is not strongly continuous for {f.label()}"
                 if bit is None:
                     return f"proper hom is not quasi-proper: {f.label()}"
-                for k in range(len(spec_b_.points)):
-                    if bit.mapping[bb[k]] != ba[point_map[k]]:
+                for k, v in enumerate(point_map):
+                    if bit.mapping[bb[k]] != ba[v]:
                         return f"prime-ideal embedding is not natural on {f.label()}"
     return None
 

@@ -9,8 +9,8 @@ from lattice_spectra import topology
 from lattice_spectra.bitsets import bits, full_mask, is_subset, preimage_mask
 from lattice_spectra.duality import PBDMorphism, big_h_map, essential_lattice, pbd_morphism_witness
 from lattice_spectra.errors import CyclicCovers, LatticeToolError, NotALattice, NotPairwiseBD
-from lattice_spectra.lattices import all_ideals, check_hom, lattice_from_order
-from lattice_spectra.spectra import build_bitop_spectrum, gbd_witness
+from lattice_spectra.lattices import all_ideals, check_hom, is_prime_ideal, lattice_from_order
+from lattice_spectra.spectra import build_bitop_spectrum, build_classical_spectrum, gbd_witness
 from lattice_spectra.topology import fundamental_subsets, pairwise_bd_witness
 
 
@@ -138,6 +138,33 @@ def spectrum_map_brute(hom):
         if k is None:
             return None, (i, f)
         mapping.append(k)
+    return tuple(mapping), None
+
+
+def classical_point_map_brute(hom):
+    """The classical spectrum functor on a homomorphism, literally: the
+    preimage of each target prime ideal, element by element, tested with
+    ``is_prime_ideal`` and numbered among the source's classical points.
+    Returns (point map, None), or (None, the first target prime ideal whose
+    preimage is not a prime ideal): the hom is not proper.
+
+    A prime preimage missing from the points raises the text of the clause
+    that ``suites._check_classical_bridge`` once evaluated on each proper
+    hom.  It never fires: a mask that ``is_prime_ideal`` accepts is the
+    down-set of its join, and ``lattices.prime_ideals`` tests every
+    down-set, so the points list each accepted mask.  Hence
+    ``duality.spec_on_hom`` is defined exactly on the proper homs, and the
+    bridge reads the map from the corpus table."""
+    src, tgt = hom.source, hom.target
+    points = build_classical_spectrum(src).points
+    mapping = []
+    for p in build_classical_spectrum(tgt).points:
+        pre = sum(1 << x for x in range(src.n) if p >> hom.mapping[x] & 1)
+        if not is_prime_ideal(src, pre):
+            return None, p
+        if pre not in points:
+            raise AssertionError(f"proper hom does not act on spectra: {hom.label()}")
+        mapping.append(points.index(pre))
     return tuple(mapping), None
 
 

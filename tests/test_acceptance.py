@@ -23,7 +23,7 @@ from lattice_spectra.duality import (
     delta_embedding,
     delta_natural_iso_check,
     essential_functor_on_morphism,
-    fundamental_lattice,
+    essential_lattice,
     h_map_classical,
     proper_witness,
     quasi_proper_witness,
@@ -31,7 +31,7 @@ from lattice_spectra.duality import (
     to_bitopological,
     to_topological,
 )
-from lattice_spectra.topology import essential_subsets, op_d, op_i, pairwise_t0_witness
+from lattice_spectra.topology import doubled_space, essential_subsets, op_d, op_i, pairwise_t0_witness
 from lattice_spectra import cli, suites
 
 from conftest import replaced
@@ -196,7 +196,7 @@ def test_criterion_09_distributive_unification(lattices_upto_6, lattices_upto_4)
         point_map = b_map(lat)
         assert sorted(point_map) == list(range(space.n)), lat.name
         assert is_homeomorphism_brute(point_map, classical.space, space.tau), lat.name
-        fund = fundamental_lattice(classical.space)
+        fund = essential_lattice(doubled_space(classical.space))
         assert fund.lattice.n == lat.n, lat.name
         mapping = tuple(fund.element_of(classical.dmap[x]) for x in range(lat.n))
         check_hom(lat, fund.lattice, mapping)

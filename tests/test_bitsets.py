@@ -8,9 +8,9 @@ import pytest
 from lattice_spectra import suites
 from lattice_spectra.bitsets import full_mask, mask_of, transpose
 from lattice_spectra.catalog import to_dot
-from lattice_spectra.duality import big_h_map, essential_lattice, fundamental_lattice, h_map_classical
+from lattice_spectra.duality import big_h_map, essential_lattice, h_map_classical
 from lattice_spectra.spectra import build_bitop_spectrum, build_classical_spectrum
-from lattice_spectra.topology import op_d
+from lattice_spectra.topology import doubled_space, op_d
 
 from oracles import transpose_loop
 from test_golden import _boolean, _diamond
@@ -127,7 +127,7 @@ def test_classical_map_matches_literal_definition(corpus):
     # I_x = the fundamental sets missing x, looked up among the prime ideals
     for lat in corpus:
         top = build_classical_spectrum(lat).space
-        fund = fundamental_lattice(top)
+        fund = essential_lattice(doubled_space(top))
         primes = {p: k for k, p in enumerate(build_classical_spectrum(fund.lattice).points)}
         expected = tuple(
             primes.get(mask_of(k for k, a in enumerate(fund.subsets) if not a >> x & 1), -1)

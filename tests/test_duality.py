@@ -15,18 +15,20 @@ from lattice_spectra.duality import (
     delta_natural_iso_check,
     essential_functor_on_morphism,
     essential_lattice,
-    fundamental_lattice,
     h_map_classical,
     pbd_morphism_witness,
     proper_witness,
     quasi_proper_witness,
     spec_b_on_hom,
+    spec_on_hom,
     to_bitopological,
     to_topological,
 )
 from lattice_spectra.topology import doubled_space, is_continuous, op_d, op_i, topology_from_subbasis
 
+import oracles
 from oracles import (
+    classical_point_map_brute,
     compose,
     compose_morphisms,
     distributivity_faces,
@@ -108,6 +110,37 @@ def test_proper_iff_quasi_proper_on_distributive(lattices_upto_4):
                 continue
             for hom in all_homs(src, tgt):
                 assert (proper_witness(hom) is None) == (quasi_proper_witness(hom) is None), hom.label()
+
+
+def test_classical_pull_back_matches_literal_preimages(lattices_upto_5):
+    homs = proper = 0
+    for a in lattices_upto_5:
+        for b in lattices_upto_5:
+            for h in all_homs(a, b):
+                homs += 1
+                expected, failing = classical_point_map_brute(h)
+                assert spec_on_hom(h) == expected, h.label()
+                witness = proper_witness(h)
+                if expected is None:
+                    assert witness == f"preimage of {b.set_label(failing)} is not a prime ideal", h.label()
+                else:
+                    proper += 1
+                    assert witness is None, h.label()
+    assert (homs, proper) == (2227, 745)
+
+
+def test_classical_point_map_oracle_names_the_moved_clause(monkeypatch, chain2, chain3):
+    # a source spectrum missing its one prime ideal: the preimage of each
+    # target prime is prime, and no point
+    hom = check_hom(chain2, chain3, (0, chain3.top))
+    real = oracles.build_classical_spectrum
+    monkeypatch.setattr(
+        oracles,
+        "build_classical_spectrum",
+        lambda lat: real(lat)._replace(points=()) if lat == chain2 else real(lat),
+    )
+    with pytest.raises(AssertionError, match=r"^proper hom does not act on spectra: 0->0 1->2$"):
+        classical_point_map_brute(hom)
 
 
 # --- spectrum functor on morphisms ---------------------------------------------
@@ -238,13 +271,13 @@ def test_delta_embedding_is_iso(lattices_upto_5):
 
 
 def _h_classical_target(top):
-    return build_classical_spectrum(fundamental_lattice(top).lattice)
+    return build_classical_spectrum(essential_lattice(doubled_space(top)).lattice)
 
 
 def test_h_classical_two_chain(chain2):
     top = build_classical_spectrum(chain2).space
     assert is_homeomorphism_brute(h_map_classical(top), top, _h_classical_target(top).space)
-    assert fundamental_lattice(top).lattice.n == 2
+    assert essential_lattice(doubled_space(top)).lattice.n == 2
 
 
 def test_h_classical_diamond(diamond):
@@ -295,7 +328,7 @@ def test_fundamental_lattice_matches_source(lattices_upto_5):
         if not lat.distributive:
             continue
         spec = build_classical_spectrum(lat)
-        fund = fundamental_lattice(spec.space)
+        fund = essential_lattice(doubled_space(spec.space))
         assert fund.lattice.n == lat.n
         mapping = tuple(fund.element_of(spec.dmap[x]) for x in range(lat.n))
         check_hom(lat, fund.lattice, mapping)

@@ -19,7 +19,7 @@ from lattice_spectra.spectra import (
     build_classical_spectrum,
     gbd_witness,
 )
-from lattice_spectra.topology import FiniteTopology, bitop_space, fundamental_subsets
+from lattice_spectra.topology import FiniteTopology, bitop_space, doubled_space
 
 from conftest import replaced
 from oracles import (
@@ -37,37 +37,44 @@ CORPUS_CHECKS = ["hom_classification", "functor_laws", "naturality_squares", "cl
 
 
 def test_corpus_classifies_each_hom_once(monkeypatch):
-    pulled, classified = [], []
-    pull_back, proper_witness = duality._pull_back, suites.proper_witness
+    pulled, classical, built = [], [], []
+    pull_back, classical_pull_back = duality._pull_back, duality._classical_pull_back
+    corpus_homs = suites._corpus_homs
 
     def counting_pull_back(hom):
         pulled.append(hom)
         return pull_back(hom)
 
-    def counting_proper_witness(hom):
-        classified.append(hom)
-        return proper_witness(hom)
+    def counting_classical_pull_back(hom):
+        classical.append(hom)
+        return classical_pull_back(hom)
+
+    def counting_corpus_homs(lats):
+        table = corpus_homs(lats)
+        built.append((len(pulled), len(classical)))
+        return table
 
     monkeypatch.setattr(duality, "_pull_back", counting_pull_back)
-    monkeypatch.setattr(suites, "proper_witness", counting_proper_witness)
+    monkeypatch.setattr(duality, "_classical_pull_back", counting_classical_pull_back)
+    monkeypatch.setattr(suites, "_corpus_homs", counting_corpus_homs)
     corpus = suites.corpus_lattices()
     results = suites.corpus_checks(corpus)
     assert [(r.check, r.passed) for r in results] == [(c, True) for c in CORPUS_CHECKS]
     # the default corpus (the 5 lattices with at most 4 elements) has 221
-    # homs, each pulled back and tested for properness once, as the table
-    # is built; the functor laws then pull back the essential functor's
-    # image of each of the 60 quasi-proper ones, and the naturality squares
-    # lift each image once more
-    table = pulled[:221]
-    assert len(set(table)) == 221 and all(h.source in corpus for h in table)
-    assert classified == table
-    images, lifts = pulled[221:281], pulled[281:]
-    assert len(set(images)) == sum(pull_back(h)[0] is not None for h in table) == 60
-    assert lifts == images
-    assert all(h.source.name == "essential" for h in images)
+    # homs, each pulled back along spec_B and along the classical spectrum
+    # once as the table is built, which also lifts the essential functor's
+    # image of each of the 60 quasi-proper ones once; the checks pull back
+    # nothing
+    assert built == [(len(pulled), len(classical))]
+    table = [h for h in pulled if h.source in corpus]
+    lifts = [h for h in pulled if h.source not in corpus]
+    assert len(pulled) == 281 and len(table) == len(set(table)) == 221
+    assert classical == table
+    assert len(lifts) == len(set(lifts)) == sum(pull_back(h)[0] is not None for h in table) == 60
+    assert all(h.source.name == "essential" for h in lifts)
 
 
-@pytest.mark.parametrize("broken", ["proper_witness", "spec_b_on_hom"])
+@pytest.mark.parametrize("broken", ["spec_on_hom", "spec_b_on_hom"])
 def test_corpus_table_failure_fails_every_check(monkeypatch, broken):
     def boom(hom):
         raise RuntimeError("boom")
@@ -82,7 +89,7 @@ def test_corpus_table_failure_fails_every_check(monkeypatch, broken):
 @pytest.mark.parametrize(
     "check, planted, hom, witness",
     [
-        ("hom_classification", "proper_witness", (1, 1, (0, 1)), "quasi-proper but not proper: x0->x0 x1->x1"),
+        ("hom_classification", "spec_on_hom", (1, 1, (0, 1)), "quasi-proper but not proper: x0->x0 x1->x1"),
         (
             "hom_classification",
             "spec_b_on_hom",
@@ -108,8 +115,7 @@ def test_planted_hom_verdict_reaches_its_corpus_clause(monkeypatch, check, plant
     i, j, mapping = hom
     chosen = LatticeHom(corpus[i], corpus[j], mapping)
     real = getattr(suites, planted)
-    value = "planted" if planted == "proper_witness" else None
-    monkeypatch.setattr(suites, planted, lambda h: value if h == chosen else real(h))
+    monkeypatch.setattr(suites, planted, lambda h: None if h == chosen else real(h))
     result = next(r for r in suites.corpus_checks(corpus) if r.check == check)
     assert (result.passed, result.witness) == (False, witness)
 
@@ -317,10 +323,12 @@ def test_face_faults_reach_distributive_equivalences(monkeypatch, chain2, fault,
 def test_classical_point_map_fault_reaches_classical_stone(monkeypatch, chain3):
     # numbering the primes of the fundamental lattice backwards maps the two
     # comparable points of chain3's Zariski space the wrong way round
+    fund = duality.essential_lattice(doubled_space(build_classical_spectrum(chain3).space)).lattice
+
     def make(real):
         def planted(lat):
             s = real(lat)
-            return s._replace(points=s.points[::-1]) if lat.name == "fundamental" else s
+            return s._replace(points=s.points[::-1]) if lat == fund else s
 
         return planted
 
@@ -588,15 +596,17 @@ def test_specialization_order_witness_matches_pair_scan(monkeypatch, cat):
 def _corpus_with_row(monkeypatch, lat, m=None, e=None):
     """The corpus checks on ``[lat]`` alone, by check name, with the hom
     table's identity row carrying the spectrum morphism ``m`` or the
-    essential-functor image ``e`` in place of the computed one."""
+    essential-functor image ``e`` (and its lift) in place of the computed
+    one."""
     real = suites._corpus_homs
 
     def planted(lats):
         homs = real(lats)
         rows = homs[0, 0]
         k = next(k for k, row in enumerate(rows) if row[0].mapping == tuple(range(lat.n)))
-        h, proper, m0, e0 = rows[k]
-        rows[k] = (h, proper, m0 if m is None else m, e0 if e is None else e)
+        h, point_map, m0, e0, lift0 = rows[k]
+        lift = lift0 if e is None else duality.spec_b_on_hom(e)
+        rows[k] = (h, point_map, m0 if m is None else m, e0 if e is None else e, lift)
         return homs
 
     monkeypatch.setattr(suites, "_corpus_homs", planted)
@@ -715,9 +725,11 @@ def test_essential_table_faults_reach_essential_family(monkeypatch, m5, table, m
     [("join_table", "fundamental join is not union"), ("meet_table", "fundamental meet is not intersection")],
 )
 def test_fundamental_table_faults_reach_classical_stone(monkeypatch, diamond, table, message):
-    fund = duality.fundamental_lattice(build_classical_spectrum(diamond).space)
+    doubled = doubled_space(build_classical_spectrum(diamond).space)
+    fund = duality.essential_lattice(doubled)
     bad = fund._replace(lattice=_corrupt_bound(fund.lattice, table))
-    monkeypatch.setattr(suites, "fundamental_lattice", lambda top: bad)
+    real = suites.essential_lattice
+    monkeypatch.setattr(suites, "essential_lattice", lambda space: bad if space == doubled else real(space))
     result = _suite_result(diamond, "classical_stone")
     assert (result.passed, result.witness) == (False, message)
 
@@ -733,18 +745,21 @@ def test_non_prime_closure_point_reaches_prime_point_closures(monkeypatch, m5):
 
 
 def test_verify_enumerates_open_families_only_on_zariski_spaces(monkeypatch, cat):
-    # fundamental_subsets on a classical spectrum, where the count |L| is
-    # the theorem, is the one open family the suites list; every call is
-    # recorded, cached lattice or not
+    # the fundamental lattice of a classical spectrum, where the count |L|
+    # is the theorem, is the one open family the suites list: the essential
+    # lattice of a doubled space, whose two topologies are one object.  Every
+    # call is recorded, cached lattice or not
     lats = [*cat.values(), _diamond(6), _boolean(5)]
     listed = []
+    real = duality.essential_lattice
 
-    def recording(top):
-        listed.append(top)
-        return fundamental_subsets(top)
+    def recording(space):
+        if space.tau is space.sigma:
+            listed.append(space.tau)
+        return real(space)
 
-    monkeypatch.setattr(duality, "fundamental_subsets", recording)
-    duality.fundamental_lattice.cache_clear()  # so the Zariski calls happen here
+    monkeypatch.setattr(duality, "essential_lattice", recording)
+    monkeypatch.setattr(suites, "essential_lattice", recording)
     assert all(r.passed for r in suites.run_lattice_suites(lats))
     zariski = [build_classical_spectrum(lat).space for lat in lats]
     assert listed
@@ -1062,22 +1077,18 @@ def test_settled_checks_stay_out_of_the_library():
 
 
 def _unused_imports(tree):
-    """The names a module imports but never reads and does not list in a
-    literal ``__all__``; ``from __future__`` imports are skipped, and a name
-    read only in an annotation counts as read."""
+    """The names a module imports but never reads; ``from __future__``
+    imports are skipped, and a name read only in an annotation counts as
+    read.  No module re-exports through a literal ``__all__``
+    (``test_only_the_package_init_assigns_all``)."""
     imported = set()
-    exported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update(alias.asname or alias.name for alias in node.names)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ) and isinstance(node.value, (ast.List, ast.Tuple)):
-            exported.update(e.value for e in node.value.elts if isinstance(e, ast.Constant))
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return sorted(imported - read - exported)
+    return sorted(imported - read)
 
 
 def test_library_imports_only_what_it_uses():
@@ -1090,6 +1101,23 @@ def test_library_imports_only_what_it_uses():
     assert unused == {}
     # the check sees a leftover import
     assert _unused_imports(ast.parse("import itertools\nfrom x import y as z\nz()\n")) == ["itertools"]
+
+
+def test_only_the_package_init_assigns_all():
+    # ``_PUBLIC`` in ``__init__.py`` is the one list of public names
+    package = Path(duality.__file__).parent
+    assigning = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                assigning.append(path.name)
+    assert assigning == ["__init__.py"]
 
 
 def test_suite_memory_grows_with_t0_classes():
