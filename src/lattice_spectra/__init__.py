@@ -64,7 +64,6 @@ _PUBLIC = {
     "spectra": (
         "BitopSpectrum",
         "ClassicalSpectrum",
-        "ComaximalPair",
         "b_map",
         "bottom_via_fundamental",
         "build_bitop_spectrum",

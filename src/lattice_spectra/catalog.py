@@ -434,7 +434,7 @@ def to_dot(obj) -> str:
         lines = [f"digraph {_quote((lat.name or 'lattice') + '_spec_b')} {{", "  rankdir=BT;"]
         m = len(obj.points)  # d_of[k] / e_of[k]: the x whose delta / epsilon holds k
         d_of, e_of = transpose(obj.delta, m), transpose(obj.epsilon, m)
-        labels = [p.label() for p in obj.points]
+        labels = [obj.label(k) for k in range(m)]
         nodes = [_quote(label) for label in labels]
         for k, label in enumerate(labels):
             in_delta = ",".join(lat.names[x] for x in bits(d_of[k]))

@@ -121,7 +121,7 @@ def cmd_spec(args, out) -> int:
     else:
         spec = build_bitop_spectrum(lat)
         kind, maps = "bitopological", (("delta", spec.delta), ("epsilon", spec.epsilon))
-        labels = [p.label() for p in spec.points]
+        labels = [spec.label(k) for k in range(len(spec.points))]
         tau, sigma = spec.space
         same = "yes" if tau == sigma else "no"
         tail = [f"tau opens: {count_opens(tau)}", f"sigma opens: {count_opens(sigma)}", f"tau == sigma: {same}"]

@@ -16,10 +16,11 @@ direct evaluation rather than symbolically.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
+from itertools import compress
 from operator import and_
 from typing import NamedTuple
 
-from .bitsets import BitMask, bits, full_mask, preimage_mask, transpose
+from .bitsets import BitMask, full_mask, preimage_mask, transpose
 from .errors import NotBDSpace, NotDoublyBD, NotPairwiseBD
 from .lattices import (
     FiniteLattice,
@@ -27,7 +28,7 @@ from .lattices import (
     check_hom,
     lattice_from_order,
 )
-from .spectra import ComaximalPair, build_bitop_spectrum, build_classical_spectrum
+from .spectra import build_bitop_spectrum, build_classical_spectrum
 from .topology import (
     BitopSpace,
     FiniteTopology,
@@ -45,26 +46,19 @@ from .topology import (
 # homomorphism classification
 
 
-def _pull_back(hom: LatticeHom) -> tuple[tuple[int, ...] | None, ComaximalPair | None]:
+def _pull_back(hom: LatticeHom) -> tuple[tuple[int, ...] | None, int | None]:
     """The preimage map on comaximal pairs, as (point map, None), or
-    (None, the first target point whose preimage pair is not comaximal).
-
-    The preimage of ``down[a]`` under a lattice homomorphism is an ideal,
-    the down-set of ``join{x : f(x) <= a}``, when it is nonempty, and
-    dually for ``up[b]``; so the preimage pair of the target point ``(a, b)``
-    is comaximal exactly when both preimages are nonempty and that element
-    pair is a source point.
-    """
-    src, tgt = hom.source, hom.target
-    index = build_bitop_spectrum(src).index
+    (None, the number of the first target point whose preimage pair is not
+    comaximal).  The preimage of an ideal (filter) is empty or an ideal
+    (filter), so the source spectrum's ``number`` decides each pair."""
+    tgt = hom.target
+    number = build_bitop_spectrum(hom.source).number
     mapping = []
-    for p in build_bitop_spectrum(tgt).points:
-        lower = hom.preimage(tgt.down[p.a])
-        upper = hom.preimage(tgt.up[p.b])
-        k = index.get((src.join_of(lower), src.meet_of(upper))) if lower and upper else None
-        if k is None:
-            return None, p
-        mapping.append(k)
+    for k, (a, b) in enumerate(build_bitop_spectrum(tgt).points):
+        j = number(hom.preimage(tgt.down[a]), hom.preimage(tgt.up[b]))
+        if j is None:
+            return None, k
+        mapping.append(j)
     return tuple(mapping), None
 
 
@@ -108,7 +102,7 @@ def quasi_proper_witness(hom: LatticeHom) -> str | None:
     """The first comaximal pair of the target whose preimage pair is not
     comaximal, as witness text, or None: f is quasi-proper."""
     _, failing = _pull_back(hom)
-    return None if failing is None else f"preimage of {failing.label()} is not comaximal"
+    return None if failing is None else f"preimage of {build_bitop_spectrum(hom.target).label(failing)} is not comaximal"
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +206,15 @@ class EssentialLattice(NamedTuple):
 
 @lru_cache(maxsize=None)
 def essential_lattice(space: BitopSpace) -> EssentialLattice:
-    """The essential sets in sorted order, element k being ``subsets[k]``.
+    """The essential sets in sorted order, element k being ``subsets[k]``
+    and named ``{p0,p3,...}`` by the labels at its 1 digits, lowest first.
     The sets containing ``members[i]`` are the intersection of the
     transposed family's distinct rows over its points."""
     members = tuple(sorted(essential_subsets(space)))
-    names = tuple("{" + ",".join(f"p{i}" for i in bits(m)) + "}" for m in members)
+    labels, digits = [f"p{i}" for i in range(space.n)], bytes.maketrans(b"01", b"\0\1")
+    names = tuple(
+        "{%s}" % ",".join(compress(labels, bin(m)[:1:-1].encode().translate(digits))) for m in members
+    )
     rows: dict[BitMask, BitMask] = {}
     for p, row in enumerate(transpose(members, members[-1].bit_length())):
         rows[row] = rows.get(row, 0) | 1 << p
@@ -262,20 +260,11 @@ def big_h_map(space: BitopSpace) -> tuple[int, ...]:
     spaces."""
     _require_pairwise_bd(space)
     ess = essential_lattice(space)
-    lat = ess.lattice
-    index = build_bitop_spectrum(lat).index
+    number = build_bitop_spectrum(ess.lattice).number
     i_masks = transpose([full_mask(space.n) & ~a for a in ess.subsets], space.n)
     f_masks = transpose([op_d(space, a) for a in ess.subsets], space.n)
-    mapping = []
-    for i_mask, f_mask in zip(i_masks, f_masks):
-        # a point (a, b) has the masks down[a] and up[b], so only the join of
-        # I(x) with the meet of F(x) can match
-        a, b = lat.join_of(i_mask), lat.meet_of(f_mask)
-        found = -1
-        if lat.down[a] == i_mask and lat.up[b] == f_mask:
-            found = index.get((a, b), -1)
-        mapping.append(found)
-    return tuple(mapping)
+    found = (number(i_mask, f_mask) for i_mask, f_mask in zip(i_masks, f_masks))
+    return tuple(-1 if k is None else k for k in found)
 
 
 # ---------------------------------------------------------------------------

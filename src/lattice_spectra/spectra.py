@@ -3,10 +3,11 @@
 The points of the bitopological spectrum are the comaximal pairs: disjoint
 (ideal, filter) pairs each maximal with respect to disjointness from the
 other.  In a finite lattice every ideal is ``down[a]`` and every filter is
-``up[b]``, so a point is stored as the element pair ``(a, b)``.  The maps
-``delta`` and ``epsilon`` send a lattice element ``x`` to the points with
-``x`` not below ``a``, respectively with ``b`` below ``x``; their images
-generate the two topologies.
+``up[b]``, so a point is the element pair ``(a, b)`` of the formal context
+(J, M, <=) of Ganter and Wille.  The maps ``delta`` and ``epsilon`` send a
+lattice element ``x`` to the points with ``x`` not below ``a``,
+respectively with ``b`` below ``x``.  The topologies are Urquhart's two
+orders on the pairs (see :class:`BitopSpectrum`).
 """
 
 from __future__ import annotations
@@ -26,28 +27,6 @@ from .topology import (
 )
 
 
-class ComaximalPair(NamedTuple):
-    """The comaximal pair ``(down[a], up[b])``, stored as the elements a, b.
-
-    The pair is disjoint when ``b`` is not below ``a``.  The ideal is maximal
-    against the filter when every element strictly above ``a`` is above
-    ``b`` (an ideal ``down[c]`` with ``c > a`` meets ``up[b]`` exactly when
-    ``b <= c``), and dually every element strictly below ``b`` is below
-    ``a``.  A plain record: :func:`comaximal_pairs` keeps exactly the element
-    pairs passing that test, and ``suites.check_covering_witnesses`` looks up
-    each separating pair :func:`gbd_witness` returns among the spectrum
-    points.
-    """
-
-    lattice: FiniteLattice
-    a: int
-    b: int
-
-    def label(self) -> str:
-        lat = self.lattice
-        return f"({lat.set_label(lat.down[self.a])};{lat.set_label(lat.up[self.b])})"
-
-
 def _is_comaximal(lat: FiniteLattice, a: int, b: int) -> bool:
     """Whether ``(down[a], up[b])`` is a comaximal pair: ``b`` is not below
     ``a``, ``a`` is maximal outside ``up[b]`` and ``b`` minimal outside
@@ -60,8 +39,8 @@ def _is_comaximal(lat: FiniteLattice, a: int, b: int) -> bool:
     )
 
 
-def comaximal_pairs(lat: FiniteLattice) -> tuple[ComaximalPair, ...]:
-    """All comaximal pairs, in lexicographic (ideal mask, filter mask) order."""
+def comaximal_pairs(lat: FiniteLattice) -> tuple[tuple[int, int], ...]:
+    """All comaximal pairs ``(a, b)``, in lexicographic (ideal mask, filter mask) order."""
     down, up = lat.down, lat.up
     found = sorted(
         (down[a], up[b], a, b)
@@ -69,10 +48,10 @@ def comaximal_pairs(lat: FiniteLattice) -> tuple[ComaximalPair, ...]:
         for b in range(lat.n)
         if _is_comaximal(lat, a, b)
     )
-    return tuple(ComaximalPair(lat, a, b) for _, _, a, b in found)
+    return tuple((a, b) for _, _, a, b in found)
 
 
-def extend_to_comaximal(lat: FiniteLattice, a: int, b: int) -> ComaximalPair:
+def extend_to_comaximal(lat: FiniteLattice, a: int, b: int) -> tuple[int, int]:
     """Grow the disjoint pair ``(down[a], up[b])`` to a comaximal pair:
     :func:`gbd_witness` grows (join W, meet V) into the point separating
     inter(epsilon over V) from union(delta over W).
@@ -95,7 +74,7 @@ def extend_to_comaximal(lat: FiniteLattice, a: int, b: int) -> ComaximalPair:
     for x in range(lat.n):
         if not lat.leq(meet[b][x], a):
             b = meet[b][x]
-    return ComaximalPair(lat, a, b)
+    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -103,17 +82,19 @@ def extend_to_comaximal(lat: FiniteLattice, a: int, b: int) -> ComaximalPair:
 
 
 class BitopSpectrum:
-    """The comaximal pairs of a lattice with the two generated topologies.
+    """The comaximal pairs of a lattice with their two topologies.
 
-    ``delta[x]`` / ``epsilon[x]`` are point masks; tau is generated by the
-    image of delta as a subbasis and sigma by the image of epsilon as a
-    basis (the epsilon image is closed under intersections already).
-    ``suites.check_spectrum_map_laws`` checks that each epsilon[x] lies
-    inside delta[x].
+    ``points[k]`` is the element pair ``(a, b)`` of a point; :meth:`label`
+    prints it and :meth:`number` finds it from its masks.  ``delta[x]`` /
+    ``epsilon[x]`` are point masks.  A point's tau (sigma) up-set is the
+    points whose ``a`` (``b``) lies below its own, which is the topology the
+    image of delta (epsilon) generates: ``suites.check_specialization_orders``
+    generates both.  ``suites.check_spectrum_map_laws`` checks that each
+    epsilon[x] lies inside delta[x].
     """
 
     lattice: FiniteLattice
-    points: tuple[ComaximalPair, ...]
+    points: tuple[tuple[int, int], ...]
     delta: tuple[BitMask, ...]
     epsilon: tuple[BitMask, ...]
     space: BitopSpace
@@ -134,19 +115,35 @@ class BitopSpectrum:
     @cached_property
     def index(self) -> dict[tuple[int, int], int]:
         """The number of the point ``(a, b)``, keyed by the element pair."""
-        return {(p.a, p.b): k for k, p in enumerate(self.points)}
+        return {p: k for k, p in enumerate(self.points)}
+
+    def number(self, ideal: BitMask, filt: BitMask) -> int | None:
+        """The number of the point with ideal mask ``ideal`` and filter mask
+        ``filt``, or None when that pair is no point: a point ``(a, b)`` has
+        the masks ``down[a]`` and ``up[b]``, so only (join, meet) can match."""
+        lat = self.lattice
+        a, b = lat.join_of(ideal), lat.meet_of(filt)
+        if lat.down[a] != ideal or lat.up[b] != filt:
+            return None
+        return self.index.get((a, b))
+
+    def label(self, k: int) -> str:
+        """Point k as ``({ideal};{filter})``, both member sets."""
+        lat = self.lattice
+        a, b = self.points[k]
+        return f"({lat.set_label(lat.down[a])};{lat.set_label(lat.up[b])})"
 
 
 @lru_cache(maxsize=None)
 def build_bitop_spectrum(lat: FiniteLattice) -> BitopSpectrum:
     points = comaximal_pairs(lat)
     full, up, down = full_mask(lat.n), lat.up, lat.down
-    # delta[x]: the points (a, b) with x not below a; epsilon[x]: those with b below x
-    delta = tuple(transpose([full & ~down[p.a] for p in points], lat.n))
-    epsilon = tuple(transpose([up[p.b] for p in points], lat.n))
-    m = len(points)
-    tau = topology_from_subbasis(m, delta)
-    sigma = topology_from_subbasis(m, epsilon)
+    # delta[x] / epsilon[x] / below_a[x]: the points (a, b) with x not below a / b below x / a below x
+    delta = tuple(transpose([full & ~down[a] for a, _ in points], lat.n))
+    epsilon = tuple(transpose([up[b] for _, b in points], lat.n))
+    below_a = transpose([up[a] for a, _ in points], lat.n)
+    tau = FiniteTopology(tuple(below_a[a] for a, _ in points))
+    sigma = FiniteTopology(tuple(epsilon[b] for _, b in points))
     return BitopSpectrum(lat, points, delta, epsilon, bitop_space(tau, sigma))
 
 
@@ -182,19 +179,16 @@ def b_map(lat: FiniteLattice) -> tuple[int, ...]:
     point k among the bitopological points.  The ``classical_stone`` suite
     and the ``classical_bridge`` corpus check hold it to be a homeomorphism
     onto (points, tau) on distributive lattices."""
-    classical = build_classical_spectrum(lat)
     bitop = build_bitop_spectrum(lat)
     full = full_mask(lat.n)
-    return tuple(
-        bitop.index[lat.join_of(p), lat.meet_of(full & ~p)] for p in classical.points
-    )
+    return tuple(bitop.number(p, full & ~p) for p in build_classical_spectrum(lat).points)
 
 
 # ---------------------------------------------------------------------------
 # covering witnesses
 
 
-def gbd_witness(spectrum: BitopSpectrum, v_mask: BitMask, w_mask: BitMask) -> ComaximalPair | None:
+def gbd_witness(spectrum: BitopSpectrum, v_mask: BitMask, w_mask: BitMask) -> tuple[int, int] | None:
     """None when inter(epsilon over V) lies inside union(delta over W), else
     a point in the one and outside the other.
 

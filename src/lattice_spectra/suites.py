@@ -13,7 +13,7 @@ import random
 from functools import lru_cache
 from typing import NamedTuple
 
-from .bitsets import bits, full_mask, image_mask, is_subset, preimage_mask, transpose
+from .bitsets import bits, full_mask, image_mask, is_subset, preimage_mask
 from .lattices import FiniteLattice, all_homs, check_hom
 from .spectra import (
     b_map,
@@ -47,6 +47,7 @@ from .topology import (
     op_d,
     op_i,
     pairwise_bd_witness,
+    topology_from_subbasis,
 )
 
 
@@ -137,24 +138,21 @@ def check_distributive_iff_maps_equal(lat: FiniteLattice):
 
 
 def check_specialization_orders(lat: FiniteLattice):
-    """Each point's tau (sigma) up-set is the points whose a (b) lies below.
+    """The stored tau (sigma), read off the points as the order of their
+    a's (b's), is the topology that the image of delta (epsilon) generates.
 
     Pairwise T0 then holds without a scan: a_y <= a_x and b_x <= b_y force
     x == y by the maximality of both pairs.  ``check_pairwise_axioms`` runs
     ``pairwise_t0_witness`` as axiom (i)."""
     s = build_bitop_spectrum(lat)
-    pts = s.points
-    space = s.space
-    # below_a[e] / below_b[e]: the points q with a_q / b_q below element e
-    below_a = transpose([lat.up[pt.a] for pt in pts], lat.n)
-    below_b = transpose([lat.up[pt.b] for pt in pts], lat.n)
-    for p, pt in enumerate(pts):
-        tau = space.up_tau[p] ^ below_a[pt.a]
-        sig = space.up_sigma[p] ^ below_b[pt.b]
-        if tau | sig:  # report the lowest differing q, tau before sigma
-            q = next(bits(tau | sig))
-            kind = "tau" if tau >> q & 1 else "sigma"
-            return f"{kind} order mismatch at ({pt.label()},{pts[q].label()})"
+    m = len(s.points)
+    tau, sigma = (topology_from_subbasis(m, family).up for family in (s.delta, s.epsilon))
+    for p in range(m):
+        t, g = s.space.up_tau[p] ^ tau[p], s.space.up_sigma[p] ^ sigma[p]
+        if t | g:  # report the lowest differing q, tau before sigma
+            q = next(bits(t | g))
+            kind = "tau" if t >> q & 1 else "sigma"
+            return f"{kind} order mismatch at ({s.label(p)},{s.label(q)})"
     return None
 
 
@@ -214,7 +212,7 @@ def check_covering_witnesses(lat: FiniteLattice):
     s = build_bitop_spectrum(lat)
 
     def separates(pair, inside, outside):
-        k = s.index.get((pair.a, pair.b))
+        k = s.index.get(pair)
         return k is not None and inside >> k & 1 and not outside >> k & 1
 
     for v, w, x in covering_samples(lat.n):
@@ -246,8 +244,8 @@ def check_prime_point_closures(lat: FiniteLattice):
     pts = prime_points(s)
     full = full_mask(lat.n)
     for k in pts:
-        p = s.points[k]
-        if lat.down[p.a] | lat.up[p.b] != full:
+        a, b = s.points[k]
+        if lat.down[a] | lat.up[b] != full:
             return "closure-prime point that is not a prime ideal with its complement"
     all_prime = len(pts) == len(s.points)
     if all_prime != lat.distributive:

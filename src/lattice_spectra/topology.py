@@ -24,9 +24,9 @@ neighbourhoods form one T0 class, and a spectrum has few of them (M100's
 9900 points carry 100 tau classes), so each operator takes one union per
 class (``FiniteTopology.classes``); ``tests/oracles.py`` keeps the
 per-point loops they replace.  A subbasis generates its topology with one
-intersection per distinct column of the transposed family, so the points
-of a class share one mask object and ``up`` costs n pointers plus one
-mask per class.  The stability, co-stability and openness tests are
+intersection per distinct column of the transposed family (a spectrum
+reads its two off the lattice order), so the points of a class share one
+mask object and ``up`` costs n pointers plus one mask per class.  The stability, co-stability and openness tests are
 definitions in ``tests/oracles.py``: on a spectrum the transition
 identities that the ``transition_operators`` suite checks settle them.
 """
@@ -65,7 +65,10 @@ class FiniteTopology:
         return self.up == other.up if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.up,))
+        return self._hash
+
+    # every space-keyed lru_cache hashes both topologies: hash the masks once
+    _hash = cached_property(lambda self: hash((self.up,)))
 
     def __repr__(self) -> str:
         return f"FiniteTopology(up={self.up!r})"

@@ -802,7 +802,7 @@ def covering_witnesses_literal(lat, gbd=gbd_witness):
     full = full_mask(lat.n)
 
     def separates(pair, inside, outside):
-        k = s.index.get((pair.a, pair.b))
+        k = s.index.get(pair)
         return k is not None and inside >> k & 1 and not outside >> k & 1
 
     for _ in range(60):
@@ -891,14 +891,14 @@ def generated_filter(lat, generators):
     return lat.up[lat.meet_of(generators)]
 
 
-def pair_ideal(pair):
-    """The ideal ``down[a]`` of a comaximal pair, as a mask."""
-    return pair.lattice.down[pair.a]
+def pair_ideal(lat, pair):
+    """The ideal ``down[a]`` of the comaximal pair ``(a, b)``, as a mask."""
+    return lat.down[pair[0]]
 
 
-def pair_filter(pair):
-    """The filter ``up[b]`` of a comaximal pair, as a mask."""
-    return pair.lattice.up[pair.b]
+def pair_filter(lat, pair):
+    """The filter ``up[b]`` of the comaximal pair ``(a, b)``, as a mask."""
+    return lat.up[pair[1]]
 
 
 def is_compact_subset(top, a, cover):

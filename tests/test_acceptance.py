@@ -106,10 +106,10 @@ def test_criterion_04_order_characterizations(lattices_upto_6):
         for p in range(len(pts)):
             for q in range(len(pts)):
                 assert bool(space.up_tau[p] >> q & 1) == is_subset(
-                    pair_ideal(pts[q]), pair_ideal(pts[p])
+                    pair_ideal(lat, pts[q]), pair_ideal(lat, pts[p])
                 ), lat.name
                 assert bool(space.up_sigma[p] >> q & 1) == is_subset(
-                    pair_filter(pts[p]), pair_filter(pts[q])
+                    pair_filter(lat, pts[p]), pair_filter(lat, pts[q])
                 ), lat.name
         witness = pairwise_t0_witness(space)
         assert witness is None, (lat.name, witness)

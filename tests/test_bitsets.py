@@ -6,7 +6,7 @@ import random
 import pytest
 
 from lattice_spectra import suites
-from lattice_spectra.bitsets import full_mask, mask_of, transpose
+from lattice_spectra.bitsets import bits, full_mask, mask_of, transpose
 from lattice_spectra.catalog import to_dot
 from lattice_spectra.duality import big_h_map, essential_lattice, h_map_classical
 from lattice_spectra.spectra import build_bitop_spectrum, build_classical_spectrum
@@ -76,10 +76,10 @@ def test_sites_match_literal_definitions(corpus):
         s = build_bitop_spectrum(lat)
         pts = s.points
         assert s.delta == tuple(
-            mask_of(k for k, p in enumerate(pts) if not lat.leq(x, p.a)) for x in range(n)
+            mask_of(k for k, (a, _) in enumerate(pts) if not lat.leq(x, a)) for x in range(n)
         )
         assert s.epsilon == tuple(
-            mask_of(k for k, p in enumerate(pts) if lat.leq(p.b, x)) for x in range(n)
+            mask_of(k for k, (_, b) in enumerate(pts) if lat.leq(b, x)) for x in range(n)
         )
         assert s.space.up_tau == _meet_around(len(pts), s.delta)
         assert s.space.up_sigma == _meet_around(len(pts), s.epsilon)
@@ -91,13 +91,14 @@ def test_sites_match_literal_definitions(corpus):
 
 
 def test_specialization_suite_on_corpus(corpus):
-    # below_a / below_b against the order of the a's and the b's
+    # the stored tau / sigma, read off the points, against the order of the
+    # a's and the b's; the suite compares them with the generated topologies
     for lat in corpus:
         s = build_bitop_spectrum(lat)
         pts = s.points
-        for p, pt in enumerate(pts):
-            assert s.space.up_tau[p] == mask_of(q for q, o in enumerate(pts) if lat.leq(o.a, pt.a))
-            assert s.space.up_sigma[p] == mask_of(q for q, o in enumerate(pts) if lat.leq(o.b, pt.b))
+        for p, (a, b) in enumerate(pts):
+            assert s.space.up_tau[p] == mask_of(q for q, o in enumerate(pts) if lat.leq(o[0], a))
+            assert s.space.up_sigma[p] == mask_of(q for q, o in enumerate(pts) if lat.leq(o[1], b))
         assert suites.check_specialization_orders(lat) is None, lat
 
 
@@ -108,7 +109,7 @@ def test_reconstruction_pairs_match_literal_definition(corpus):
         ess = essential_lattice(space)
         target = build_bitop_spectrum(ess.lattice)
         down, up = ess.lattice.down, ess.lattice.up
-        pairs = {(down[p.a], up[p.b]): k for k, p in enumerate(target.points)}
+        pairs = {(down[a], up[b]): k for k, (a, b) in enumerate(target.points)}
         d_images = [op_d(space, a) for a in ess.subsets]
         expected = tuple(
             pairs.get(
@@ -121,6 +122,15 @@ def test_reconstruction_pairs_match_literal_definition(corpus):
             for x in range(space.n)
         )
         assert big_h_map(space) == expected, lat
+
+
+def test_essential_names_match_literal_definition(corpus):
+    # each essential set is named by its points, lowest first
+    for lat in [*corpus, _diamond(12)]:
+        for space in (build_bitop_spectrum(lat).space, doubled_space(build_classical_spectrum(lat).space)):
+            ess = essential_lattice(space)
+            expected = tuple("{" + ",".join(f"p{i}" for i in bits(m)) + "}" for m in ess.subsets)
+            assert ess.lattice.names == expected, lat
 
 
 def test_classical_map_matches_literal_definition(corpus):
@@ -140,10 +150,11 @@ def test_dot_labels_match_literal_definition(corpus):
     for lat in corpus:
         s = build_bitop_spectrum(lat)
         text = to_dot(s)
-        for k, p in enumerate(s.points):
+        for k, (a, b) in enumerate(s.points):
+            label = f"({lat.set_label(lat.down[a])};{lat.set_label(lat.up[b])})"
             in_delta = ",".join(lat.names[x] for x in range(lat.n) if s.delta[x] >> k & 1)
             in_eps = ",".join(lat.names[x] for x in range(lat.n) if s.epsilon[x] >> k & 1)
-            assert f"[label=\"{p.label()}\\nd:{in_delta} e:{in_eps}\"];" in text
+            assert f"[label=\"{label}\\nd:{in_delta} e:{in_eps}\"];" in text
 
 
 def test_kept_down_loop_matches_transpose(corpus):

@@ -382,7 +382,7 @@ def test_public_names_resolve_lazily():
     import lattice_spectra
 
     exported = set(lattice_spectra.__all__)
-    assert len(exported) == len(lattice_spectra.__all__) == 80
+    assert len(exported) == len(lattice_spectra.__all__) == 79
     for name in exported:
         module = importlib.import_module(f"lattice_spectra.{lattice_spectra._MODULE_OF[name]}")
         assert getattr(lattice_spectra, name) is getattr(module, name), name

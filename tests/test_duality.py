@@ -183,8 +183,8 @@ def test_spec_b_collapse_surjection(diamond, chain2):
     assert m.source.n == 1 and m.target.n == 2
     src_spec = build_bitop_spectrum(diamond)
     pair = src_spec.points[m.mapping[0]]
-    assert diamond.set_label(pair_ideal(pair)) == "{0,q}"
-    assert diamond.set_label(pair_filter(pair)) == "{p,1}"
+    assert diamond.set_label(pair_ideal(diamond, pair)) == "{0,q}"
+    assert diamond.set_label(pair_filter(diamond, pair)) == "{p,1}"
 
 
 def test_spec_b_contravariant_composition(lattices_upto_4):

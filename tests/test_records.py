@@ -65,11 +65,19 @@ def test_record_reprs(cat):
     assert repr(chain2) == "<FiniteLattice chain2 n=2>"
     assert repr(top) == "FiniteTopology(up=(1, 3))"
     assert repr(bitop_space(top, top)) == "BitopSpace(tau=FiniteTopology(up=(1, 3)), sigma=FiniteTopology(up=(1, 3)))"
-    assert repr(spec.points[0]) == "ComaximalPair(lattice=<FiniteLattice chain2 n=2>, a=0, b=1)"
+    assert spec.points == ((0, 1),)
     assert repr(spec) == (
         f"BitopSpectrum(lattice={chain2!r}, points={spec.points!r}, delta={spec.delta!r},"
         f" epsilon={spec.epsilon!r}, space={spec.space!r})"
     )
+
+
+def test_topology_hash_is_computed_once():
+    # every space-keyed cache hashes its topologies, so the hash is cached
+    top = FiniteTopology((1, 3))
+    assert "_hash" not in vars(top)
+    assert hash(top) == hash(((1, 3),)) == hash(FiniteTopology((1, 3)))
+    assert vars(top)["_hash"] == hash(top)
 
 
 def test_generator_config_signature_and_fields():

@@ -9,7 +9,6 @@ from lattice_spectra.catalog import GeneratorConfig, enumerate_lattices
 from lattice_spectra.errors import EmptyInput, NotDisjoint
 from lattice_spectra.topology import essential_subsets
 from lattice_spectra.spectra import (
-    ComaximalPair,
     b_map,
     bottom_via_fundamental,
     build_bitop_spectrum,
@@ -38,7 +37,7 @@ def test_comaximal_matches_literal_definition(lattices_upto_6, cat):
     sample = list(lattices_upto_6) + [cat["hexagon"], cat["m5_doubled_arm"], cat["b3"]]
     sample += enumerate_lattices(GeneratorConfig("random", 8, seed=99, count=40))
     for lat in sample:
-        got = [(pair_ideal(p), pair_filter(p)) for p in comaximal_pairs(lat)]
+        got = [(pair_ideal(lat, p), pair_filter(lat, p)) for p in comaximal_pairs(lat)]
         assert got == comaximal_pairs_brute(lat), lat.name
 
 
@@ -50,8 +49,14 @@ def test_comaximal_counts(cat):
     assert len(comaximal_pairs(cat["hexagon"])) == 4
 
 
+def _label(lat, pair):
+    """The spectrum's label of the point ``pair``."""
+    spec = build_bitop_spectrum(lat)
+    return spec.label(spec.index[pair])
+
+
 def test_m5_pairs_are_atom_pairs(m5):
-    labels = [p.label() for p in comaximal_pairs(m5)]
+    labels = [_label(m5, p) for p in comaximal_pairs(m5)]
     assert labels == [
         "({0,a};{b,1})",
         "({0,a};{c,1})",
@@ -68,10 +73,43 @@ def test_nonempty_for_two_or_more_elements(lattices_upto_6):
 
 
 def test_pair_validation_rejects_junk(m5):
-    # a pair record is unchecked; the pair enumeration keeps true pairs only
+    # an element pair is unchecked; the pair enumeration keeps true pairs only
     a = m5.index("a")
-    assert ComaximalPair(m5, a, m5.top) not in comaximal_pairs(m5)
+    assert (a, m5.top) not in comaximal_pairs(m5)
     assert (a, m5.top) not in build_bitop_spectrum(m5).index
+
+
+# --- the point lookup --------------------------------------------------------
+
+
+def test_number_finds_exactly_the_points(lattices_upto_6, cat):
+    # every element pair's (down[a], up[b]) is numbered iff it is a point,
+    # and an empty ideal or filter mask is never a point
+    for lat in [*lattices_upto_6, *cat.values()]:
+        spec = build_bitop_spectrum(lat)
+        for a, b in itertools.product(range(lat.n), repeat=2):
+            assert spec.number(lat.down[a], lat.up[b]) == spec.index.get((a, b)), (lat.name, a, b)
+            assert spec.number(0, lat.up[b]) is None
+            assert spec.number(lat.down[a], 0) is None
+        assert [spec.number(lat.down[a], lat.up[b]) for a, b in spec.points] == list(range(len(spec.points)))
+
+
+def test_number_rejects_non_principal_masks(m5, chain2):
+    spec = build_bitop_spectrum(m5)
+    a, b = m5.index("a"), m5.index("b")
+    point = spec.index[a, b]  # ({0,a};{b,1})
+    assert spec.number(m5.down[a], m5.up[b]) == point
+    # {a} and {b} have the point's join and meet but are not its masks
+    assert spec.number(1 << a, m5.up[b]) is None
+    assert spec.number(m5.down[a], 1 << b) is None
+    # {a, b} is neither an ideal nor a filter
+    assert spec.number(mask_of([a, b]), m5.up[b]) is None
+    assert spec.number(m5.down[a], mask_of([a, b])) is None
+    # the empty join and meet are chain2's one point (0, 1), the empty masks are not
+    chain = build_bitop_spectrum(chain2)
+    assert chain.number(chain2.down[0], chain2.up[1]) == 0
+    assert chain.number(0, chain2.up[1]) is None
+    assert chain.number(chain2.down[0], 0) is None
 
 
 # --- extension ---------------------------------------------------------------
@@ -79,21 +117,21 @@ def test_pair_validation_rejects_junk(m5):
 
 def test_extend_m5_example(m5):
     pair = extend_to_comaximal(m5, m5.bottom, m5.index("b"))
-    assert pair.label() == "({0,a};{b,1})"
+    assert _label(m5, pair) == "({0,a};{b,1})"
 
 
 def test_extend_fixpoint(m5):
     pair = comaximal_pairs(m5)[0]
-    again = extend_to_comaximal(m5, pair.a, pair.b)
+    again = extend_to_comaximal(m5, *pair)
     assert again == pair
 
 
 def test_extend_n5(n5):
     pair = extend_to_comaximal(n5, n5.bottom, n5.index("c"))
     # lowest-index growth adds a first; ({0,a};{c,1}) is the maximal extension
-    assert pair.label() == "({0,a};{c,1})"
-    assert is_subset(0b1, pair_ideal(pair))
-    assert is_subset(principal_filter(n5, n5.index("c")), pair_filter(pair))
+    assert _label(n5, pair) == "({0,a};{c,1})"
+    assert is_subset(0b1, pair_ideal(n5, pair))
+    assert is_subset(principal_filter(n5, n5.index("c")), pair_filter(n5, pair))
 
 
 def test_extend_requires_disjoint(m5):
@@ -136,7 +174,7 @@ def test_extend_matches_mask_restart_rule(lattices_upto_6):
             disjoint += 1
             pair = extend_to_comaximal(lat, a, b)
             expected = _extend_by_masks(lat, lat.down[a], lat.up[b])
-            assert (lat.down[pair.a], lat.up[pair.b]) == expected, (lat.name, a, b)
+            assert (pair_ideal(lat, pair), pair_filter(lat, pair)) == expected, (lat.name, a, b)
     assert disjoint == 341
 
 
@@ -234,7 +272,7 @@ def test_finite_subfamily_oracle_reports_a_broken_shrink(monkeypatch, m5, shrunk
 
 def test_gbd_m5_separating_branch(m5):
     a, b = m5.index("a"), m5.index("b")
-    assert gbd_witness(build_bitop_spectrum(m5), 1 << a, 1 << b).label() == "({0,b};{a,1})"
+    assert _label(m5, gbd_witness(build_bitop_spectrum(m5), 1 << a, 1 << b)) == "({0,b};{a,1})"
 
 
 def test_gbd_empty_input(m5):
@@ -258,7 +296,7 @@ def certify_gbd(spec, v, w, pair):
         assert finite_subfamily_witness(spec, v, w) is None
     else:
         assert not is_subset(inter, union)
-        k = 1 << spec.index[pair.a, pair.b]
+        k = 1 << spec.index[pair]
         assert inter & k and not union & k
 
 
@@ -288,7 +326,7 @@ def certify_delta(spec, x, v, pair):
         assert cover_subfamily_witness(spec, x, v) is None
     else:
         assert not is_subset(spec.delta[x], union)
-        k = 1 << spec.index[pair.a, pair.b]
+        k = 1 << spec.index[pair]
         assert spec.delta[x] & k and not union & k
 
 
@@ -333,7 +371,7 @@ def test_delta_compactness_m5(m5):
     spec = build_bitop_spectrum(m5)
     assert gbd_witness(spec, 1 << m5.top, mask_of([a, b])) is None
     assert greedy_shrink_brute(mask_of([a, b]), m5.join_of, lambda j: m5.leq(m5.top, j)) == mask_of([a, b])
-    assert gbd_witness(spec, 1 << a, 1 << b).label() == "({0,b};{a,1})"
+    assert _label(m5, gbd_witness(spec, 1 << a, 1 << b)) == "({0,b};{a,1})"
 
 
 # --- prime points ------------------------------------------------------------
@@ -354,7 +392,7 @@ def test_prime_points_n5(n5):
     # embedded image of {0,a,c} has coinciding closures.
     spec = build_bitop_spectrum(n5)
     pts = prime_points(spec)
-    assert [spec.points[k].label() for k in pts] == ["({0,a,c};{b,1})"]
+    assert [spec.label(k) for k in pts] == ["({0,a,c};{b,1})"]
     space = spec.space
     a, b, c = (n5.index(s) for s in "abc")
     witness = spec.index[a, c]  # ({0,a};{c,1})
@@ -413,10 +451,10 @@ def test_order_characterizations(lattices_upto_5, cat):
         pts = spec.points
         for p, q in itertools.product(range(len(pts)), repeat=2):
             assert bool(space.up_tau[p] >> q & 1) == is_subset(
-                pair_ideal(pts[q]), pair_ideal(pts[p])
+                pair_ideal(lat, pts[q]), pair_ideal(lat, pts[p])
             )
             assert bool(space.up_sigma[p] >> q & 1) == is_subset(
-                pair_filter(pts[p]), pair_filter(pts[q])
+                pair_filter(lat, pts[p]), pair_filter(lat, pts[q])
             )
 
 

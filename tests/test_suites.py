@@ -14,12 +14,11 @@ from lattice_spectra.errors import NotBDSpace, NotPairwiseBD
 from lattice_spectra.catalog import named_lattices
 from lattice_spectra.lattices import LatticeHom, build_lattice, check_hom
 from lattice_spectra.spectra import (
-    ComaximalPair,
     build_bitop_spectrum,
     build_classical_spectrum,
     gbd_witness,
 )
-from lattice_spectra.topology import FiniteTopology, bitop_space, doubled_space
+from lattice_spectra.topology import FiniteTopology, bitop_space, doubled_space, topology_from_subbasis
 
 from conftest import replaced
 from oracles import (
@@ -470,12 +469,10 @@ def test_covering_witnesses_first_failure_equals_literal_loop(monkeypatch, latti
     ],
 )
 def test_non_point_pair_reaches_covering_witnesses(monkeypatch, cat, name, message):
-    # a separating pair is an unchecked record; one that is no spectrum point
-    # ((top, bottom) overlaps) fails the suite with the counterexample text
-    # of the side whose separating sample comes first
-    monkeypatch.setattr(
-        spectra, "extend_to_comaximal", lambda lat, a, b: ComaximalPair(lat, lat.top, lat.bottom)
-    )
+    # a separating pair is an unchecked element pair; one that is no
+    # spectrum point ((top, bottom) overlaps) fails the suite with the
+    # counterexample text of the side whose separating sample comes first
+    monkeypatch.setattr(spectra, "extend_to_comaximal", lambda lat, a, b: (lat.top, lat.bottom))
     result = _suite_result(cat[name], "covering_witnesses")
     assert (result.passed, result.witness) == (False, message)
 
@@ -558,14 +555,14 @@ def test_lattice_axioms_catch_every_associativity_failure(lattices_upto_5, cat):
 
 
 def _specialization_mismatch_by_pairs(lat, spectrum):
-    """The old O(points^2) scan: the first (p, q) whose tau or sigma bit
+    """The O(points^2) scan: the first (p, q) whose tau or sigma bit
     disagrees with the order of the a's or the b's, tau before sigma."""
-    pts, space = spectrum.points, spectrum.space
+    pts, space, label = spectrum.points, spectrum.space, spectrum.label
     for p, q in itertools.product(range(len(pts)), repeat=2):
-        if bool(space.up_tau[p] >> q & 1) != lat.leq(pts[q].a, pts[p].a):
-            return f"tau order mismatch at ({pts[p].label()},{pts[q].label()})"
-        if bool(space.up_sigma[p] >> q & 1) != lat.leq(pts[q].b, pts[p].b):
-            return f"sigma order mismatch at ({pts[p].label()},{pts[q].label()})"
+        if bool(space.up_tau[p] >> q & 1) != lat.leq(pts[q][0], pts[p][0]):
+            return f"tau order mismatch at ({label(p)},{label(q)})"
+        if bool(space.up_sigma[p] >> q & 1) != lat.leq(pts[q][1], pts[p][1]):
+            return f"sigma order mismatch at ({label(p)},{label(q)})"
     return None
 
 
@@ -581,13 +578,47 @@ def test_specialization_order_witness_matches_pair_scan(monkeypatch, cat):
             tau, sigma = list(s.space.up_tau), list(s.space.up_sigma)
             tau[p] ^= (1 << q_tau) & ((1 << n) - 1)
             sigma[p] ^= (1 << q_sig) & ((1 << n) - 1)
-            fake = SimpleNamespace(points=s.points, space=SimpleNamespace(up_tau=tau, up_sigma=sigma))
+            fake = SimpleNamespace(
+                points=s.points,
+                delta=s.delta,
+                epsilon=s.epsilon,
+                space=SimpleNamespace(up_tau=tau, up_sigma=sigma),
+                label=s.label,
+            )
             expected = _specialization_mismatch_by_pairs(lat, fake)
             if expected is None:
                 continue
             monkeypatch.setattr(suites, "build_bitop_spectrum", lambda _: fake)
             assert suites.check_specialization_orders(lat) == expected, (name, p, q_tau, q_sig)
             monkeypatch.undo()
+
+
+@pytest.mark.parametrize("field, kind", [("delta", "tau"), ("epsilon", "sigma")])
+def test_specialization_orders_catch_a_flipped_map_bit(monkeypatch, cat, field, kind):
+    # the stored topologies stay as read off the points; one flipped bit of a
+    # copied delta (epsilon) that changes the topology it generates must
+    # fail the suite with the tau (sigma) mismatch at the first differing
+    # point and its lowest differing neighbour
+    caught = 0
+    for name in ("chain3", "m5", "n5", "hexagon", "b3"):
+        lat = cat[name]
+        s = build_bitop_spectrum(lat)
+        m, stored = len(s.points), getattr(s.space, kind).up
+        for x, k in itertools.product(range(lat.n), range(m)):
+            maps = {"delta": list(s.delta), "epsilon": list(s.epsilon)}
+            maps[field][x] ^= 1 << k
+            generated = topology_from_subbasis(m, maps[field]).up
+            if generated == stored:
+                continue
+            p = next(p for p in range(m) if generated[p] != stored[p])
+            q = next(bits(generated[p] ^ stored[p]))
+            fake = SimpleNamespace(points=s.points, space=s.space, label=s.label, **maps)
+            monkeypatch.setattr(suites, "build_bitop_spectrum", lambda _: fake)
+            witness = suites.check_specialization_orders(lat)
+            monkeypatch.undo()
+            assert witness == f"{kind} order mismatch at ({s.label(p)},{s.label(q)})", (name, x, k)
+            caught += 1
+    assert caught == 62
 
 
 # --- theorem checks owned by the suites: planted faults ------------------------
@@ -624,7 +655,7 @@ def test_preimage_identity_faults_reach_hom_classification(monkeypatch, m5):
     collapsed = ident._replace(mapping=(0,) * len(pts))
     # two points with the same ideal are tau-equivalent: swapping them keeps
     # every delta preimage and breaks an epsilon one
-    p, q = next((p, q) for p, q in itertools.combinations(range(len(pts)), 2) if pts[p].a == pts[q].a)
+    p, q = next((p, q) for p, q in itertools.combinations(range(len(pts)), 2) if pts[p][0] == pts[q][0])
     swapped = list(range(len(pts)))
     swapped[p], swapped[q] = q, p
     swapped = ident._replace(mapping=tuple(swapped))
